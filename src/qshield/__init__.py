@@ -6,7 +6,7 @@ preprocessing, feature attribution, and statistical evaluation around
 them.
 """
 
-from .encoding import FeatureMapSpec, amplitude_encode, apply_feature_map, feature_map_circuit
+from .encoding import FeatureMapSpec, amplitude_encode, apply_feature_map
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -38,7 +38,6 @@ from .explain import AttributionReport, grad_attribution, rank_features, score_a
 from .pipeline import (
     EnsembleModel,
     PipelineConfig,
-    ensemble_predict,
     load_model,
     run_experiment,
     save_model,
@@ -58,7 +57,7 @@ from .preprocess import (
     remove_outliers,
     train_test_split,
 )
-from .qkernel import KernelMatrix, SvmModel, kernel_entry, kernel_matrix, svm_decision, train_qsvm
+from .qkernel import KernelMatrix, SvmModel, kernel_matrix, train_qsvm
 from .statevector import (
     Circuit,
     GateOp,
@@ -78,7 +77,6 @@ from .vqc import (
     VqcModel,
     bce_loss,
     build_ansatz,
-    forward,
     param_shift_grad,
     train_vqc,
 )

@@ -21,17 +21,17 @@ from .explain import (
 )
 from .pipeline import (
     PipelineConfig,
+    feature_map_spec,
     load_model,
     preprocess_experiment,
     run_experiment,
-    save_model,
+    train_experiment,
     write_predictions_csv,
-    _feature_map_spec,
-    _train_model,
 )
-from .preprocess import apply_preprocess, load_csv, train_test_split
+from .preprocess import apply_preprocess, load_csv
 from .qkernel import kernel_matrix, write_kernel_csv
 from .evalstats import bootstrap_ci, confusion, format_metrics_table, metrics
+from .vqc import Prediction
 
 
 def _load_config(path: str | None, seed: int | None) -> PipelineConfig:
@@ -106,20 +106,8 @@ def train_cmd(
     if model_type:
         config = replace(config, model=replace(config.model, type=model_type))
         config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    from .pipeline import _resolved_preprocess_config, _stage
-    from .preprocess import fit_preprocess
-
-    with _stage("load"):
-        data = load_csv(data_path, config.data.label_column, config.data.positive_label)
-    with _stage("preprocess"):
-        pre_model, processed = fit_preprocess(data, _resolved_preprocess_config(config))
-    with _stage("train"):
-        model, _extras = _train_model(config, processed)
-    save_model(model, out / "model.json")
-    save_model(pre_model, out / "preprocess.json")
-    click.echo(f"trained {config.model.type} model on {processed.n_samples} rows")
+    summary = train_experiment(config, data_path, out_dir)
+    click.echo(f"trained {config.model.type} model on {summary['n_samples']} rows")
     click.echo(f"artifacts written to {out_dir}")
 
 
@@ -140,7 +128,7 @@ def predict_cmd(
     config = _load_config(config_path, None)
     model = load_model(model_path)
     data = _load_and_transform(config, data_path, preprocess_path)
-    predictions = [model.predict(row) for row in data.features]
+    predictions = [Prediction.from_probability(p) for p in model.predict_proba(data.features)]
     write_predictions_csv(predictions, out_path)
     click.echo(f"{len(predictions)} predictions written to {out_path}")
 
@@ -196,7 +184,9 @@ def evaluate_cmd(
     config = _load_config(config_path, seed)
     model = load_model(model_path)
     data = _load_and_transform(config, data_path, preprocess_path)
-    predicted = np.array([model.predict(row).label for row in data.features])
+    predicted = np.array(
+        [Prediction.from_probability(p).label for p in model.predict_proba(data.features)]
+    )
     cm = confusion(predicted, data.labels)
     stats = bootstrap_ci(
         (predicted == data.labels).astype(int),
@@ -217,7 +207,7 @@ def kernel_cmd(
     """Gram matrix of the dataset under the configured feature map."""
     config = _load_config(config_path, None)
     data = _load_and_transform(config, data_path, preprocess_path)
-    gram = kernel_matrix(data, _feature_map_spec(config))
+    gram = kernel_matrix(data, feature_map_spec(config))
     gram.validate()
     write_kernel_csv(gram, out_path)
     click.echo(f"{gram.size}x{gram.size} kernel written to {out_path}")

@@ -1,4 +1,9 @@
-"""Classical-to-quantum data loading: amplitude encoding and the angle feature map."""
+"""Classical-to-quantum data loading: amplitude encoding and the angle feature map.
+
+Both encoders are batched: they take a ``(rows, features)`` matrix and
+return one encoded state per row as a ``(rows, 2**n)`` amplitude array.
+The single-sample forms are one-row views of them.
+"""
 from __future__ import annotations
 
 import math
@@ -10,13 +15,11 @@ from .errors import ConfigError, DegenerateInputError, InvalidInputError, ShapeE
 from .statevector import (
     MAX_QUBITS,
     Circuit,
-    GateOp,
     QuantumState,
+    _apply_1q_matrix,
     _check_qubit_count,
-    cnot,
-    new_zero_state,
-    run_circuit,
-    ry,
+    cnot_ring,
+    evolve,
 )
 
 NORM_FLOOR = 1e-12
@@ -40,16 +43,40 @@ class FeatureMapSpec:
             raise ConfigError(f"repetitions must be a positive integer, got {self.repetitions!r}")
 
 
+def as_feature_matrix(features) -> np.ndarray:
+    """Validate and coerce a feature matrix to a 2-D float array, one sample per row."""
+    arr = np.asarray(features, dtype=float)
+    if arr.ndim != 2:
+        raise ShapeError(f"expected a 2-D feature matrix, got shape {arr.shape}")
+    if arr.shape[1] == 0:
+        raise DegenerateInputError("feature vector is empty")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("feature vector contains NaN or infinite entries")
+    return arr
+
+
 def as_feature_array(x) -> np.ndarray:
     """Validate and coerce a feature vector to a 1-D float array."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ShapeError(f"expected a 1-D feature vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DegenerateInputError("feature vector is empty")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("feature vector contains NaN or infinite entries")
-    return arr
+    return as_feature_matrix(arr[np.newaxis])[0]
+
+
+def encode_amplitude_rows(features, n_qubits: int) -> np.ndarray:
+    """L2-normalized rows as amplitudes of an n-qubit register, zero-padded."""
+    arr = as_feature_matrix(features)
+    dim = 2**n_qubits
+    if arr.shape[1] > dim:
+        raise ShapeError(f"{arr.shape[1]} features do not fit in {dim} amplitudes")
+    norms = np.linalg.norm(arr, axis=1)
+    if np.any(norms <= NORM_FLOOR):
+        raise DegenerateInputError(
+            f"cannot amplitude-encode a near-zero vector (norm {norms.min():.3e})"
+        )
+    amps = np.zeros((arr.shape[0], dim), dtype=complex)
+    amps[:, : arr.shape[1]] = arr / norms[:, np.newaxis]
+    return amps
 
 
 def amplitude_encode(x) -> QuantumState:
@@ -58,54 +85,48 @@ def amplitude_encode(x) -> QuantumState:
     Uses the smallest register that fits (at least one qubit).
     """
     arr = as_feature_array(x)
-    norm = float(np.linalg.norm(arr))
-    if norm <= NORM_FLOOR:
-        raise DegenerateInputError(
-            f"cannot amplitude-encode a near-zero vector (norm {norm:.3e})"
-        )
     n_qubits = max(1, math.ceil(math.log2(arr.size)))
     if n_qubits > MAX_QUBITS:
         raise ShapeError(f"{arr.size} features need more than {MAX_QUBITS} qubits")
-    padded = np.zeros(2**n_qubits, dtype=complex)
-    padded[: arr.size] = arr
-    return QuantumState(n_qubits, padded / norm)
+    return QuantumState(n_qubits, encode_amplitude_rows(arr[np.newaxis], n_qubits)[0])
 
 
-def _padded_angles(x, n_qubits: int) -> np.ndarray:
-    arr = as_feature_array(x)
-    if arr.size > n_qubits:
-        raise ShapeError(f"{arr.size} features do not fit on {n_qubits} qubits")
-    angles = np.zeros(n_qubits)
-    angles[: arr.size] = arr
+def angle_rows(features, spec: FeatureMapSpec) -> np.ndarray:
+    """RY angles of shape (rows, repetitions, n_qubits); missing trailing features are 0."""
+    arr = as_feature_matrix(features)
+    if arr.shape[1] > spec.n_qubits:
+        raise ShapeError(f"{arr.shape[1]} features do not fit on {spec.n_qubits} qubits")
+    angles = np.zeros((arr.shape[0], spec.repetitions, spec.n_qubits))
+    angles[:, :, : arr.shape[1]] = arr[:, np.newaxis, :]
     return angles
 
 
-def _ring(n_qubits: int) -> list[GateOp]:
-    if n_qubits < 2:
-        return []
-    return [cnot(j, (j + 1) % n_qubits) for j in range(n_qubits)]
+def encode_angle_rows(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
+    """Feature-map states U_phi|0...0> for (rows, repetitions, n_qubits) angles.
+
+    Each repetition is one RY layer, with per-row angles, then the CNOT ring.
+    """
+    n = spec.n_qubits
+    if angles.shape[1:] != (spec.repetitions, n):
+        raise ShapeError(
+            f"angle rows have shape {angles.shape[1:]}, expected {(spec.repetitions, n)}"
+        )
+    amps = np.zeros((angles.shape[0], 2**n), dtype=complex)
+    amps[:, 0] = 1.0
+    ring = Circuit(n, cnot_ring(n) if spec.entangling else ())
+    for layer in angles.transpose(1, 2, 0):
+        for q, theta in enumerate(layer):
+            c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+            amps = _apply_1q_matrix(amps, np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2), q, n)
+        amps = evolve(amps, ring)
+    return amps
 
 
-def circuit_from_angle_rows(rows: np.ndarray, n_qubits: int, entangling: bool = True) -> Circuit:
-    """One RY layer plus optional CNOT ring per row of (repetitions, n_qubits) angles."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != n_qubits:
-        raise ShapeError(f"angle rows have width {rows.shape[1]}, expected {n_qubits}")
-    gates: list[GateOp] = []
-    for row in rows:
-        gates.extend(ry(q, float(angle)) for q, angle in enumerate(row))
-        if entangling:
-            gates.extend(_ring(n_qubits))
-    return Circuit(n_qubits, tuple(gates))
-
-
-def feature_map_circuit(x, spec: FeatureMapSpec) -> Circuit:
-    """Encoding circuit for one sample; missing trailing features encode as RY(0)."""
-    angles = _padded_angles(x, spec.n_qubits)
-    rows = np.tile(angles, (spec.repetitions, 1))
-    return circuit_from_angle_rows(rows, spec.n_qubits, spec.entangling)
+def feature_map_states(features, spec: FeatureMapSpec) -> np.ndarray:
+    """Encoded state per row of a (rows, features) matrix, shape (rows, 2**n)."""
+    return encode_angle_rows(angle_rows(features, spec), spec)
 
 
 def apply_feature_map(x, spec: FeatureMapSpec) -> QuantumState:
     """Encoded state U_phi(x)|0...0>."""
-    return run_circuit(new_zero_state(spec.n_qubits), feature_map_circuit(x, spec))
+    return QuantumState(spec.n_qubits, feature_map_states(as_feature_array(x)[np.newaxis], spec)[0])

@@ -3,22 +3,19 @@
 Two methods: GRAD differentiates the encoding angles of an
 angle-encoded variational model with the parameter-shift rule; SCORE
 occludes one feature at a time against a baseline and works with any
-model exposing ``predict_probability``.
+model exposing ``predict_proba``.  Each method scores all of its shifted
+or occluded rows in one batched call.
 """
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import as_feature_array, circuit_from_angle_rows, _padded_angles
+from .encoding import angle_rows, as_feature_array, encode_angle_rows
 from .errors import InvalidInputError, ShapeError, UnsupportedMethodError
-from .statevector import expectation_z, new_zero_state, run_circuit
-from .vqc import VqcModel, build_ansatz
-
-PARAM_SHIFT = math.pi / 2
+from .vqc import PARAM_SHIFT, VqcModel, ansatz_expectations
 
 
 @dataclass(frozen=True)
@@ -42,26 +39,16 @@ def grad_attribution(model: VqcModel, x) -> AttributionReport:
         )
     arr = as_feature_array(x)
     spec = model.feature_map
-    base_rows = np.tile(_padded_angles(arr, spec.n_qubits), (spec.repetitions, 1))
-    ansatz = build_ansatz(model)
-
-    def probability(rows: np.ndarray) -> float:
-        state = new_zero_state(spec.n_qubits)
-        run_circuit(state, circuit_from_angle_rows(rows, spec.n_qubits, spec.entangling))
-        run_circuit(state, ansatz)
-        return (1.0 + expectation_z(state, model.readout)) / 2.0
-
-    base_p = probability(base_rows)
-    scores = []
-    for j in range(arr.size):
-        total = 0.0
-        for rep in range(spec.repetitions):
-            up = base_rows.copy()
-            up[rep, j] += PARAM_SHIFT
-            down = base_rows.copy()
-            down[rep, j] -= PARAM_SHIFT
-            total += 0.5 * (probability(up) - probability(down))
-        scores.append(total)
+    d, reps = arr.size, spec.repetitions
+    # row 0 is the input; rows 1 + 2k and 2 + 2k shift angle k = (feature j,
+    # repetition r) up and down, with k = j * reps + r
+    rows = np.repeat(angle_rows(arr[np.newaxis], spec), 1 + 2 * d * reps, axis=0)
+    k = np.arange(d * reps)
+    rows[1 + 2 * k, k % reps, k // reps] += PARAM_SHIFT
+    rows[2 + 2 * k, k % reps, k // reps] -= PARAM_SHIFT
+    probs = (1.0 + ansatz_expectations(model, encode_angle_rows(rows, spec))) / 2.0
+    base_p = float(probs[0])
+    scores = [float(v) for v in (0.5 * (probs[1::2] - probs[2::2])).reshape(d, reps).sum(axis=1)]
     weighted = [max(s, 0.0) * float(arr[j]) for j, s in enumerate(scores)]
     return AttributionReport(
         feature_indices=tuple(range(arr.size)),
@@ -75,10 +62,11 @@ def grad_attribution(model: VqcModel, x) -> AttributionReport:
 def score_attribution(model, x, baseline=None) -> AttributionReport:
     """Occlusion: score_j = p(x) - p(x with x_j replaced by the baseline).
 
-    ``model`` may be any object with ``predict_probability`` or a plain
-    callable mapping a feature vector to a probability.
+    ``model`` may be any object with ``predict_proba`` or a plain callable
+    mapping an (m, d) feature matrix to m probabilities.  Row 0 of the
+    scored matrix is the input, row j + 1 has feature j occluded.
     """
-    predict = model if callable(model) else model.predict_probability
+    predict = model if callable(model) else model.predict_proba
     arr = as_feature_array(x)
     if baseline is None:
         base_vec = np.zeros_like(arr)
@@ -88,12 +76,13 @@ def score_attribution(model, x, baseline=None) -> AttributionReport:
             raise ShapeError(
                 f"baseline shape {base_vec.shape} does not match input {arr.shape}"
             )
-    base_p = float(predict(arr))
-    scores = []
-    for j in range(arr.size):
-        occluded = arr.copy()
-        occluded[j] = base_vec[j]
-        scores.append(base_p - float(predict(occluded)))
+    rows = np.tile(arr, (arr.size + 1, 1))
+    rows[np.arange(arr.size) + 1, np.arange(arr.size)] = base_vec
+    probs = np.asarray(predict(rows), dtype=float)
+    if probs.shape != (arr.size + 1,):
+        raise ShapeError(f"expected {arr.size + 1} probabilities, got shape {probs.shape}")
+    base_p = float(probs[0])
+    scores = [base_p - float(p) for p in probs[1:]]
     return AttributionReport(
         feature_indices=tuple(range(arr.size)),
         scores=tuple(scores),

@@ -202,18 +202,9 @@ class EnsembleModel:
             raise ConfigError("weights must be non-negative with a positive sum")
         self.weights = weights / weights.sum()
 
-    def predict_probability(self, x) -> float:
-        return float(
-            sum(w * m.predict_probability(x) for w, m in zip(self.weights, self.members))
-        )
-
-    def predict(self, x) -> Prediction:
-        return Prediction.from_probability(self.predict_probability(x))
-
-
-def ensemble_predict(model: EnsembleModel, x) -> Prediction:
-    """Convex mix of member probabilities; ties at 0.5 go malicious."""
-    return model.predict(x)
+    def predict_proba(self, features) -> np.ndarray:
+        """Weighted mean of the members' probabilities, per row."""
+        return sum(w * m.predict_proba(features) for w, m in zip(self.weights, self.members))
 
 
 def _encode_feature_map(spec: FeatureMapSpec) -> dict:
@@ -295,15 +286,25 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
+def _numbers(value, name: str, dtype=float) -> np.ndarray:
+    """A model-file number or number list as an array; every entry must be finite."""
+    arr = np.array(value, dtype=dtype)
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{name} contains non-finite numbers")
+    return arr
+
+
 def _decode_model(payload: dict):
     from .statevector import Observable
 
+    if not isinstance(payload, dict):
+        raise ModelFormatError(f"a model must be an object, got {payload!r}")
     model_type = payload.get("model_type")
     if model_type == "vqc":
         return VqcModel(
             n_qubits=payload["n_qubits"],
             n_layers=payload["n_layers"],
-            params=np.array(payload["params"], dtype=float),
+            params=_numbers(payload["params"], "params"),
             feature_map=_decode_feature_map(payload["feature_map"]),
             readout=Observable(qubit=payload["readout_qubit"]),
             rng_seed=payload["rng_seed"],
@@ -312,14 +313,25 @@ def _decode_model(payload: dict):
             optimizer_meta=payload.get("optimizer_meta", {}),
         )
     if model_type == "qsvm":
+        coeffs = _numbers(payload["dual_coeffs"], "dual_coeffs")
+        indices = _numbers(payload["support_indices"], "support_indices", dtype=int)
         vectors = payload["support_vectors"]
+        vectors = None if vectors is None else _numbers(vectors, "support_vectors")
+        n_vectors = len(coeffs) if vectors is None else len(vectors)
+        if not len(coeffs) == len(indices) == n_vectors:
+            raise ModelFormatError(
+                f"dual_coeffs, support_indices and support_vectors have lengths "
+                f"{len(coeffs)}, {len(indices)} and {n_vectors}"
+            )
+        if vectors is not None and n_vectors and vectors.ndim != 2:
+            raise ModelFormatError("support_vectors must be a list of feature rows")
         fm = payload["feature_map"]
         return SvmModel(
-            dual_coeffs=np.array(payload["dual_coeffs"], dtype=float),
-            bias=payload["bias"],
-            support_indices=np.array(payload["support_indices"], dtype=int),
-            support_vectors=None if vectors is None else np.array(vectors, dtype=float),
-            C=payload["C"],
+            dual_coeffs=coeffs,
+            bias=float(_numbers(payload["bias"], "bias")),
+            support_indices=indices,
+            support_vectors=vectors,
+            C=float(_numbers(payload["C"], "C")),
             feature_map=None if fm is None else _decode_feature_map(fm),
             converged=payload.get("converged", True),
             n_updates=payload.get("n_updates", 0),
@@ -327,7 +339,7 @@ def _decode_model(payload: dict):
     if model_type == "preprocess":
         def arr(key, dtype=float):
             value = payload[key]
-            return None if value is None else np.array(value, dtype=dtype)
+            return None if value is None else _numbers(value, key, dtype)
 
         return PreprocessModel(
             means=arr("means"),
@@ -340,7 +352,7 @@ def _decode_model(payload: dict):
         )
     if model_type == "ensemble":
         members = [_decode_model(m) for m in payload["members"]]
-        return EnsembleModel(members=members, weights=np.array(payload["weights"]))
+        return EnsembleModel(members=members, weights=_numbers(payload["weights"], "weights"))
     raise ModelFormatError(f"unknown model type {model_type!r}")
 
 
@@ -374,6 +386,8 @@ def load_model(path, expected_type: str | None = None):
         return _decode_model(payload)
     except KeyError as exc:
         raise ModelFormatError(f"model file {path} is missing field {exc}") from exc
+    except (QShieldError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"model file {path} is invalid: {exc}") from exc
 
 
 @contextmanager
@@ -413,8 +427,18 @@ def _resolved_preprocess_config(config: PipelineConfig) -> PreprocessConfig:
     return p
 
 
-def _feature_map_spec(config: PipelineConfig) -> FeatureMapSpec:
+def feature_map_spec(config: PipelineConfig) -> FeatureMapSpec:
+    """The angle feature map the configured kernel SVM encodes with."""
     return FeatureMapSpec(config.model.n_qubits, config.model.repetitions)
+
+
+def _load_and_preprocess(config: PipelineConfig, data_path):
+    """The load and preprocess stages; returns (raw data, fitted chain, processed data)."""
+    with _stage("load"):
+        data = load_csv(data_path, config.data.label_column, config.data.positive_label)
+    with _stage("preprocess"):
+        pre_model, processed = fit_preprocess(data, _resolved_preprocess_config(config))
+    return data, pre_model, processed
 
 
 def _train_model(config: PipelineConfig, train: Dataset):
@@ -427,7 +451,7 @@ def _train_model(config: PipelineConfig, train: Dataset):
         vqc_model, history = train_vqc(train, arch, training)
         extras["loss_history"] = [float(v) for v in history]
     if m.type in ("qsvm", "ensemble"):
-        spec = _feature_map_spec(config)
+        spec = feature_map_spec(config)
         gram = kernel_matrix(train, spec)
         gram.validate()
         svm_model = train_qsvm(
@@ -469,10 +493,7 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _output_lock(out):
-        with _stage("load"):
-            data = load_csv(data_path, config.data.label_column, config.data.positive_label)
-        with _stage("preprocess"):
-            pre_model, processed = fit_preprocess(data, _resolved_preprocess_config(config))
+        data, pre_model, processed = _load_and_preprocess(config, data_path)
         with _stage("split"):
             train, test = train_test_split(
                 processed, config.evaluation.test_fraction, config.seed
@@ -480,7 +501,8 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
         with _stage("train"):
             model, extras = _train_model(config, train)
         with _stage("predict"):
-            predictions = [model.predict(row) for row in test.features]
+            probabilities = model.predict_proba(test.features)
+            predictions = [Prediction.from_probability(p) for p in probabilities]
         with _stage("evaluate"):
             predicted_labels = np.array([p.label for p in predictions])
             cm = confusion(predicted_labels, test.labels)
@@ -537,10 +559,7 @@ def preprocess_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with _stage("load"):
-        data = load_csv(data_path, config.data.label_column, config.data.positive_label)
-    with _stage("preprocess"):
-        pre_model, processed = fit_preprocess(data, _resolved_preprocess_config(config))
+    data, pre_model, processed = _load_and_preprocess(config, data_path)
     save_model(pre_model, out / "preprocess.json")
     write_csv(processed, out / "processed.csv")
     return {
@@ -549,3 +568,19 @@ def preprocess_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
         "n_features_in": int(data.n_features),
         "n_features_out": int(processed.n_features),
     }
+
+
+def train_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
+    """Preprocess all rows and train the configured model on them.
+
+    Writes model.json and preprocess.json into ``out_dir``.
+    """
+    config.validate()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _, pre_model, processed = _load_and_preprocess(config, data_path)
+    with _stage("train"):
+        model, _extras = _train_model(config, processed)
+    save_model(model, out / "model.json")
+    save_model(pre_model, out / "preprocess.json")
+    return {"n_samples": int(processed.n_samples)}

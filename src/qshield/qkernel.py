@@ -1,19 +1,19 @@
 """Quantum-kernel Gram matrices and a dual SVM trained by pairwise ascent.
 
-The kernel is the zero-state overlap K(x_i, x_j) =
-|<0..0| U_phi(x_i)^dag U_phi(x_j) |0..0>|^2, computed by running the
-encoding circuit for x_j followed by the inverted circuit for x_i and
-reading the probability of the all-zeros outcome.
+The kernel is the fidelity of encoded states, K(x_i, x_j) =
+|<phi(x_i)|phi(x_j)>|^2 with |phi(x)> = U_phi(x)|0..0>.  With the encoded
+states as the rows of S, the whole Gram matrix is |S* S^T|^2 (elementwise),
+one matrix product; SVM scoring takes the same product between the rows
+to score and the support vectors.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import FeatureMapSpec, feature_map_circuit
+from .encoding import FeatureMapSpec, as_feature_matrix, feature_map_states
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -21,8 +21,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .statevector import new_zero_state, probabilities, run_circuit
-from .vqc import Prediction
+from .statevector import row_chunks
 
 PSD_SLACK = 1e-8
 BOUND_SNAP = 1e-12
@@ -61,40 +60,18 @@ class KernelMatrix:
             )
 
 
-def kernel_entry(x_i, x_j, spec: FeatureMapSpec) -> float:
-    """Single kernel value via the inverted-circuit route."""
-    state = new_zero_state(spec.n_qubits)
-    run_circuit(state, feature_map_circuit(x_j, spec))
-    run_circuit(state, feature_map_circuit(x_i, spec).inverse())
-    return float(probabilities(state)[0])
-
-
 def kernel_matrix(data, spec: FeatureMapSpec) -> KernelMatrix:
-    """Gram matrix over dataset rows; fills i <= j and mirrors."""
+    """Gram matrix |S* S^T|^2 over dataset rows; the upper triangle is mirrored."""
     features = getattr(data, "features", None)
     if features is None:
         features = np.asarray(data, dtype=float)
     if features.ndim != 2:
         raise ShapeError(f"expected a 2-D feature matrix, got shape {features.shape}")
-    m = features.shape[0]
-    if m == 0:
+    if features.shape[0] == 0:
         raise DegenerateInputError("cannot build a kernel matrix from zero samples")
-    encoded = []
-    inverses = []
-    for row in features:
-        state = new_zero_state(spec.n_qubits)
-        run_circuit(state, feature_map_circuit(row, spec))
-        encoded.append(state)
-        inverses.append(feature_map_circuit(row, spec).inverse())
-    entries = np.empty((m, m))
-    for j in range(m):
-        for i in range(j + 1):
-            state = encoded[j].copy()
-            run_circuit(state, inverses[i])
-            value = float(probabilities(state)[0])
-            entries[i, j] = value
-            entries[j, i] = value
-    return KernelMatrix(entries)
+    states = feature_map_states(features, spec)
+    upper = np.triu(np.abs(states.conj() @ states.T) ** 2)
+    return KernelMatrix(upper + np.triu(upper, 1).T)
 
 
 @dataclass
@@ -111,18 +88,33 @@ class SvmModel:
     n_updates: int = 0
     objective_history: tuple[float, ...] | None = None
 
-    def predict_probability(self, x) -> float:
-        return _logistic(svm_decision(self, x))
+    def predict_proba(self, features) -> np.ndarray:
+        """Logistic of the decision value per row of a (rows, features) matrix.
 
-    def predict(self, x) -> Prediction:
-        return Prediction.from_probability(self.predict_probability(x))
+        Support vectors are encoded once per call; rows are scored in
+        chunks against them.
+        """
+        features = as_feature_matrix(features)
+        if len(self.support_indices) == 0:
+            return np.full(len(features), _logistic(self.bias))
+        if self.support_vectors is None or self.feature_map is None:
+            raise ConfigError("model lacks stored support vectors or feature map")
+        if self.support_vectors.shape[1] != features.shape[1]:
+            raise ShapeError(
+                f"support vectors have {self.support_vectors.shape[1]} features, "
+                f"input rows have {features.shape[1]}"
+            )
+        support = feature_map_states(self.support_vectors, self.feature_map).conj()
+        decision = np.empty(len(features))
+        for rows in row_chunks(len(features), self.feature_map.n_qubits):
+            states = feature_map_states(features[rows], self.feature_map)
+            decision[rows] = np.abs(states @ support.T) ** 2 @ self.dual_coeffs + self.bias
+        return _logistic(decision)
 
 
-def _logistic(v: float) -> float:
-    if v >= 0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)
-    return e / (1.0 + e)
+def _logistic(v):
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def train_qsvm(
@@ -232,23 +224,6 @@ def train_qsvm(
         n_updates=updates,
         objective_history=tuple(objective) if record_objective else None,
     )
-
-
-def svm_decision(model: SvmModel, x) -> float:
-    """Decision value for one input; recomputes kernel entries on the fly."""
-    if len(model.support_indices) == 0:
-        return float(model.bias)
-    if model.support_vectors is None or model.feature_map is None:
-        raise ConfigError("model lacks stored support vectors or feature map")
-    total = model.bias
-    for coeff, sv in zip(model.dual_coeffs, model.support_vectors):
-        total += coeff * kernel_entry(sv, x, model.feature_map)
-    return float(total)
-
-
-def svm_predict(model: SvmModel, x) -> Prediction:
-    """Label via the decision sign; ties (decision 0) go malicious."""
-    return Prediction.from_probability(_logistic(svm_decision(model, x)))
 
 
 def write_kernel_csv(kernel: KernelMatrix, path) -> None:

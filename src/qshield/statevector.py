@@ -11,7 +11,9 @@ Conventions, fixed package-wide:
 
 States are mutated in place by :func:`apply_gate` and :func:`run_circuit`
 and must not be shared between threads; gate ops, circuits, and
-observables are frozen and safe to share.
+observables are frozen and safe to share.  :func:`evolve` runs a circuit
+over a ``(batch, 2**n)`` amplitude array and is the one runner every
+model builds on.
 """
 from __future__ import annotations
 
@@ -195,16 +197,34 @@ def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
     raise ValueError(f"not a rotation kind: {kind!r}")
 
 
-# The helpers below accept amplitude arrays of shape (..., 2**n) so the
-# same arithmetic drives single states and batched evaluation.
+# Amplitude arrays have shape (..., 2**n): one state, or one state per row.
+# The kernels below may overwrite their input; callers use the returned array.
+
+# Rows per chunk in batched prediction are capped so that one chunk of
+# encoded states holds at most this many amplitudes (16 MiB of complex128).
+CHUNK_AMPLITUDES = 1 << 20
+
+
+def row_chunks(n_rows: int, n_qubits: int) -> list[slice]:
+    """Row slices of at most CHUNK_AMPLITUDES amplitudes each (at least one row)."""
+    step = max(1, CHUNK_AMPLITUDES >> n_qubits)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _split(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+    """View of shape (..., 2**(n-1-q), 2, 2**q) whose axis -2 is the bit of qubit q."""
+    return amps.reshape(amps.shape[:-1] + (2 ** (n_qubits - 1 - qubit), 2, 2**qubit))
 
 
 def _apply_1q_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    lead = amps.shape[:-1]
-    psi = amps.reshape(lead + (2,) * n_qubits)
-    axis = len(lead) + (n_qubits - 1 - qubit)
-    psi = np.moveaxis(psi, axis, -1) @ mat.T
-    return np.moveaxis(psi, -1, axis).reshape(lead + (2**n_qubits,))
+    """Two-slice update with one (2, 2) matrix or per-row (m, 2, 2) matrices."""
+    psi = _split(amps, qubit, n_qubits)
+    m = np.asarray(mat)[..., None, None]
+    a0, a1 = psi[..., 0, :], psi[..., 1, :]
+    new0 = m[..., 0, 0, :, :] * a0 + m[..., 0, 1, :, :] * a1
+    psi[..., 1, :] = m[..., 1, 0, :, :] * a0 + m[..., 1, 1, :, :] * a1
+    psi[..., 0, :] = new0
+    return psi.reshape(amps.shape)
 
 
 def _bit_index(lead_ndim: int, n_qubits: int, bits: dict[int, int]) -> tuple:
@@ -214,15 +234,15 @@ def _bit_index(lead_ndim: int, n_qubits: int, bits: dict[int, int]) -> tuple:
     return tuple(idx)
 
 
-def _apply_cnot(amps: np.ndarray, control: int, target: int, n_qubits: int) -> np.ndarray:
+def _swap_subspaces(amps: np.ndarray, n_qubits: int, lo_bits: dict, hi_bits: dict) -> np.ndarray:
     lead = amps.shape[:-1]
     psi = amps.reshape(lead + (2,) * n_qubits)
-    lo = _bit_index(len(lead), n_qubits, {control: 1, target: 0})
-    hi = _bit_index(len(lead), n_qubits, {control: 1, target: 1})
+    lo = _bit_index(len(lead), n_qubits, lo_bits)
+    hi = _bit_index(len(lead), n_qubits, hi_bits)
     tmp = psi[lo].copy()
     psi[lo] = psi[hi]
     psi[hi] = tmp
-    return amps
+    return psi.reshape(amps.shape)
 
 
 def _apply_cphase(amps: np.ndarray, control: int, target: int, angle: float, n_qubits: int) -> np.ndarray:
@@ -230,18 +250,7 @@ def _apply_cphase(amps: np.ndarray, control: int, target: int, angle: float, n_q
     psi = amps.reshape(lead + (2,) * n_qubits)
     hi = _bit_index(len(lead), n_qubits, {control: 1, target: 1})
     psi[hi] = psi[hi] * np.exp(1j * angle)
-    return amps
-
-
-def _apply_swap(amps: np.ndarray, qubit_a: int, qubit_b: int, n_qubits: int) -> np.ndarray:
-    lead = amps.shape[:-1]
-    psi = amps.reshape(lead + (2,) * n_qubits)
-    lo = _bit_index(len(lead), n_qubits, {qubit_a: 0, qubit_b: 1})
-    hi = _bit_index(len(lead), n_qubits, {qubit_a: 1, qubit_b: 0})
-    tmp = psi[lo].copy()
-    psi[lo] = psi[hi]
-    psi[hi] = tmp
-    return amps
+    return psi.reshape(amps.shape)
 
 
 def _apply_gate_to_array(amps: np.ndarray, gate: GateOp, n_qubits: int) -> np.ndarray:
@@ -251,10 +260,14 @@ def _apply_gate_to_array(amps: np.ndarray, gate: GateOp, n_qubits: int) -> np.nd
     if kind == "H":
         return _apply_1q_matrix(amps, _H_MATRIX, gate.target, n_qubits)
     if kind == "CNOT":
-        return _apply_cnot(amps, gate.control, gate.target, n_qubits)
+        return _swap_subspaces(
+            amps, n_qubits, {gate.control: 1, gate.target: 0}, {gate.control: 1, gate.target: 1}
+        )
     if kind == "CPHASE":
         return _apply_cphase(amps, gate.control, gate.target, gate.angle, n_qubits)
-    return _apply_swap(amps, gate.control, gate.target, n_qubits)
+    return _swap_subspaces(
+        amps, n_qubits, {gate.control: 0, gate.target: 1}, {gate.control: 1, gate.target: 0}
+    )
 
 
 def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
@@ -268,17 +281,34 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
     return state
 
 
+def evolve(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """Every gate in order on each row of an (..., 2**n) array; the input is left untouched."""
+    if np.shape(amps)[-1] != 2**circuit.n_qubits:
+        raise ShapeError(
+            f"circuit width {circuit.n_qubits} needs {2**circuit.n_qubits} amplitudes "
+            f"per row, got shape {np.shape(amps)}"
+        )
+    out = np.array(amps, dtype=complex)
+    for gate in circuit.gates:
+        out = _apply_gate_to_array(out, gate, circuit.n_qubits)
+    return out
+
+
 def run_circuit(state: QuantumState, circuit: Circuit) -> QuantumState:
     """Apply every gate in order, updating the state in place."""
     if circuit.n_qubits != state.n_qubits:
         raise ShapeError(
             f"circuit width {circuit.n_qubits} does not match state width {state.n_qubits}"
         )
-    amps = state.amplitudes
-    for gate in circuit.gates:
-        amps = _apply_gate_to_array(amps, gate, state.n_qubits)
-    state.amplitudes = amps
+    state.amplitudes = evolve(state.amplitudes, circuit)
     return state
+
+
+def cnot_ring(n_qubits: int) -> tuple[GateOp, ...]:
+    """CNOT(j, j + 1 mod n) for each qubit j in order; empty on one qubit."""
+    if n_qubits < 2:
+        return ()
+    return tuple(cnot(j, (j + 1) % n_qubits) for j in range(n_qubits))
 
 
 def qft_circuit(n_qubits: int) -> Circuit:
@@ -310,18 +340,13 @@ def expectation_z(state: QuantumState, observable: Observable) -> float:
             f"observable on qubit {observable.qubit} but state has "
             f"{state.n_qubits} qubits"
         )
-    marg = _z_marginal(probabilities(state)[np.newaxis, :], observable.qubit, state.n_qubits)
-    return float(marg[0])
+    return float(z_expectations(state.amplitudes, observable.qubit, state.n_qubits))
 
 
-def _z_marginal(probs: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """P(bit=0) - P(bit=1) for each row of a (batch, 2**n) probability array."""
-    batch = probs.shape[0]
-    grid = probs.reshape((batch,) + (2,) * n_qubits)
-    axis = 1 + (n_qubits - 1 - qubit)
-    other = tuple(ax for ax in range(1, n_qubits + 1) if ax != axis)
-    marg = grid.sum(axis=other) if other else grid
-    return marg[:, 0] - marg[:, 1]
+def z_expectations(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+    """<Z_q> for each row of an (..., 2**n) amplitude array."""
+    marg = _split(np.abs(amps) ** 2, qubit, n_qubits).sum(axis=(-3, -1))
+    return marg[..., 0] - marg[..., 1]
 
 
 def inner_product(state_a: QuantumState, state_b: QuantumState) -> complex:

@@ -2,7 +2,8 @@
 
 The ansatz stacks ``n_layers`` blocks of per-qubit RX, RY, RZ rotations
 followed by a circular CNOT ring.  Readout is <Z> on one qubit, squashed
-to a malicious-class probability p = (1 + <Z>) / 2.
+to a malicious-class probability p = (1 + <Z>) / 2.  Inference, training
+and gradients all run over ``(rows, 2**n)`` arrays of encoded states.
 """
 from __future__ import annotations
 
@@ -11,28 +12,30 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import FeatureMapSpec, amplitude_encode, apply_feature_map, as_feature_array
+from .encoding import (
+    FeatureMapSpec,
+    as_feature_array,
+    as_feature_matrix,
+    encode_amplitude_rows,
+    feature_map_states,
+)
 from .errors import (
     ConfigError,
     DegenerateInputError,
     InvalidInputError,
+    NumericalError,
     ShapeError,
 )
 from .statevector import (
     Circuit,
     Observable,
-    QuantumState,
-    _apply_cnot,
-    _apply_1q_matrix,
-    _rotation_matrix,
-    _z_marginal,
-    cnot,
-    expectation_z,
-    new_zero_state,
-    run_circuit,
+    cnot_ring,
+    evolve,
+    row_chunks,
     rx,
     ry,
     rz,
+    z_expectations,
 )
 
 MAX_DEPTH_BLOCKS = 12
@@ -51,7 +54,10 @@ class Prediction:
 
     @classmethod
     def from_probability(cls, p: float) -> "Prediction":
-        p = min(max(float(p), 0.0), 1.0)
+        p = float(p)
+        if not math.isfinite(p):
+            raise NumericalError(f"classifier produced a non-finite probability ({p!r})")
+        p = min(max(p, 0.0), 1.0)
         return cls(p, 1 if p >= 0.5 else 0)
 
 
@@ -128,11 +134,13 @@ class VqcModel:
             entangling=entangling,
         )
 
-    def predict_probability(self, x) -> float:
-        return forward(self, x).probability_malicious
-
-    def predict(self, x) -> Prediction:
-        return forward(self, x)
+    def predict_proba(self, features) -> np.ndarray:
+        """Malicious-class probability per row of a (rows, features) matrix."""
+        features = as_feature_matrix(features)
+        out = np.empty(len(features))
+        for rows in row_chunks(len(features), self.n_qubits):
+            out[rows] = (1.0 + ansatz_expectations(self, encode_rows(self, features[rows]))) / 2.0
+        return np.clip(out, 0.0, 1.0)
 
 
 def build_ansatz(model: VqcModel) -> Circuit:
@@ -141,68 +149,55 @@ def build_ansatz(model: VqcModel) -> Circuit:
     if params.shape != (model.n_params,):
         raise ShapeError(f"expected {model.n_params} parameters, got shape {params.shape}")
     gates = []
-    idx = 0
+    angles = iter(params.tolist())
     for _ in range(model.n_layers):
         for q in range(model.n_qubits):
-            gates.append(rx(q, float(params[idx])))
-            gates.append(ry(q, float(params[idx + 1])))
-            gates.append(rz(q, float(params[idx + 2])))
-            idx += 3
-        if model.entangling and model.n_qubits >= 2:
-            gates.extend(cnot(j, (j + 1) % model.n_qubits) for j in range(model.n_qubits))
+            gates.extend((rx(q, next(angles)), ry(q, next(angles)), rz(q, next(angles))))
+        if model.entangling:
+            gates.extend(cnot_ring(model.n_qubits))
     return Circuit(model.n_qubits, tuple(gates))
 
 
-def encode_input(model: VqcModel, x) -> QuantumState:
-    """Encoded input state per the model's encoding choice."""
+def encode_rows(model: VqcModel, features) -> np.ndarray:
+    """Encoded input state per row of a (rows, features) matrix, per the model's encoding."""
     if model.encoding == "amplitude":
-        arr = as_feature_array(x)
-        dim = 2**model.n_qubits
-        if arr.size > dim:
-            raise ShapeError(f"{arr.size} features do not fit in {dim} amplitudes")
-        padded = np.zeros(dim)
-        padded[: arr.size] = arr
-        return amplitude_encode(padded)
-    return apply_feature_map(x, model.feature_map)
+        return encode_amplitude_rows(features, model.n_qubits)
+    return feature_map_states(features, model.feature_map)
 
 
-def forward(model: VqcModel, x) -> Prediction:
-    """Encode, run the ansatz, read out p = (1 + <Z>) / 2."""
-    state = encode_input(model, x)
-    run_circuit(state, build_ansatz(model))
-    z = expectation_z(state, model.readout)
-    return Prediction.from_probability((1.0 + z) / 2.0)
+def ansatz_expectations(model: VqcModel, states: np.ndarray) -> np.ndarray:
+    """Readout <Z> per row of encoded states after the ansatz; ``states`` is untouched."""
+    return z_expectations(evolve(states, build_ansatz(model)), model.readout.qubit, model.n_qubits)
+
+
+def shift_jacobian(model: VqcModel, states: np.ndarray) -> np.ndarray:
+    """d<Z>/d(theta) per row of encoded states, shape (rows, n_params).
+
+    Column i is (E(theta_i + pi/2) - E(theta_i - pi/2)) / 2.  Shifts are
+    evaluated one parameter at a time over all rows, so memory stays at
+    one evolved copy of ``states``.
+    """
+    jac = np.empty((len(states), model.n_params))
+    for i in range(model.n_params):
+        shifted = []
+        for delta in (PARAM_SHIFT, -PARAM_SHIFT):
+            params = model.params.copy()
+            params[i] += delta
+            shifted.append(ansatz_expectations(replace(model, params=params), states))
+        jac[:, i] = 0.5 * (shifted[0] - shifted[1])
+    return jac
 
 
 def param_shift_grad(model: VqcModel, x) -> np.ndarray:
-    """Exact gradient of <Z> w.r.t. each ansatz parameter.
-
-    Entry i is (E(theta_i + pi/2) - E(theta_i - pi/2)) / 2.
-    """
-    encoded = encode_input(model, x)
-    grad = np.empty(model.n_params)
-    for i in range(model.n_params):
-        grad[i] = 0.5 * (
-            _shifted_expectation(model, encoded, i, +PARAM_SHIFT)
-            - _shifted_expectation(model, encoded, i, -PARAM_SHIFT)
-        )
-    return grad
-
-
-def _shifted_expectation(model: VqcModel, encoded: QuantumState, index: int, delta: float) -> float:
-    shifted = model.params.copy()
-    shifted[index] += delta
-    state = encoded.copy()
-    run_circuit(state, build_ansatz(replace(model, params=shifted)))
-    return expectation_z(state, model.readout)
+    """Exact gradient of <Z> for one sample w.r.t. each ansatz parameter."""
+    return shift_jacobian(model, encode_rows(model, as_feature_array(x)[np.newaxis]))[0]
 
 
 def bce_loss(model: VqcModel, dataset) -> float:
     """Mean binary cross-entropy over a dataset, probabilities clamped."""
     if dataset.n_samples == 0:
         raise DegenerateInputError("dataset is empty")
-    probs = np.array([forward(model, row).probability_malicious for row in dataset.features])
-    return _bce(probs, dataset.labels.astype(float))
+    return _bce(model.predict_proba(dataset.features), dataset.labels.astype(float))
 
 
 def _bce(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -249,7 +244,7 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
         raise InvalidInputError("training labels must be 0 or 1")
     rng = np.random.default_rng(config.seed)
     params = rng.uniform(-math.pi, math.pi, arch.n_params)
-    states = _encode_dataset(arch, dataset.features)
+    states = encode_rows(arch, dataset.features)
     y = labels.astype(float)
     m = len(y)
 
@@ -258,13 +253,13 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
     adam_t = 0
 
     def full_loss(theta: np.ndarray) -> float:
-        z = _batch_expectations(states, theta, arch)
+        z = ansatz_expectations(replace(arch, params=theta), states)
         return _bce((1.0 + z) / 2.0, y)
 
     history = [full_loss(params)]
     for _ in range(config.epochs):
         for batch in _batches(m, config.batch_size, rng):
-            grad = _batch_loss_grad(states[batch], y[batch], params, arch)
+            grad = _bce_grad(replace(arch, params=params), states[batch], y[batch])
             if config.optimizer == "adam":
                 adam_t += 1
                 adam_m = config.beta1 * adam_m + (1.0 - config.beta1) * grad
@@ -291,12 +286,6 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
     return model, history
 
 
-def _encode_dataset(arch: VqcModel, features: np.ndarray) -> np.ndarray:
-    if features.ndim != 2:
-        raise ShapeError(f"expected a 2-D feature matrix, got shape {features.shape}")
-    return np.stack([encode_input(arch, row).amplitudes for row in features])
-
-
 def _batches(m: int, batch_size: int | None, rng: np.random.Generator):
     if batch_size is None or batch_size >= m:
         yield np.arange(m)
@@ -306,38 +295,9 @@ def _batches(m: int, batch_size: int | None, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _apply_ansatz_batch(amps: np.ndarray, params: np.ndarray, arch: VqcModel) -> np.ndarray:
-    """Ansatz applied to an (batch, 2**n) amplitude matrix; input untouched."""
-    amps = np.array(amps)
-    n = arch.n_qubits
-    idx = 0
-    for _ in range(arch.n_layers):
-        for q in range(n):
-            for kind in ("RX", "RY", "RZ"):
-                amps = _apply_1q_matrix(amps, _rotation_matrix(kind, params[idx]), q, n)
-                idx += 1
-        if arch.entangling and n >= 2:
-            for j in range(n):
-                amps = _apply_cnot(amps, j, (j + 1) % n, n)
-    return amps
-
-
-def _batch_expectations(states: np.ndarray, params: np.ndarray, arch: VqcModel) -> np.ndarray:
-    out = _apply_ansatz_batch(states, params, arch)
-    return _z_marginal(np.abs(out) ** 2, arch.readout.qubit, arch.n_qubits)
-
-
-def _batch_loss_grad(states: np.ndarray, y: np.ndarray, params: np.ndarray, arch: VqcModel) -> np.ndarray:
+def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of mean BCE: chain rule through p = (1 + <Z>) / 2."""
-    z = _batch_expectations(states, params, arch)
+    z = ansatz_expectations(model, states)
     p = np.clip((1.0 + z) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
     dloss_dp = (p - y) / (p * (1.0 - p)) / len(y)
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        up = params.copy()
-        up[i] += PARAM_SHIFT
-        down = params.copy()
-        down[i] -= PARAM_SHIFT
-        dz = 0.5 * (_batch_expectations(states, up, arch) - _batch_expectations(states, down, arch))
-        grad[i] = float(dloss_dp @ (0.5 * dz))
-    return grad
+    return dloss_dp @ (0.5 * shift_jacobian(model, states))

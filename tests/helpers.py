@@ -1,15 +1,37 @@
 """Shared test utilities: random circuit generators, teacher datasets,
-and independent numerical oracles."""
+and independent numerical oracles.
+
+The oracles here are the slow per-sample routes the batched core
+replaced: gate-level encoding circuits run one state at a time, the
+inverse-circuit kernel, and per-parameter shifts.  Tests compare the
+batched code against them.
+"""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from qshield.encoding import FeatureMapSpec
 from qshield.preprocess import Dataset
-from qshield.statevector import Circuit, GateOp, cnot, cphase, h, rx, ry, rz, swap
-from qshield.vqc import VqcModel
+from qshield.statevector import (
+    Circuit,
+    GateOp,
+    QuantumState,
+    cnot,
+    cphase,
+    expectation_z,
+    h,
+    new_zero_state,
+    probabilities,
+    run_circuit,
+    rx,
+    ry,
+    rz,
+    swap,
+)
+from qshield.vqc import PARAM_SHIFT, VqcModel, build_ansatz
 
 GATE_POOL = ("RX", "RY", "RZ", "H", "CNOT", "CPHASE", "SWAP")
 
@@ -63,7 +85,7 @@ def teacher_vqc_dataset(seed: int, n_qubits: int, n_layers: int, n_samples: int,
     rows, labels = [], []
     while len(rows) < n_samples:
         x = rng.uniform(-1.3, 1.3, n_qubits)
-        p = teacher.predict_probability(x)
+        p = teacher.predict_proba(x[np.newaxis])[0]
         if abs(p - 0.5) >= margin:
             rows.append(x)
             labels.append(1 if p >= 0.5 else 0)
@@ -113,3 +135,63 @@ def t_two_sided_p_quadrature(t_stat: float, dof: int, n_points: int = 200001) ->
     step = xs[1] - xs[0]
     integral = step / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
     return 1.0 - 2.0 * integral
+
+
+def feature_map_circuit(x, spec: FeatureMapSpec) -> Circuit:
+    """Gate-level encoding circuit: per repetition RY(x_q) on each qubit q,
+    then CNOT(j, j + 1 mod n) for each j when entangling; missing trailing
+    features encode as RY(0)."""
+    n = spec.n_qubits
+    angles = np.zeros(n)
+    angles[: len(x)] = x
+    gates: list[GateOp] = []
+    for _ in range(spec.repetitions):
+        gates.extend(ry(q, float(angle)) for q, angle in enumerate(angles))
+        if spec.entangling and n > 1:
+            gates.extend(cnot(j, (j + 1) % n) for j in range(n))
+    return Circuit(n, tuple(gates))
+
+
+def inverse_circuit_kernel(a, b, spec: FeatureMapSpec) -> float:
+    """K(a, b) as P(0...0) after U_phi(b) then U_phi(a)^dagger."""
+    state = run_circuit(new_zero_state(spec.n_qubits), feature_map_circuit(b, spec))
+    run_circuit(state, feature_map_circuit(a, spec).inverse())
+    return float(probabilities(state)[0])
+
+
+def svm_decision_oracle(model, rows) -> np.ndarray:
+    """f(x) = b + sum_i alpha_i y_i K(sv_i, x) per row, via the inverse-circuit kernel."""
+    return np.array([
+        model.bias + sum(
+            coeff * inverse_circuit_kernel(sv, x, model.feature_map)
+            for coeff, sv in zip(model.dual_coeffs, model.support_vectors)
+        )
+        for x in rows
+    ])
+
+
+def gate_level_probability(model: VqcModel, x) -> float:
+    """p = (1 + <Z>) / 2 for one sample: encode on one state, run build_ansatz."""
+    n = model.n_qubits
+    if model.encoding == "amplitude":
+        amps = np.zeros(2**n, dtype=complex)
+        amps[: len(x)] = x
+        state = QuantumState(n, amps / np.linalg.norm(amps))
+    else:
+        state = run_circuit(new_zero_state(n), feature_map_circuit(x, model.feature_map))
+    run_circuit(state, build_ansatz(model))
+    return (1.0 + expectation_z(state, model.readout)) / 2.0
+
+
+def shift_gradient(model: VqcModel, x) -> np.ndarray:
+    """d<Z>/d(theta_i) for one sample, shifting one parameter at a time."""
+    grad = np.empty(model.n_params)
+    for i in range(model.n_params):
+        up = model.params.copy()
+        up[i] += PARAM_SHIFT
+        down = model.params.copy()
+        down[i] -= PARAM_SHIFT
+        # <Z> = 2p - 1, so (E(+) - E(-)) / 2 = p(+) - p(-)
+        grad[i] = (gate_level_probability(replace(model, params=up), x)
+                   - gate_level_probability(replace(model, params=down), x))
+    return grad

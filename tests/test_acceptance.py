@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    inverse_circuit_kernel,
     kkt_violations,
     random_circuit,
     random_vqc,
@@ -28,14 +29,14 @@ from qshield.evalstats import bootstrap_ci, cohens_d, cohens_kappa, paired_t_tes
 from qshield.explain import grad_attribution, score_attribution
 from qshield.pipeline import PipelineConfig, run_experiment
 from qshield.preprocess import Dataset, fit_pca, apply_pca, jacobi_eigh, write_csv
-from qshield.qkernel import kernel_entry, kernel_matrix, train_qsvm
+from qshield.qkernel import kernel_matrix, train_qsvm
 from qshield.statevector import (
     inner_product,
     new_zero_state,
     qft_circuit,
     run_circuit,
 )
-from qshield.vqc import TrainConfig, VqcModel, forward, param_shift_grad, train_vqc
+from qshield.vqc import TrainConfig, VqcModel, param_shift_grad, train_vqc
 
 
 def announce(number: int, ok: bool, detail: str) -> None:
@@ -111,8 +112,8 @@ def test_criterion_03_parameter_shift_matches_finite_differences():
             up[i] += step
             down = model.params.copy()
             down[i] -= step
-            z_up = 2.0 * forward(replace(model, params=up), x).probability_malicious - 1.0
-            z_dn = 2.0 * forward(replace(model, params=down), x).probability_malicious - 1.0
+            z_up = 2.0 * replace(model, params=up).predict_proba([x])[0] - 1.0
+            z_dn = 2.0 * replace(model, params=down).predict_proba([x])[0] - 1.0
             worst = max(worst, abs(grad[i] - (z_up - z_dn) / (2.0 * step)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 60.0
@@ -140,10 +141,9 @@ def test_criterion_04_kernel_gram_properties_and_overlap_oracle():
             for j in range(m):
                 oracle = abs(inner_product(states[i], states[j])) ** 2
                 overlap_err = max(overlap_err, abs(k[i, j] - oracle))
-        a, b = features[0], features[-1]
-        direct = kernel_entry(a, b, spec)
-        oracle = abs(inner_product(states[0], states[-1])) ** 2
-        entry_err = max(entry_err, abs(direct - oracle))
+        # the inverse-circuit route, run one entry at a time
+        direct = inverse_circuit_kernel(features[0], features[-1], spec)
+        entry_err = max(entry_err, abs(k[0, -1] - direct))
 
     ok = (sym_err <= 1e-10 and diag_err <= 1e-10 and min_eig >= -1e-8
           and overlap_err <= 1e-10 and entry_err <= 1e-10)
@@ -187,7 +187,7 @@ def test_criterion_06_both_models_learn_realizable_concepts():
         data, VqcModel.fresh(4, 2),
         TrainConfig(epochs=100, learning_rate=0.1, seed=48),
     )
-    predicted = np.array([model.predict(row).label for row in data.features])
+    predicted = (model.predict_proba(data.features) >= 0.5).astype(int)
     vqc_acc = float(np.mean(predicted == data.labels))
 
     rng = np.random.default_rng(43)

@@ -43,6 +43,52 @@ def workspace(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def svm_model(workspace):
+    """A kernel SVM trained on the shared data, for malformed-file edits."""
+    out = workspace["root"] / "trained_svm"
+    assert main([
+        "train", "qsvm", "--data", str(workspace["data"]),
+        "--config", str(workspace["config"]), "--out-dir", str(out),
+    ]) == 0
+    return out / "model.json"
+
+
+def _drop_last_coeff(p):
+    p["dual_coeffs"] = p["dual_coeffs"][:-1]
+
+
+def _narrow_support_vectors(p):
+    p["support_vectors"] = [row[:-1] for row in p["support_vectors"]]
+
+
+def _nan_bias(p):
+    p["bias"] = float("nan")
+
+
+def _text_params(p):
+    p["params"] = "abc"
+
+
+def _list_feature_map(p):
+    p["feature_map"] = [2, 1]
+
+
+def _infinite_param(p):
+    p["params"][0] = float("inf")
+
+
+# (edit, which model it applies to)
+MALFORMED_MODELS = {
+    "short_dual_coeffs": (_drop_last_coeff, "qsvm"),
+    "narrow_support_vectors": (_narrow_support_vectors, "qsvm"),
+    "nan_bias": (_nan_bias, "qsvm"),
+    "text_params": (_text_params, "vqc"),
+    "list_feature_map": (_list_feature_map, "vqc"),
+    "infinite_param": (_infinite_param, "vqc"),
+}
+
+
 class TestHelp:
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
@@ -166,6 +212,27 @@ class TestPredict:
         for row in rows[1:]:
             assert 0.0 <= float(row[1]) <= 1.0
             assert row[2] in ("0", "1")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_malformed_model_exits_2(self, case, workspace, svm_model, tmp_path, capsys):
+        edit, kind = MALFORMED_MODELS[case]
+        source = svm_model if kind == "qsvm" else workspace["model"]
+        payload = json.loads(source.read_text())
+        edit(payload)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main([
+            "predict", "--model", str(bad),
+            "--preprocess-model", str(workspace["preprocess"]),
+            "--data", str(workspace["data"]),
+            "--config", str(workspace["config"]), "--out", str(tmp_path / "p.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "p.csv").exists()
 
     def test_missing_model_exits_2(self, workspace, tmp_path):
         code = main([

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from helpers import feature_map_circuit
 
 from qshield.encoding import (
     FeatureMapSpec,
     amplitude_encode,
     apply_feature_map,
-    feature_map_circuit,
+    feature_map_states,
 )
 from qshield.errors import (
     ConfigError,
@@ -16,7 +17,7 @@ from qshield.errors import (
     InvalidInputError,
     ShapeError,
 )
-from qshield.statevector import inner_product
+from qshield.statevector import inner_product, new_zero_state, run_circuit
 
 
 def kron_chain(*mats):
@@ -89,15 +90,22 @@ class TestFeatureMap:
 
     def test_gate_structure(self):
         spec = FeatureMapSpec(3, repetitions=2)
-        circuit = feature_map_circuit([0.1, 0.2, 0.3], spec)
+        x = [0.1, 0.2, 0.3]
+        circuit = feature_map_circuit(x, spec)
         # per repetition: 3 RY + 3 ring CNOTs
         assert len(circuit) == 12
         kinds = [g.kind for g in circuit.gates]
         assert kinds == ["RY", "RY", "RY", "CNOT", "CNOT", "CNOT"] * 2
+        # the batched encoder prepares the state this gate sequence prepares
+        gate_level = run_circuit(new_zero_state(3), circuit)
+        np.testing.assert_allclose(
+            apply_feature_map(x, spec).amplitudes, gate_level.amplitudes, atol=1e-12
+        )
 
     def test_single_qubit_has_no_ring(self):
-        circuit = feature_map_circuit([0.4], FeatureMapSpec(1, repetitions=2))
-        assert [g.kind for g in circuit.gates] == ["RY", "RY"]
+        # two repetitions of RY(x) on one qubit compose to RY(2x)
+        state = apply_feature_map([0.4], FeatureMapSpec(1, repetitions=2))
+        np.testing.assert_allclose(state.amplitudes, [math.cos(0.4), math.sin(0.4)], atol=1e-15)
 
     def test_zero_features_give_zero_state(self):
         state = apply_feature_map([0.0, 0.0], FeatureMapSpec(2))
@@ -113,7 +121,7 @@ class TestFeatureMap:
 
     def test_too_many_features(self):
         with pytest.raises(ShapeError):
-            feature_map_circuit([0.1, 0.2, 0.3], FeatureMapSpec(2))
+            apply_feature_map([0.1, 0.2, 0.3], FeatureMapSpec(2))
 
     def test_pi_zero_routes_to_index_two(self):
         # x = (pi, 0), one repetition: RY(pi) flips qubit 0, the ring then
@@ -168,7 +176,9 @@ class TestFeatureMap:
     def test_circuit_is_deterministic(self):
         spec = FeatureMapSpec(3, repetitions=2)
         x = [0.3, -0.6, 1.1]
-        assert feature_map_circuit(x, spec) == feature_map_circuit(x, spec)
+        first = feature_map_states([x, x], spec)
+        assert np.array_equal(first, feature_map_states([x, x], spec))
+        assert np.array_equal(first[0], first[1])
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -16,7 +16,7 @@ from qshield.explain import (
     score_attribution,
     write_attribution_csv,
 )
-from qshield.vqc import VqcModel, forward
+from qshield.vqc import VqcModel
 
 
 def identity_model(n_qubits, repetitions=1, entangling=True):
@@ -58,10 +58,8 @@ class TestGradAttribution:
                 up[j] += step
                 down = x.copy()
                 down[j] -= step
-                fd = (
-                    forward(model, up).probability_malicious
-                    - forward(model, down).probability_malicious
-                ) / (2.0 * step)
+                p_up, p_down = model.predict_proba([up, down])
+                fd = (p_up - p_down) / (2.0 * step)
                 assert report.scores[j] == pytest.approx(fd, abs=1e-5)
 
     def test_disconnected_feature_scores_zero(self):
@@ -105,8 +103,8 @@ class TestGradAttribution:
 
 class TestScoreAttribution:
     def test_callable_model_with_known_arithmetic(self):
-        def predict(v):
-            return 0.1 + 0.2 * v[0] + 0.3 * v[1]
+        def predict(rows):
+            return 0.1 + 0.2 * rows[:, 0] + 0.3 * rows[:, 1]
 
         report = score_attribution(predict, [1.0, 2.0])
         assert report.base_probability == pytest.approx(0.9, abs=1e-12)
@@ -116,21 +114,24 @@ class TestScoreAttribution:
         assert report.weighted_scores == report.scores
 
     def test_custom_baseline(self):
-        def predict(v):
-            return 0.5 * v[0]
+        def predict(rows):
+            return 0.5 * rows[:, 0]
 
         report = score_attribution(predict, [1.0], baseline=[0.4])
         assert report.scores[0] == pytest.approx(0.5 - 0.2, abs=1e-12)
 
+    def test_callable_must_return_one_probability_per_row(self):
+        with pytest.raises(ShapeError):
+            score_attribution(lambda rows: 0.5, [1.0, 2.0])
+
     def test_baseline_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            score_attribution(lambda v: 0.5, [1.0, 2.0], baseline=[0.0])
+            score_attribution(lambda rows: np.full(len(rows), 0.5), [1.0, 2.0], baseline=[0.0])
 
-    def test_model_objects_use_predict_probability(self):
+    def test_model_objects_use_predict_proba(self):
         model = identity_model(1)
         report = score_attribution(model, [0.8])
-        direct = forward(model, [0.8]).probability_malicious
-        occluded = forward(model, [0.0]).probability_malicious
+        direct, occluded = model.predict_proba([[0.8], [0.0]])
         assert report.base_probability == pytest.approx(direct, abs=1e-12)
         assert report.scores[0] == pytest.approx(direct - occluded, abs=1e-12)
 

@@ -12,7 +12,6 @@ from qshield.errors import ConfigError, ModelFormatError, PipelineStageError
 from qshield.pipeline import (
     EnsembleModel,
     PipelineConfig,
-    ensemble_predict,
     load_model,
     preprocess_experiment,
     run_experiment,
@@ -26,8 +25,8 @@ from qshield.preprocess import (
     load_csv,
     write_csv,
 )
-from qshield.qkernel import kernel_matrix, svm_decision, train_qsvm
-from qshield.vqc import TrainConfig, VqcModel, forward, train_vqc
+from qshield.qkernel import kernel_matrix, train_qsvm
+from qshield.vqc import Prediction, TrainConfig, VqcModel, train_vqc
 
 
 def write_teacher_csv(path, seed=201, n=24):
@@ -133,20 +132,21 @@ class _StubModel:
     def __init__(self, p):
         self.p = p
 
-    def predict_probability(self, x):
-        return self.p
+    def predict_proba(self, features):
+        return np.full(len(features), self.p)
 
 
 class TestEnsemble:
     def test_weights_normalize(self):
         model = EnsembleModel([_StubModel(0.0), _StubModel(1.0)], np.array([1.0, 3.0]))
         np.testing.assert_allclose(model.weights, [0.25, 0.75])
-        assert model.predict_probability(None) == pytest.approx(0.75)
+        np.testing.assert_allclose(model.predict_proba(np.zeros((3, 1))), 0.75)
 
     def test_convex_combination(self):
         model = EnsembleModel([_StubModel(0.2), _StubModel(0.8)], np.array([0.5, 0.5]))
-        assert model.predict_probability(None) == pytest.approx(0.5)
-        assert ensemble_predict(model, None).label == 1  # tie goes malicious
+        p = model.predict_proba(np.zeros((1, 1)))[0]
+        assert p == pytest.approx(0.5)
+        assert Prediction.from_probability(p).label == 1  # tie goes malicious
 
     def test_member_count_mismatch(self):
         with pytest.raises(ConfigError):
@@ -187,10 +187,8 @@ class TestPersistence:
         loaded = load_model(path, expected_type="vqc")
         assert np.array_equal(loaded.params, model.params)
         assert loaded.feature_map == model.feature_map
-        for row in data.features[:4]:
-            assert forward(loaded, row).probability_malicious == pytest.approx(
-                forward(model, row).probability_malicious, abs=1e-15
-            )
+        rows = data.features[:4]
+        np.testing.assert_allclose(loaded.predict_proba(rows), model.predict_proba(rows), atol=1e-15)
 
     def test_svm_round_trip(self, tmp_path):
         model, data = self.trained_svm()
@@ -199,10 +197,8 @@ class TestPersistence:
         loaded = load_model(path, expected_type="qsvm")
         assert np.array_equal(loaded.dual_coeffs, model.dual_coeffs)
         assert loaded.bias == model.bias
-        for row in data.features[:4]:
-            assert svm_decision(loaded, row) == pytest.approx(
-                svm_decision(model, row), abs=1e-15
-            )
+        rows = data.features[:4]
+        np.testing.assert_allclose(loaded.predict_proba(rows), model.predict_proba(rows), atol=1e-15)
 
     def test_preprocess_round_trip(self, tmp_path):
         rng = np.random.default_rng(227)
@@ -228,10 +224,8 @@ class TestPersistence:
         path = tmp_path / "ens.json"
         save_model(model, path)
         loaded = load_model(path, expected_type="ensemble")
-        row = data.features[0]
-        assert loaded.predict_probability(row) == pytest.approx(
-            model.predict_probability(row), abs=1e-15
-        )
+        rows = data.features[:4]
+        np.testing.assert_allclose(loaded.predict_proba(rows), model.predict_proba(rows), atol=1e-15)
 
     def test_version_mismatch(self, tmp_path):
         model, _ = self.trained_vqc()

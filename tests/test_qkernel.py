@@ -3,7 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import kkt_violations, separable_kernel_labels
+from helpers import (
+    inverse_circuit_kernel,
+    kkt_violations,
+    separable_kernel_labels,
+    svm_decision_oracle,
+)
 
 from qshield.encoding import FeatureMapSpec, apply_feature_map
 from qshield.errors import (
@@ -17,14 +22,17 @@ from qshield.preprocess import Dataset, jacobi_eigh
 from qshield.qkernel import (
     KernelMatrix,
     SvmModel,
-    kernel_entry,
     kernel_matrix,
-    svm_decision,
-    svm_predict,
     train_qsvm,
     write_kernel_csv,
 )
 from qshield.statevector import inner_product
+from qshield.vqc import Prediction
+
+
+def kernel_entry(a, b, spec: FeatureMapSpec) -> float:
+    """K(a, b) read off the Gram matrix of the two rows."""
+    return float(kernel_matrix(np.array([a, b], dtype=float), spec).entries[0, 1])
 
 
 def full_alpha(model: SvmModel, labels: np.ndarray, m: int) -> np.ndarray:
@@ -103,7 +111,7 @@ class TestKernelMatrix:
     def test_entries_match_pairwise_calls(self):
         for i in range(4):
             for j in range(4):
-                direct = kernel_entry(self.features[i], self.features[j], self.spec)
+                direct = inverse_circuit_kernel(self.features[i], self.features[j], self.spec)
                 assert self.gram.entries[i, j] == pytest.approx(direct, abs=1e-10)
 
     def test_psd_by_independent_eigensolver(self):
@@ -184,8 +192,7 @@ class TestSvmTraining:
         alpha = full_alpha(model, labels, 2)
         np.testing.assert_allclose(alpha, 1.0 / (1.0 - k), atol=1e-9)
         # both points sit exactly on the margin
-        for idx, row in enumerate(vectors):
-            assert labels[idx] * svm_decision(model, row) == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(labels * svm_decision_oracle(model, vectors), 1.0, atol=1e-9)
 
     def test_kkt_conditions_on_separable_problem(self):
         rng = np.random.default_rng(23)
@@ -299,19 +306,19 @@ class TestSvmPrediction:
         )
 
     def test_training_rows_classified_by_decision_sign(self):
-        for row, label in zip(self.features, self.labels):
-            decision = svm_decision(self.model, row)
-            assert math.copysign(1.0, decision) == label
+        # p = logistic(decision), so p >= 0.5 exactly when the decision is >= 0
+        predicted = np.where(self.model.predict_proba(self.features) >= 0.5, 1.0, -1.0)
+        np.testing.assert_array_equal(predicted, self.labels)
 
     def test_probability_is_logistic_of_decision(self):
-        row = self.features[0]
-        decision = svm_decision(self.model, row)
-        expect = 1.0 / (1.0 + math.exp(-decision))
-        assert self.model.predict_probability(row) == pytest.approx(expect, abs=1e-12)
+        decision = svm_decision_oracle(self.model, self.features)
+        expect = 1.0 / (1.0 + np.exp(-decision))
+        np.testing.assert_allclose(self.model.predict_proba(self.features), expect, atol=1e-12)
 
-    def test_predict_agrees_with_module_function(self):
+    def test_label_agrees_with_oracle_decision_sign(self):
         row = self.features[3]
-        assert self.model.predict(row).label == svm_predict(self.model, row).label
+        label = Prediction.from_probability(self.model.predict_proba([row])[0]).label
+        assert label == int(svm_decision_oracle(self.model, [row])[0] >= 0)
 
     def test_decision_needs_stored_vectors(self):
         stripped = SvmModel(
@@ -323,13 +330,16 @@ class TestSvmPrediction:
             feature_map=None,
         )
         with pytest.raises(ConfigError):
-            svm_decision(stripped, self.features[0])
+            stripped.predict_proba(self.features[:1])
+
+    def test_support_vector_width_must_match_input(self):
+        with pytest.raises(ShapeError):
+            self.model.predict_proba(np.zeros((2, 1)))
 
     def test_probability_bounds(self):
         rng = np.random.default_rng(53)
-        for _ in range(10):
-            p = self.model.predict_probability(rng.uniform(-math.pi, math.pi, 2))
-            assert 0.0 < p < 1.0
+        p = self.model.predict_proba(rng.uniform(-math.pi, math.pi, (10, 2)))
+        assert np.all((0.0 < p) & (p < 1.0))
 
 
 class TestKernelCsv:

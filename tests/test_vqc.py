@@ -4,20 +4,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import random_vqc, teacher_vqc_dataset
+from helpers import gate_level_probability, random_vqc, teacher_vqc_dataset
 
 from qshield.encoding import FeatureMapSpec
-from qshield.errors import ConfigError, DegenerateInputError, InvalidInputError, ShapeError
+from qshield.errors import (
+    ConfigError,
+    DegenerateInputError,
+    InvalidInputError,
+    NumericalError,
+    ShapeError,
+)
 from qshield.preprocess import Dataset
 from qshield.statevector import new_zero_state, run_circuit
 from qshield.vqc import (
+    Prediction,
     TrainConfig,
     VqcModel,
-    _batch_expectations,
-    _encode_dataset,
+    ansatz_expectations,
     bce_loss,
     build_ansatz,
-    forward,
+    encode_rows,
     param_shift_grad,
     train_vqc,
 )
@@ -29,6 +35,10 @@ def make_model(n_qubits, n_layers, params, repetitions=2, **kwargs):
         FeatureMapSpec(n_qubits, repetitions, entangling=kwargs.pop("fm_entangling", True)),
         **kwargs,
     )
+
+
+def predict_one(model, x) -> Prediction:
+    return Prediction.from_probability(model.predict_proba([x])[0])
 
 
 class TestAnsatz:
@@ -69,19 +79,19 @@ class TestAnsatz:
 class TestForward:
     def test_trivial_model_predicts_one(self):
         model = make_model(2, 1, np.zeros(6))
-        pred = forward(model, [0.0, 0.0])
+        pred = predict_one(model, [0.0, 0.0])
         assert pred.probability_malicious == pytest.approx(1.0, abs=1e-12)
         assert pred.label == 1
 
     def test_rx_pi_reads_zero(self):
         model = make_model(1, 1, [math.pi, 0.0, 0.0], repetitions=1)
-        pred = forward(model, [0.0])
+        pred = predict_one(model, [0.0])
         assert pred.probability_malicious == pytest.approx(0.0, abs=1e-12)
         assert pred.label == 0
 
     def test_tie_probability_labels_malicious(self):
         model = make_model(1, 1, [math.pi / 2, 0.0, 0.0], repetitions=1)
-        pred = forward(model, [0.0])
+        pred = predict_one(model, [0.0])
         assert pred.probability_malicious == pytest.approx(0.5, abs=1e-12)
         assert pred.label == 1
 
@@ -89,7 +99,7 @@ class TestForward:
         # z after RZ(c) RY(b) RX(a) |0> via an independent 2x2 product
         a, b, c = 0.73, -1.4, 2.2
         model = make_model(1, 1, [a, b, c], repetitions=1)
-        p = forward(model, [0.0]).probability_malicious
+        p = predict_one(model, [0.0]).probability_malicious
 
         def mat_rx(t):
             return np.array([[math.cos(t / 2), -1j * math.sin(t / 2)],
@@ -111,22 +121,22 @@ class TestForward:
         for _ in range(20):
             model = random_vqc(rng, int(rng.integers(1, 5)), int(rng.integers(1, 3)))
             x = rng.uniform(-math.pi, math.pi, model.n_qubits)
-            p = forward(model, x).probability_malicious
+            p = predict_one(model, x).probability_malicious
             assert 0.0 <= p <= 1.0
 
     def test_amplitude_encoding_forward(self):
         # ring disabled so zero parameters leave the encoded state alone
         model = make_model(2, 1, np.zeros(6), encoding="amplitude", entangling=False)
-        pred = forward(model, [1.0, 0.0, 0.0, 0.0])
+        pred = predict_one(model, [1.0, 0.0, 0.0, 0.0])
         assert pred.probability_malicious == pytest.approx(1.0, abs=1e-12)
         # basis index 1: qubit 0 set, so the readout sees z = -1
-        pred = forward(model, [0.0, 1.0])
+        pred = predict_one(model, [0.0, 1.0])
         assert pred.probability_malicious == pytest.approx(0.0, abs=1e-12)
 
     def test_amplitude_encoding_ring_permutes_basis(self):
         # with the ring on, |01> -> CNOT(0,1) -> |11> -> CNOT(1,0) -> |10>
         model = make_model(2, 1, np.zeros(6), encoding="amplitude")
-        pred = forward(model, [0.0, 1.0])
+        pred = predict_one(model, [0.0, 1.0])
         assert pred.probability_malicious == pytest.approx(1.0, abs=1e-12)
 
     def test_appended_zero_layer_is_inert_without_ring(self):
@@ -140,9 +150,15 @@ class TestForward:
             FeatureMapSpec(2, 1, entangling=False), entangling=False,
         )
         x = [0.4, -0.9]
-        assert forward(base, x).probability_malicious == pytest.approx(
-            forward(extended, x).probability_malicious, abs=1e-12
+        assert predict_one(base, x).probability_malicious == pytest.approx(
+            predict_one(extended, x).probability_malicious, abs=1e-12
         )
+
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_probability_raises(self, p):
+        with pytest.raises(NumericalError):
+            Prediction.from_probability(p)
 
 
 class TestParamShift:
@@ -165,8 +181,8 @@ class TestParamShift:
                 up[i] += step
                 down = model.params.copy()
                 down[i] -= step
-                z_up = 2 * forward(replace(model, params=up), x).probability_malicious - 1
-                z_dn = 2 * forward(replace(model, params=down), x).probability_malicious - 1
+                z_up = 2 * replace(model, params=up).predict_proba([x])[0] - 1
+                z_dn = 2 * replace(model, params=down).predict_proba([x])[0] - 1
                 assert grad[i] == pytest.approx((z_up - z_dn) / (2 * step), abs=1e-5)
 
     def test_disconnected_qubit_has_zero_gradient(self):
@@ -225,10 +241,9 @@ class TestTraining:
         rng = np.random.default_rng(79)
         model = random_vqc(rng, 3, 2)
         features = rng.uniform(-1, 1, (7, 3))
-        states = _encode_dataset(model, features)
-        batched = _batch_expectations(states, model.params, model)
+        batched = ansatz_expectations(model, encode_rows(model, features))
         sequential = np.array(
-            [2 * forward(model, row).probability_malicious - 1 for row in features]
+            [2 * gate_level_probability(model, row) - 1 for row in features]
         )
         np.testing.assert_allclose(batched, sequential, atol=1e-12)
 
@@ -254,7 +269,7 @@ class TestTraining:
         data, _ = teacher_vqc_dataset(seed=131, n_qubits=2, n_layers=1, n_samples=30)
         arch = VqcModel.fresh(2, 1)
         model, _ = train_vqc(data, arch, TrainConfig(epochs=60, learning_rate=0.1, seed=2))
-        predicted = np.array([model.predict(row).label for row in data.features])
+        predicted = (model.predict_proba(data.features) >= 0.5).astype(int)
         assert np.mean(predicted == data.labels) >= 0.9
 
     def test_minibatch_training_runs(self):
