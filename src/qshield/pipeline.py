@@ -71,7 +71,7 @@ class PipelineConfig:
     data: DataConfig = field(default_factory=DataConfig)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    training: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
+    training: TrainConfig = field(default_factory=TrainConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
     @classmethod
@@ -97,11 +97,11 @@ class PipelineConfig:
                 raise ConfigError(f"unknown config key {key!r}")
         try:
             config = cls(**kwargs)
+            config.validate()
         except QShieldError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
-        config.validate()
         return config
 
     @classmethod
@@ -173,9 +173,9 @@ def _build_section(cls, value, name: str):
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in config section {name!r}")
     fixed = dict(value)
-    if name == "model" and "ensemble_weights" in fixed:
-        fixed["ensemble_weights"] = tuple(fixed["ensemble_weights"])
     try:
+        if name == "model" and "ensemble_weights" in fixed:
+            fixed["ensemble_weights"] = tuple(fixed["ensemble_weights"])
         return cls(**fixed)
     except QShieldError:
         raise

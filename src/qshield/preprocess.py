@@ -2,7 +2,8 @@
 
 The fitted transform is: standardize (dropping constant columns), remove
 outlier rows, re-standardize, prune correlated columns, then optionally
-project onto principal components found with a cyclic Jacobi eigensolver.
+project onto principal components found with LAPACK's symmetric
+eigensolver (``np.linalg.eigh``).
 Fitted models replay the whole chain on new data as one affine map plus
 an optional projection.
 """
@@ -16,7 +17,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DegenerateInputError,
     DegenerateOutputError,
     IngestionError,
@@ -25,7 +25,6 @@ from .errors import (
 )
 
 CONST_STD_FLOOR = 1e-12
-JACOBI_TOL = 1e-10
 # fp guard so exact duplicates register as |r| = 1 at threshold 1.0
 CORR_EPS = 1e-12
 
@@ -170,52 +169,6 @@ def apply_standardize(model: PreprocessModel, data: Dataset) -> Dataset:
     return Dataset(names, feats, data.labels)
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) unsorted; eigenvectors are the
-    columns.  Sweeps stop when the off-diagonal Frobenius norm drops
-    below ``tol``.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10, rtol=0.0):
-        raise InvalidInputError("matrix is not symmetric")
-    n = a.shape[0]
-    vecs = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), vecs
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, k=1) ** 2)))
-        if off < tol:
-            return np.diag(a).copy(), vecs
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p, vec_q = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
-    raise ConvergenceError(
-        f"Jacobi sweeps exhausted ({max_sweeps}) without reaching tolerance {tol}"
-    )
-
-
 def fit_pca(data: Dataset, n_components: int) -> PreprocessModel:
     """Top-k principal directions of the sample covariance.
 
@@ -235,7 +188,7 @@ def fit_pca(data: Dataset, n_components: int) -> PreprocessModel:
     center = data.features.mean(axis=0)
     centered = data.features - center
     cov = centered.T @ centered / (data.n_samples - 1)
-    evals, evecs = jacobi_eigh(cov)
+    evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = evals[order][:n_components]
     basis = evecs[:, order][:, :n_components].copy()
@@ -362,10 +315,7 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
     orig_after_second = first.kept_columns[second.kept_columns]
     mean_eff = first.means[second.kept_columns] + second.means * first.std_devs[second.kept_columns]
     std_eff = first.std_devs[second.kept_columns] * second.std_devs
-    keep_local = np.array(
-        [i for i in range(len(orig_after_second)) if i not in set(dropped_local)],
-        dtype=int,
-    )
+    keep_local = np.delete(np.arange(len(orig_after_second)), dropped_local)
     model = PreprocessModel(
         means=mean_eff[keep_local],
         std_devs=std_eff[keep_local],
@@ -392,16 +342,9 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
 
 def apply_preprocess(model: PreprocessModel, data: Dataset) -> Dataset:
     """Replay a fitted chain on new data."""
-    kept = model.kept_columns
-    if kept is None:
+    if model.kept_columns is None:
         raise ConfigError("model has no fitted standardization")
-    if kept.size and kept.max() >= data.n_features:
-        raise ShapeError(
-            f"model expects column {kept.max()} but data has {data.n_features} columns"
-        )
-    feats = (data.features[:, kept] - model.means) / model.std_devs
-    names = [data.feature_names[c] for c in kept]
-    out = Dataset(names, feats, data.labels)
+    out = apply_standardize(model, data)
     if model.pca_basis is not None:
         out = apply_pca(model, out)
     return out

@@ -209,7 +209,7 @@ def _bce(probs: np.ndarray, labels: np.ndarray) -> float:
 class TrainConfig:
     """Gradient-descent settings; ``batch_size=None`` trains full-batch."""
 
-    epochs: int
+    epochs: int = 20
     learning_rate: float = 0.01
     batch_size: int | None = None
     optimizer: str = "adam"

@@ -1,10 +1,11 @@
 """Shared test utilities: random circuit generators, teacher datasets,
 and independent numerical oracles.
 
-The oracles here are the slow per-sample routes the batched core
-replaced: gate-level encoding circuits run one state at a time, the
-inverse-circuit kernel, and per-parameter shifts.  Tests compare the
-batched code against them.
+The oracles here are the slow routes the library code replaced:
+gate-level encoding circuits run one state at a time, the
+inverse-circuit kernel, per-parameter shifts, and a cyclic Jacobi
+eigensolver standing in for LAPACK's ``eigh``.  Tests compare the
+production code against them.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from qshield.encoding import FeatureMapSpec
+from qshield.errors import ConvergenceError, InvalidInputError, ShapeError
 from qshield.preprocess import Dataset
 from qshield.statevector import (
     Circuit,
@@ -34,6 +36,7 @@ from qshield.statevector import (
 from qshield.vqc import PARAM_SHIFT, VqcModel, build_ansatz
 
 GATE_POOL = ("RX", "RY", "RZ", "H", "CNOT", "CPHASE", "SWAP")
+JACOBI_TOL = 1e-10
 
 
 def random_gate(n_qubits: int, rng: np.random.Generator) -> GateOp:
@@ -195,3 +198,49 @@ def shift_gradient(model: VqcModel, x) -> np.ndarray:
         grad[i] = (gate_level_probability(replace(model, params=up), x)
                    - gate_level_probability(replace(model, params=down), x))
     return grad
+
+
+def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 100):
+    """Cyclic Jacobi diagonalization of a symmetric matrix.
+
+    Returns (eigenvalues, eigenvectors) unsorted; eigenvectors are the
+    columns.  Sweeps stop when the off-diagonal Frobenius norm drops
+    below ``tol``.
+    """
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if not np.allclose(a, a.T, atol=1e-10, rtol=0.0):
+        raise InvalidInputError("matrix is not symmetric")
+    n = a.shape[0]
+    vecs = np.eye(n)
+    if n == 1:
+        return np.diag(a).copy(), vecs
+    for _ in range(max_sweeps):
+        off = math.sqrt(2.0 * float(np.sum(np.triu(a, k=1) ** 2)))
+        if off < tol:
+            return np.diag(a).copy(), vecs
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau == 0.0:
+                    t = 1.0
+                else:
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                vec_p, vec_q = vecs[:, p].copy(), vecs[:, q].copy()
+                vecs[:, p] = c * vec_p - s * vec_q
+                vecs[:, q] = s * vec_p + c * vec_q
+    raise ConvergenceError(
+        f"Jacobi sweeps exhausted ({max_sweeps}) without reaching tolerance {tol}"
+    )

@@ -89,6 +89,19 @@ MALFORMED_MODELS = {
 }
 
 
+# config values of the wrong type; each must be reported as a config error
+WRONG_TYPE_CONFIGS = {
+    "test_fraction_text": {"evaluation": {"test_fraction": "x"}},
+    "bootstrap_iterations_text": {"evaluation": {"bootstrap_iterations": "x"}},
+    "correlation_threshold_text": {"preprocess": {"correlation_threshold": "x"}},
+    "outlier_z_cap_text": {"preprocess": {"outlier_z_cap": "x"}},
+    "pca_components_text": {"preprocess": {"pca_components": "2"}},
+    "svm_c_text": {"model": {"svm_c": "x"}},
+    "ensemble_weights_text": {"model": {"type": "ensemble", "ensemble_weights": "ab"}},
+    "ensemble_weights_scalar": {"model": {"ensemble_weights": 3}},
+}
+
+
 class TestHelp:
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
@@ -157,6 +170,20 @@ class TestRun:
         ])
         assert code == 1
         assert "byte offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPE_CONFIGS))
+    def test_wrong_type_config_exits_1(self, case, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(WRONG_TYPE_CONFIGS[case]))
+        capsys.readouterr()
+        code = main([
+            "run", "--data", str(workspace["data"]),
+            "--config", str(bad), "--out-dir", str(tmp_path / "out"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestPreprocess:

@@ -55,6 +55,11 @@ class TestConfig:
         assert config.training.epochs == 20
         assert config.evaluation.bootstrap_iterations == 1000
 
+    def test_omitted_epochs_falls_back_to_default(self):
+        config = PipelineConfig.from_dict({"training": {"learning_rate": 0.1}})
+        assert config.training.epochs == 20
+        assert config.training.learning_rate == 0.1
+
     def test_round_trip_through_dict(self):
         config = fast_config()
         rebuilt = PipelineConfig.from_dict(config.to_dict())

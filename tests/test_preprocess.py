@@ -1,8 +1,9 @@
-"""CSV ingestion, standardization, Jacobi PCA, pruning, splitting."""
+"""CSV ingestion, standardization, PCA on LAPACK eigh, pruning, splitting."""
 import math
 
 import numpy as np
 import pytest
+from helpers import jacobi_eigh
 
 from qshield.errors import (
     ConfigError,
@@ -21,7 +22,6 @@ from qshield.preprocess import (
     fit_pca,
     fit_preprocess,
     fit_standardize,
-    jacobi_eigh,
     load_csv,
     prune_correlated,
     remove_outliers,
@@ -36,6 +36,17 @@ def toy_dataset(rng, n=20, d=4):
         rng.normal(size=(n, d)),
         rng.integers(0, 2, n),
     )
+
+
+def data_with_covariance_spectrum(rng, spectrum, n):
+    """n rows whose sample covariance is R diag(spectrum) R^T, R a random rotation."""
+    d = len(spectrum)
+    noise = rng.normal(size=(n, d))
+    # orthonormal columns orthogonal to the all-ones vector, so zero-mean
+    white, _ = np.linalg.qr(noise - noise.mean(axis=0))
+    rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    features = math.sqrt(n - 1) * (white * np.sqrt(spectrum)) @ rotation.T
+    return Dataset([f"f{i}" for i in range(d)], features + 3.0, np.zeros(n, dtype=int))
 
 
 class TestDataset:
@@ -186,6 +197,8 @@ class TestStandardize:
 
 
 class TestJacobi:
+    """The cyclic Jacobi oracle that the PCA tests compare against."""
+
     def test_known_two_by_two(self):
         evals, evecs = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
         np.testing.assert_allclose(sorted(evals), [1.0, 3.0], atol=1e-12)
@@ -253,6 +266,25 @@ class TestPca:
         d_before = np.linalg.norm(data.features[0] - data.features[1])
         d_after = np.linalg.norm(out.features[0] - out.features[1])
         assert d_after == pytest.approx(d_before, abs=1e-10)
+
+    @pytest.mark.parametrize("d, close_top", [(2, False), (19, False), (79, False), (79, True)])
+    def test_matches_jacobi_oracle(self, d, close_top):
+        rng = np.random.default_rng(60 + d)
+        if close_top:
+            # top of the preprocess-wide spectrum: leading eigenvalues within 1%
+            spectrum = np.concatenate([[1.2825, 1.2736, 1.2549, 1.2407],
+                                       np.linspace(1.2, 0.05, d - 4)])
+            data = data_with_covariance_spectrum(rng, spectrum, n=4 * d)
+        else:
+            data = toy_dataset(rng, n=3 * d + 10, d=d)
+        model = fit_pca(data, d)
+        evals, evecs = jacobi_eigh(np.cov(data.features, rowvar=False, ddof=1))
+        order = np.argsort(evals)[::-1]
+        basis = evecs[:, order]
+        pivots = np.argmax(np.abs(basis), axis=0)
+        basis = basis * np.sign(basis[pivots, np.arange(d)])
+        np.testing.assert_allclose(model.explained_variance, evals[order], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(model.pca_basis, basis, rtol=0, atol=1e-10)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(27)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import (
     inverse_circuit_kernel,
+    jacobi_eigh,
     kkt_violations,
     separable_kernel_labels,
     svm_decision_oracle,
@@ -18,7 +19,7 @@ from qshield.errors import (
     NumericalError,
     ShapeError,
 )
-from qshield.preprocess import Dataset, jacobi_eigh
+from qshield.preprocess import Dataset
 from qshield.qkernel import (
     KernelMatrix,
     SvmModel,
