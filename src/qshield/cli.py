@@ -10,7 +10,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .errors import QShieldError
 from .explain import (
@@ -21,6 +20,7 @@ from .explain import (
 )
 from .pipeline import (
     PipelineConfig,
+    evaluate_predictions,
     feature_map_spec,
     load_model,
     preprocess_experiment,
@@ -30,7 +30,7 @@ from .pipeline import (
 )
 from .preprocess import apply_preprocess, load_csv
 from .qkernel import kernel_matrix, write_kernel_csv
-from .evalstats import bootstrap_ci, confusion, format_metrics_table, metrics
+from .evalstats import format_metrics_table
 from .vqc import Prediction
 
 
@@ -38,7 +38,6 @@ def _load_config(path: str | None, seed: int | None) -> PipelineConfig:
     config = PipelineConfig.from_json_file(path) if path else PipelineConfig()
     if seed is not None:
         config = replace(config, seed=seed)
-    config.validate()
     return config
 
 
@@ -105,7 +104,6 @@ def train_cmd(
     config = _load_config(config_path, seed)
     if model_type:
         config = replace(config, model=replace(config.model, type=model_type))
-        config.validate()
     summary = train_experiment(config, data_path, out_dir)
     click.echo(f"trained {config.model.type} model on {summary['n_samples']} rows")
     click.echo(f"artifacts written to {out_dir}")
@@ -184,16 +182,9 @@ def evaluate_cmd(
     config = _load_config(config_path, seed)
     model = load_model(model_path)
     data = _load_and_transform(config, data_path, preprocess_path)
-    predicted = np.array(
-        [Prediction.from_probability(p).label for p in model.predict_proba(data.features)]
-    )
-    cm = confusion(predicted, data.labels)
-    stats = bootstrap_ci(
-        (predicted == data.labels).astype(int),
-        config.evaluation.bootstrap_iterations,
-        config.seed + 2,
-    )
-    click.echo(format_metrics_table(metrics(cm), stats), nl=False)
+    predictions = [Prediction.from_probability(p) for p in model.predict_proba(data.features)]
+    _, metric_report, stats = evaluate_predictions(predictions, data.labels, config)
+    click.echo(format_metrics_table(metric_report, stats), nl=False)
 
 
 @cli.command("kernel")

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import os
+import types
+import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +60,41 @@ class ModelConfig:
     svm_max_passes: int = 10000
     ensemble_weights: tuple[float, float] = (0.5, 0.5)
 
+    def __post_init__(self) -> None:
+        if self.type not in MODEL_TYPES:
+            raise ConfigError(f"model type must be one of {MODEL_TYPES}, got {self.type!r}")
+        # constructing a throwaway model runs the qubit/depth/encoding checks
+        VqcModel.fresh(self.n_qubits, self.n_layers, self.repetitions, self.encoding)
+        if not self.svm_c > 0:
+            raise ConfigError(f"svm_c must be positive, got {self.svm_c!r}")
+        weights = self.ensemble_weights
+        if len(weights) != 2 or any(w < 0 for w in weights) or not sum(weights) > 0:
+            raise ConfigError(
+                f"ensemble_weights must be two non-negative numbers with a "
+                f"positive sum, got {weights!r}"
+            )
+
 
 @dataclass(frozen=True)
 class EvalConfig:
     test_fraction: float = 0.3
     bootstrap_iterations: int = 1000
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(
+                f"test_fraction must be strictly between 0 and 1, got {self.test_fraction!r}"
+            )
+        if self.bootstrap_iterations < 100:
+            raise ConfigError(
+                f"bootstrap_iterations must be at least 100, got {self.bootstrap_iterations!r}"
+            )
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A whole run's settings; every section checks its own fields when built."""
+
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
@@ -74,35 +102,21 @@ class PipelineConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        sections = {
-            "data": DataConfig,
-            "preprocess": PreprocessConfig,
-            "model": ModelConfig,
-            "evaluation": EvalConfig,
-            "training": TrainConfig,
-        }
+        hints = typing.get_type_hints(cls)
         kwargs: dict = {}
         for key, value in raw.items():
-            if key == "seed":
-                if not isinstance(value, int):
-                    raise ConfigError(f"seed must be an integer, got {value!r}")
-                kwargs["seed"] = value
-            elif key in sections:
-                kwargs[key] = _build_section(sections[key], value, key)
-            else:
+            if key not in hints:
                 raise ConfigError(f"unknown config key {key!r}")
-        try:
-            config = cls(**kwargs)
-            config.validate()
-        except QShieldError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
-        return config
+            kwargs[key] = _checked(value, hints[key], key)
+        return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
@@ -125,58 +139,48 @@ class PipelineConfig:
         out["training"].pop("seed", None)
         return out
 
-    def validate(self) -> None:
-        """Reject bad field combinations before any compute starts."""
-        m = self.model
-        if m.type not in MODEL_TYPES:
-            raise ConfigError(f"model type must be one of {MODEL_TYPES}, got {m.type!r}")
-        # constructing a throwaway model runs the qubit/depth/encoding checks
-        VqcModel.fresh(m.n_qubits, m.n_layers, m.repetitions, m.encoding)
-        if not m.svm_c > 0:
-            raise ConfigError(f"svm_c must be positive, got {m.svm_c!r}")
-        if m.type == "ensemble":
-            weights = m.ensemble_weights
-            if len(weights) != 2 or any(w < 0 for w in weights) or sum(weights) <= 0:
-                raise ConfigError(
-                    f"ensemble_weights must be two non-negative numbers with a "
-                    f"positive sum, got {weights!r}"
-                )
-        e = self.evaluation
-        if not 0.0 < e.test_fraction < 1.0:
-            raise ConfigError(
-                f"test_fraction must be strictly between 0 and 1, got {e.test_fraction!r}"
-            )
-        if e.bootstrap_iterations < 100:
-            raise ConfigError(
-                f"bootstrap_iterations must be at least 100, got {e.bootstrap_iterations!r}"
-            )
-        p = self.preprocess
-        if not 0.0 < p.correlation_threshold <= 1.0:
-            raise ConfigError(
-                f"correlation_threshold must be in (0, 1], got {p.correlation_threshold!r}"
-            )
-        if not p.outlier_z_cap > 0:
-            raise ConfigError(f"outlier_z_cap must be positive, got {p.outlier_z_cap!r}")
-        if p.pca_components is not None and p.pca_components < 1:
-            raise ConfigError(
-                f"pca_components must be a positive integer, got {p.pca_components!r}"
-            )
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _checked(value, hint, name: str):
+    """``value`` if it is JSON of the annotated type ``hint``, else ConfigError naming ``name``.
+
+    A bool is not a number, an int is a float, ``X | None`` takes null,
+    ``tuple[...]`` takes a list of that length (returned as a tuple) and a
+    config section takes an object.
+    """
+    if is_dataclass(hint):
+        return _build_section(hint, value, name)
+    optional = isinstance(hint, types.UnionType)  # config fields use unions only as X | None
+    if optional:
+        if value is None:
+            return None
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    args = typing.get_args(hint)
+    if args:
+        if isinstance(value, list) and len(value) == len(args):
+            return tuple(_checked(v, a, name) for v, a in zip(value, args))
+        raise ConfigError(f"{name} must be a list of {len(args)} values, got {value!r}")
+    if isinstance(value, bool) == (hint is bool) and isinstance(
+        value, (int, float) if hint is float else hint
+    ):
+        return value
+    null = " or null" if optional else ""
+    raise ConfigError(f"{name} must be {_KINDS[hint]}{null}, got {value!r}")
 
 
 def _build_section(cls, value, name: str):
     if not isinstance(value, dict):
         raise ConfigError(f"config section {name!r} must be an object, got {value!r}")
-    allowed = {f for f in cls.__dataclass_fields__}
+    hints = typing.get_type_hints(cls)
     if name == "training":
-        allowed.discard("seed")  # the experiment seed is the single source
-    unknown = set(value) - allowed
+        del hints["seed"]  # the experiment seed is the single source
+    unknown = set(value) - set(hints)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in config section {name!r}")
-    fixed = dict(value)
     try:
-        if name == "model" and "ensemble_weights" in fixed:
-            fixed["ensemble_weights"] = tuple(fixed["ensemble_weights"])
-        return cls(**fixed)
+        return cls(**{k: _checked(v, hints[k], f"{name}.{k}") for k, v in value.items()})
     except QShieldError:
         raise
     except (TypeError, ValueError) as exc:
@@ -483,13 +487,22 @@ def write_predictions_csv(predictions: list[Prediction], path) -> None:
             fh.write(f"{i},{repr(pred.probability_malicious)},{pred.label}\n")
 
 
+def evaluate_predictions(predictions: list[Prediction], labels, config: PipelineConfig):
+    """(confusion, metrics, accuracy bootstrap drawn from seed + 2) against ``labels``."""
+    predicted = np.array([p.label for p in predictions])
+    cm = confusion(predicted, labels)
+    stats = bootstrap_ci(
+        (predicted == labels).astype(int), config.evaluation.bootstrap_iterations, config.seed + 2
+    )
+    return cm, metrics(cm), stats
+
+
 def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     """preprocess -> split -> train -> predict -> evaluate, writing artifacts.
 
     Writes model.json, preprocess.json, predictions.csv, report.json, and
     report.txt into ``out_dir`` and returns the report dictionary.
     """
-    config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _output_lock(out):
@@ -504,13 +517,7 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
             probabilities = model.predict_proba(test.features)
             predictions = [Prediction.from_probability(p) for p in probabilities]
         with _stage("evaluate"):
-            predicted_labels = np.array([p.label for p in predictions])
-            cm = confusion(predicted_labels, test.labels)
-            metric_report = metrics(cm)
-            correct = (predicted_labels == test.labels).astype(int)
-            stats = bootstrap_ci(
-                correct, config.evaluation.bootstrap_iterations, config.seed + 2
-            )
+            cm, metric_report, stats = evaluate_predictions(predictions, test.labels, config)
         with _stage("report"):
             report = {
                 "config": config.to_dict(),
@@ -556,7 +563,6 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
 
 def preprocess_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     """Standalone preprocessing: writes processed.csv and preprocess.json."""
-    config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data, pre_model, processed = _load_and_preprocess(config, data_path)
@@ -575,7 +581,6 @@ def train_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
 
     Writes model.json and preprocess.json into ``out_dir``.
     """
-    config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _, pre_model, processed = _load_and_preprocess(config, data_path)

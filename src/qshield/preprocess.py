@@ -293,6 +293,18 @@ class PreprocessConfig:
     pca_components: int | None = None
     apply_pca: bool = True
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.correlation_threshold <= 1.0:
+            raise ConfigError(
+                f"correlation_threshold must be in (0, 1], got {self.correlation_threshold!r}"
+            )
+        if not self.outlier_z_cap > 0:
+            raise ConfigError(f"outlier_z_cap must be positive, got {self.outlier_z_cap!r}")
+        if self.pca_components is not None and self.pca_components < 1:
+            raise ConfigError(
+                f"pca_components must be a positive integer, got {self.pca_components!r}"
+            )
+
 
 def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessModel, Dataset]:
     """Fit the full chain and return (model, processed training data).

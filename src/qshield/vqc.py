@@ -8,7 +8,7 @@ and gradients all run over ``(rows, 2**n)`` arrays of encoded states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -66,13 +66,14 @@ class VqcModel:
     """Trainable classifier: encoding spec plus ansatz parameters.
 
     ``params`` is flat with layout [layer][qubit][RX, RY, RZ], length
-    3 * n_qubits * n_layers.  ``entangling=False`` drops the ansatz CNOT
+    3 * n_qubits * n_layers; ``None`` means all zeros, allocated only after
+    the depth checks pass.  ``entangling=False`` drops the ansatz CNOT
     ring (diagnostic configurations only).
     """
 
     n_qubits: int
     n_layers: int
-    params: np.ndarray
+    params: np.ndarray | None
     feature_map: FeatureMapSpec
     readout: Observable = Observable(qubit=0)
     rng_seed: int = 0
@@ -101,7 +102,8 @@ class VqcModel:
                 f"readout qubit {self.readout.qubit} outside a "
                 f"{self.n_qubits}-qubit register"
             )
-        params = np.asarray(self.params, dtype=float)
+        params = self.params
+        params = np.zeros(self.n_params) if params is None else np.asarray(params, dtype=float)
         if params.shape != (self.n_params,):
             raise ShapeError(
                 f"expected {self.n_params} parameters, got shape {params.shape}"
@@ -127,7 +129,7 @@ class VqcModel:
         return cls(
             n_qubits=n_qubits,
             n_layers=n_layers,
-            params=np.zeros(3 * n_qubits * n_layers),
+            params=None,
             feature_map=spec,
             rng_seed=rng_seed,
             encoding=encoding,
@@ -220,7 +222,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise InvalidInputError(f"epochs must be a positive integer, got {self.epochs!r}")
+            raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.batch_size is not None and (
@@ -271,17 +273,7 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
                 params = params - config.learning_rate * grad
         history.append(full_loss(params))
 
-    meta = {
-        "optimizer": config.optimizer,
-        "learning_rate": config.learning_rate,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "eps": config.eps,
-        "seed": config.seed,
-        "final_loss": history[-1],
-    }
+    meta = {**asdict(config), "final_loss": history[-1]}
     model = replace(arch, params=params, rng_seed=config.seed, optimizer_meta=meta)
     return model, history
 

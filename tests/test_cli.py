@@ -89,17 +89,40 @@ MALFORMED_MODELS = {
 }
 
 
-# config values of the wrong type; each must be reported as a config error
+# config values that must be rejected before any stage runs, as
+# case -> (config, text the error line must contain); a type error names
+# its field as section.key
 WRONG_TYPE_CONFIGS = {
-    "test_fraction_text": {"evaluation": {"test_fraction": "x"}},
-    "bootstrap_iterations_text": {"evaluation": {"bootstrap_iterations": "x"}},
-    "correlation_threshold_text": {"preprocess": {"correlation_threshold": "x"}},
-    "outlier_z_cap_text": {"preprocess": {"outlier_z_cap": "x"}},
-    "pca_components_text": {"preprocess": {"pca_components": "2"}},
-    "svm_c_text": {"model": {"svm_c": "x"}},
-    "ensemble_weights_text": {"model": {"type": "ensemble", "ensemble_weights": "ab"}},
-    "ensemble_weights_scalar": {"model": {"ensemble_weights": 3}},
+    "test_fraction_text": ({"evaluation": {"test_fraction": "x"}}, "evaluation.test_fraction"),
+    "bootstrap_iterations_text": (
+        {"evaluation": {"bootstrap_iterations": "x"}}, "evaluation.bootstrap_iterations"
+    ),
+    "correlation_threshold_text": (
+        {"preprocess": {"correlation_threshold": "x"}}, "preprocess.correlation_threshold"
+    ),
+    "outlier_z_cap_text": ({"preprocess": {"outlier_z_cap": "x"}}, "preprocess.outlier_z_cap"),
+    "pca_components_text": (
+        {"preprocess": {"pca_components": "2"}}, "preprocess.pca_components"
+    ),
+    "svm_c_text": ({"model": {"svm_c": "x"}}, "model.svm_c"),
+    "ensemble_weights_text": (
+        {"model": {"type": "ensemble", "ensemble_weights": "ab"}}, "model.ensemble_weights"
+    ),
+    "ensemble_weights_scalar": ({"model": {"ensemble_weights": 3}}, "model.ensemble_weights"),
+    "apply_pca_text": ({"preprocess": {"apply_pca": "no"}}, "preprocess.apply_pca"),
+    "n_qubits_bool": ({"model": {"n_qubits": True}}, "model.n_qubits"),
+    "svm_tol_text": ({"model": {"svm_tol": "x"}}, "model.svm_tol"),
+    "beta1_text": ({"training": {"beta1": "x"}}, "training.beta1"),
+    "repetitions_bool": ({"model": {"repetitions": True}}, "model.repetitions"),
+    "batch_size_bool": ({"training": {"batch_size": True}}, "training.batch_size"),
+    "seed_negative": ({"seed": -1}, "seed"),
+    "epochs_zero": ({"training": {"epochs": 0}}, "epochs"),
+    "vqc_ensemble_weights_text": ({"model": {"ensemble_weights": "ab"}}, "model.ensemble_weights"),
+    "vqc_ensemble_weights_negative": ({"model": {"ensemble_weights": [1, -1]}}, "ensemble_weights"),
+    "seed_flag_negative": ({}, "seed"),
 }
+# command-line arguments a case adds after the config
+WRONG_CONFIG_ARGS = {"seed_flag_negative": ["--seed", "-1"]}
 
 
 class TestHelp:
@@ -173,17 +196,21 @@ class TestRun:
 
     @pytest.mark.parametrize("case", sorted(WRONG_TYPE_CONFIGS))
     def test_wrong_type_config_exits_1(self, case, workspace, tmp_path, capsys):
+        config, named = WRONG_TYPE_CONFIGS[case]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(WRONG_TYPE_CONFIGS[case]))
+        bad.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
         capsys.readouterr()
         code = main([
             "run", "--data", str(workspace["data"]),
-            "--config", str(bad), "--out-dir", str(tmp_path / "out"),
+            "--config", str(bad), "--out-dir", str(out_dir), *WRONG_CONFIG_ARGS.get(case, []),
         ])
         captured = capsys.readouterr()
         assert code == 1
-        assert "error:" in captured.err
+        (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert named in error_line
         assert "Traceback" not in captured.err + captured.out
+        assert not out_dir.exists()
 
 
 class TestPreprocess:

@@ -97,6 +97,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"model": {"n_layers": 11, "repetitions": 2}})
 
+    def test_huge_depth_fails_cap_check_not_allocation(self):
+        with pytest.raises(ConfigError, match="depth cap"):
+            PipelineConfig.from_dict({"model": {"n_layers": 10**10}})
+
+    def test_json_forms_of_field_types_accepted(self):
+        config = PipelineConfig.from_dict({
+            "model": {"svm_c": 2, "ensemble_weights": [1, 3]},
+            "preprocess": {"pca_components": None},
+            "training": {"batch_size": None},
+        })
+        assert type(config.model.svm_c) is int  # kept as written, so reports are unchanged
+        assert config.model.ensemble_weights == (1, 3)
+        assert config.preprocess.pca_components is None
+
+    def test_replace_runs_the_checks_again(self):
+        config = PipelineConfig()
+        with pytest.raises(ConfigError, match="seed"):
+            replace(config, seed=-5)
+        with pytest.raises(ConfigError, match="model type"):
+            replace(config.model, type="forest")
+
     def test_bad_svm_c(self):
         with pytest.raises(ConfigError, match="svm_c"):
             PipelineConfig.from_dict({"model": {"svm_c": -1.0}})

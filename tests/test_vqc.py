@@ -230,7 +230,7 @@ class TestLoss:
 
 class TestTraining:
     def test_zero_epochs_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
 
     def test_bad_optimizer_rejected(self):
