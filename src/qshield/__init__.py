@@ -39,6 +39,7 @@ from .pipeline import (
     EnsembleModel,
     PipelineConfig,
     load_model,
+    predict_labels,
     run_experiment,
     save_model,
 )
@@ -72,7 +73,6 @@ from .statevector import (
     run_circuit,
 )
 from .vqc import (
-    Prediction,
     TrainConfig,
     VqcModel,
     bce_loss,

@@ -23,6 +23,7 @@ from .pipeline import (
     evaluate_predictions,
     feature_map_spec,
     load_model,
+    predict_labels,
     preprocess_experiment,
     run_experiment,
     train_experiment,
@@ -31,7 +32,6 @@ from .pipeline import (
 from .preprocess import apply_preprocess, load_csv
 from .qkernel import kernel_matrix, write_kernel_csv
 from .evalstats import format_metrics_table
-from .vqc import Prediction
 
 
 def _load_config(path: str | None, seed: int | None) -> PipelineConfig:
@@ -49,6 +49,17 @@ def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path:
     return data
 
 
+def _note_svm_exhaustion(config: PipelineConfig, extras: dict) -> None:
+    """One stderr note when SMO stopped at its update cap; the artifacts say converged false."""
+    if not extras.get("svm", {}).get("converged", True):
+        m = config.model
+        click.echo(
+            f"note: the SVM used all {m.svm_max_passes} pair updates (model.svm_max_passes) "
+            f"without reaching model.svm_tol {m.svm_tol}; saved with converged false",
+            err=True,
+        )
+
+
 @click.group()
 def cli() -> None:
     """Hybrid quantum-classical malware classification toolkit."""
@@ -63,6 +74,7 @@ def run_cmd(data_path: str, config_path: str | None, seed: int | None, out_dir: 
     """Full experiment: preprocess, split, train, predict, evaluate."""
     config = _load_config(config_path, seed)
     report = run_experiment(config, data_path, out_dir)
+    _note_svm_exhaustion(config, report)
     with open(Path(out_dir) / "report.txt", encoding="utf-8") as fh:
         click.echo(fh.read(), nl=False)
     click.echo(f"artifacts written to {out_dir}")
@@ -105,6 +117,7 @@ def train_cmd(
     if model_type:
         config = replace(config, model=replace(config.model, type=model_type))
     summary = train_experiment(config, data_path, out_dir)
+    _note_svm_exhaustion(config, summary)
     click.echo(f"trained {config.model.type} model on {summary['n_samples']} rows")
     click.echo(f"artifacts written to {out_dir}")
 
@@ -126,9 +139,9 @@ def predict_cmd(
     config = _load_config(config_path, None)
     model = load_model(model_path)
     data = _load_and_transform(config, data_path, preprocess_path)
-    predictions = [Prediction.from_probability(p) for p in model.predict_proba(data.features)]
-    write_predictions_csv(predictions, out_path)
-    click.echo(f"{len(predictions)} predictions written to {out_path}")
+    probabilities, labels = predict_labels(model, data.features)
+    write_predictions_csv(probabilities, labels, out_path)
+    click.echo(f"{len(labels)} predictions written to {out_path}")
 
 
 @cli.command("explain")
@@ -182,8 +195,8 @@ def evaluate_cmd(
     config = _load_config(config_path, seed)
     model = load_model(model_path)
     data = _load_and_transform(config, data_path, preprocess_path)
-    predictions = [Prediction.from_probability(p) for p in model.predict_proba(data.features)]
-    _, metric_report, stats = evaluate_predictions(predictions, data.labels, config)
+    _, labels = predict_labels(model, data.features)
+    metric_report, stats = evaluate_predictions(labels, data.labels, config)
     click.echo(format_metrics_table(metric_report, stats), nl=False)
 
 
@@ -208,9 +221,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with explicit exit-code mapping."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

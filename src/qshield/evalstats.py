@@ -46,9 +46,6 @@ class StatReport:
     ci_low: float
     ci_high: float
     coeff_variation: float | None
-    cohens_d: float | None = None
-    t_statistic: float | None = None
-    p_value: float | None = None
 
 
 def _check_binary(values: np.ndarray, name: str) -> np.ndarray:

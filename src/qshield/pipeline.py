@@ -8,6 +8,7 @@ seed, training seed + 1, bootstrap seed + 2.
 from __future__ import annotations
 
 import json
+import math
 import os
 import types
 import typing
@@ -20,7 +21,9 @@ import numpy as np
 from .encoding import FeatureMapSpec
 from .errors import (
     ConfigError,
+    DegenerateInputError,
     ModelFormatError,
+    NumericalError,
     PipelineStageError,
     QShieldError,
 )
@@ -36,7 +39,7 @@ from .preprocess import (
     write_csv,
 )
 from .qkernel import KernelMatrix, SvmModel, kernel_matrix, train_qsvm
-from .vqc import Prediction, TrainConfig, VqcModel, train_vqc
+from .vqc import TrainConfig, VqcModel, train_vqc
 
 FORMAT_VERSION = 1
 MODEL_TYPES = ("vqc", "qsvm", "ensemble")
@@ -67,6 +70,10 @@ class ModelConfig:
         VqcModel.fresh(self.n_qubits, self.n_layers, self.repetitions, self.encoding)
         if not self.svm_c > 0:
             raise ConfigError(f"svm_c must be positive, got {self.svm_c!r}")
+        if not 0 < self.svm_tol < math.inf:
+            raise ConfigError(f"svm_tol must be finite and positive, got {self.svm_tol!r}")
+        if self.svm_max_passes < 1:
+            raise ConfigError(f"svm_max_passes must be at least 1, got {self.svm_max_passes!r}")
         weights = self.ensemble_weights
         if len(weights) != 2 or any(w < 0 for w in weights) or not sum(weights) > 0:
             raise ConfigError(
@@ -211,22 +218,6 @@ class EnsembleModel:
         return sum(w * m.predict_proba(features) for w, m in zip(self.weights, self.members))
 
 
-def _encode_feature_map(spec: FeatureMapSpec) -> dict:
-    return {
-        "n_qubits": spec.n_qubits,
-        "repetitions": spec.repetitions,
-        "entangling": spec.entangling,
-    }
-
-
-def _decode_feature_map(payload: dict) -> FeatureMapSpec:
-    return FeatureMapSpec(
-        n_qubits=payload["n_qubits"],
-        repetitions=payload["repetitions"],
-        entangling=payload.get("entangling", True),
-    )
-
-
 def _model_payload(model) -> dict:
     if isinstance(model, VqcModel):
         return {
@@ -234,7 +225,7 @@ def _model_payload(model) -> dict:
             "n_qubits": model.n_qubits,
             "n_layers": model.n_layers,
             "params": [float(p) for p in model.params],
-            "feature_map": _encode_feature_map(model.feature_map),
+            "feature_map": asdict(model.feature_map),
             "readout_qubit": model.readout.qubit,
             "rng_seed": model.rng_seed,
             "encoding": model.encoding,
@@ -251,9 +242,7 @@ def _model_payload(model) -> dict:
             if model.support_vectors is None
             else [[float(v) for v in row] for row in model.support_vectors],
             "C": float(model.C),
-            "feature_map": None
-            if model.feature_map is None
-            else _encode_feature_map(model.feature_map),
+            "feature_map": None if model.feature_map is None else asdict(model.feature_map),
             "converged": bool(model.converged),
             "n_updates": int(model.n_updates),
         }
@@ -309,7 +298,7 @@ def _decode_model(payload: dict):
             n_qubits=payload["n_qubits"],
             n_layers=payload["n_layers"],
             params=_numbers(payload["params"], "params"),
-            feature_map=_decode_feature_map(payload["feature_map"]),
+            feature_map=FeatureMapSpec(**payload["feature_map"]),
             readout=Observable(qubit=payload["readout_qubit"]),
             rng_seed=payload["rng_seed"],
             encoding=payload["encoding"],
@@ -336,22 +325,37 @@ def _decode_model(payload: dict):
             support_indices=indices,
             support_vectors=vectors,
             C=float(_numbers(payload["C"], "C")),
-            feature_map=None if fm is None else _decode_feature_map(fm),
+            feature_map=None if fm is None else FeatureMapSpec(**fm),
             converged=payload.get("converged", True),
             n_updates=payload.get("n_updates", 0),
         )
     if model_type == "preprocess":
-        def arr(key, dtype=float):
-            value = payload[key]
-            return None if value is None else _numbers(value, key, dtype)
-
+        means, stds = _numbers(payload["means"], "means"), _numbers(payload["std_devs"], "std_devs")
+        kept = _numbers(payload["kept_columns"], "kept_columns", dtype=int)
+        if kept.ndim != 1 or not means.shape == stds.shape == kept.shape:
+            raise ModelFormatError(
+                f"means, std_devs and kept_columns must be lists of one length, got "
+                f"shapes {means.shape}, {stds.shape} and {kept.shape}"
+            )
+        if np.any(kept < 0) or not np.all(stds > 0):
+            raise ModelFormatError("kept_columns must be >= 0 and std_devs > 0")
+        pca_keys = ("pca_basis", "explained_variance", "pca_center")
+        if len({payload[k] is None for k in pca_keys}) > 1:
+            raise ModelFormatError(f"{', '.join(pca_keys)} must be all present or all null")
+        basis, variance, center = (
+            None if payload[k] is None else _numbers(payload[k], k) for k in pca_keys
+        )
+        if basis is not None and not (
+            variance.ndim == 1 and basis.shape == (len(kept), len(variance))
+            and center.shape == (len(kept),)
+        ):
+            raise ModelFormatError(
+                f"pca_basis of shape {basis.shape} does not map {len(kept)} kept columns "
+                f"(pca_center {center.shape}) onto {variance.shape} explained variances"
+            )
         return PreprocessModel(
-            means=arr("means"),
-            std_devs=arr("std_devs"),
-            kept_columns=arr("kept_columns", dtype=int),
-            pca_basis=arr("pca_basis"),
-            explained_variance=arr("explained_variance"),
-            pca_center=arr("pca_center"),
+            means=means, std_devs=stds, kept_columns=kept, pca_basis=basis,
+            explained_variance=variance, pca_center=center,
             feature_names=list(payload.get("feature_names", [])),
         )
     if model_type == "ensemble":
@@ -447,6 +451,11 @@ def _load_and_preprocess(config: PipelineConfig, data_path):
 
 def _train_model(config: PipelineConfig, train: Dataset):
     """Returns (model, extras-for-report)."""
+    if train.labels.min() == train.labels.max():
+        raise DegenerateInputError(
+            f"training rows hold a single class: data.positive_label {config.data.positive_label!r}"
+            f" must match some but not all of column {config.data.label_column!r}"
+        )
     m = config.model
     extras: dict = {}
     training = replace(config.training, seed=config.seed + 1)
@@ -479,22 +488,29 @@ def _train_model(config: PipelineConfig, train: Dataset):
     return EnsembleModel([vqc_model, svm_model], np.asarray(m.ensemble_weights)), extras
 
 
-def write_predictions_csv(predictions: list[Prediction], path) -> None:
+def predict_labels(model, features) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities clipped to [0, 1], labels) per row; label 1 (malicious) when p >= 0.5."""
+    probabilities = np.asarray(model.predict_proba(features), dtype=float)
+    bad = probabilities[~np.isfinite(probabilities)]
+    if bad.size:
+        raise NumericalError(f"classifier produced a non-finite probability ({float(bad[0])!r})")
+    probabilities = np.clip(probabilities, 0.0, 1.0)
+    return probabilities, (probabilities >= 0.5).astype(int)
+
+
+def write_predictions_csv(probabilities, labels, path) -> None:
     """Columns: sample_index, probability, label."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("sample_index,probability,label\n")
-        for i, pred in enumerate(predictions):
-            fh.write(f"{i},{repr(pred.probability_malicious)},{pred.label}\n")
+        for i, (p, label) in enumerate(zip(probabilities.tolist(), labels.tolist())):
+            fh.write(f"{i},{p!r},{label}\n")
 
 
-def evaluate_predictions(predictions: list[Prediction], labels, config: PipelineConfig):
-    """(confusion, metrics, accuracy bootstrap drawn from seed + 2) against ``labels``."""
-    predicted = np.array([p.label for p in predictions])
-    cm = confusion(predicted, labels)
-    stats = bootstrap_ci(
-        (predicted == labels).astype(int), config.evaluation.bootstrap_iterations, config.seed + 2
-    )
-    return cm, metrics(cm), stats
+def evaluate_predictions(labels, truth, config: PipelineConfig):
+    """(metrics with their confusion matrix, accuracy bootstrap drawn from seed + 2)."""
+    correct = (labels == truth).astype(int)
+    stats = bootstrap_ci(correct, config.evaluation.bootstrap_iterations, config.seed + 2)
+    return metrics(confusion(labels, truth)), stats
 
 
 def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
@@ -514,11 +530,11 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
         with _stage("train"):
             model, extras = _train_model(config, train)
         with _stage("predict"):
-            probabilities = model.predict_proba(test.features)
-            predictions = [Prediction.from_probability(p) for p in probabilities]
+            probabilities, labels = predict_labels(model, test.features)
         with _stage("evaluate"):
-            cm, metric_report, stats = evaluate_predictions(predictions, test.labels, config)
+            metric_report, stats = evaluate_predictions(labels, test.labels, config)
         with _stage("report"):
+            metric_fields = asdict(metric_report)
             report = {
                 "config": config.to_dict(),
                 "data": {
@@ -528,31 +544,14 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
                     "n_test": int(test.n_samples),
                     "n_features_encoded": int(train.n_features),
                 },
-                "metrics": {
-                    "accuracy": metric_report.accuracy,
-                    "precision": metric_report.precision,
-                    "recall": metric_report.recall,
-                    "f1": metric_report.f1,
-                    "fpr": metric_report.fpr,
-                    "fnr": metric_report.fnr,
-                },
-                "confusion": {
-                    "tp": cm.tp,
-                    "fp": cm.fp,
-                    "tn": cm.tn,
-                    "fn": cm.fn,
-                },
-                "bootstrap": {
-                    "mean": stats.mean,
-                    "ci_low": stats.ci_low,
-                    "ci_high": stats.ci_high,
-                    "coeff_variation": stats.coeff_variation,
-                },
+                "confusion": metric_fields.pop("confusion"),
+                "metrics": metric_fields,
+                "bootstrap": asdict(stats),
+                **extras,
             }
-            report.update(extras)
             save_model(model, out / "model.json")
             save_model(pre_model, out / "preprocess.json")
-            write_predictions_csv(predictions, out / "predictions.csv")
+            write_predictions_csv(probabilities, labels, out / "predictions.csv")
             with open(out / "report.json", "w", encoding="utf-8") as fh:
                 json.dump(report, fh, sort_keys=True, indent=2)
                 fh.write("\n")
@@ -579,13 +578,14 @@ def preprocess_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
 def train_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     """Preprocess all rows and train the configured model on them.
 
-    Writes model.json and preprocess.json into ``out_dir``.
+    Writes model.json and preprocess.json into ``out_dir``; returns the row
+    count and the training extras that ``run`` puts in its report.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _, pre_model, processed = _load_and_preprocess(config, data_path)
     with _stage("train"):
-        model, _extras = _train_model(config, processed)
+        model, extras = _train_model(config, processed)
     save_model(model, out / "model.json")
     save_model(pre_model, out / "preprocess.json")
-    return {"n_samples": int(processed.n_samples)}
+    return {"n_samples": int(processed.n_samples), **extras}

@@ -8,7 +8,6 @@ to score and the support vectors.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,13 +191,6 @@ def train_qsvm(
         updates += 1
         if record_objective:
             objective.append(objective[-1] + violation * step - 0.5 * eta * step * step)
-
-    if not converged:
-        warnings.warn(
-            f"pair updates exhausted ({max_passes}) before reaching tolerance {tol}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     g = -y * grad
     unbounded = (alpha > 0.0) & (alpha < C)

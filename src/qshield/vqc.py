@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     InvalidInputError,
-    NumericalError,
     ShapeError,
 )
 from .statevector import (
@@ -43,22 +42,6 @@ PARAM_SHIFT = math.pi / 2
 PROB_CLAMP = 1e-9
 
 ENCODINGS = ("angle", "amplitude")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Classifier output; label 1 means malicious, ties go to 1."""
-
-    probability_malicious: float
-    label: int
-
-    @classmethod
-    def from_probability(cls, p: float) -> "Prediction":
-        p = float(p)
-        if not math.isfinite(p):
-            raise NumericalError(f"classifier produced a non-finite probability ({p!r})")
-        p = min(max(p, 0.0), 1.0)
-        return cls(p, 1 if p >= 0.5 else 0)
 
 
 @dataclass
@@ -223,8 +206,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.epochs, int) or self.epochs < 1:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be positive, got {self.eps!r}")
         if self.batch_size is not None and (
             not isinstance(self.batch_size, int) or self.batch_size < 1
         ):

@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through main()."""
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,19 @@ def workspace(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def pca_preprocess(workspace):
+    """A preprocess.json with a fitted PCA basis, for malformed-file edits."""
+    root = workspace["root"]
+    config = root / "pca.json"
+    config.write_text(json.dumps({"preprocess": {"pca_components": 2}}))
+    assert main([
+        "preprocess", "--data", str(workspace["data"]),
+        "--config", str(config), "--out-dir", str(root / "pca"),
+    ]) == 0
+    return root / "pca" / "preprocess.json"
+
+
+@pytest.fixture(scope="module")
 def svm_model(workspace):
     """A kernel SVM trained on the shared data, for malformed-file edits."""
     out = workspace["root"] / "trained_svm"
@@ -78,7 +92,23 @@ def _infinite_param(p):
     p["params"][0] = float("inf")
 
 
-# (edit, which model it applies to)
+def _short_means(p):
+    p["means"] = p["means"][:-1]
+
+
+def _null_pca_center(p):
+    p["pca_center"] = None
+
+
+def _negative_kept_column(p):
+    p["kept_columns"][0] = -1
+
+
+def _basis_missing_component(p):
+    p["pca_basis"] = [row[:-1] for row in p["pca_basis"]]
+
+
+# (edit, which model file it applies to)
 MALFORMED_MODELS = {
     "short_dual_coeffs": (_drop_last_coeff, "qsvm"),
     "narrow_support_vectors": (_narrow_support_vectors, "qsvm"),
@@ -86,12 +116,16 @@ MALFORMED_MODELS = {
     "text_params": (_text_params, "vqc"),
     "list_feature_map": (_list_feature_map, "vqc"),
     "infinite_param": (_infinite_param, "vqc"),
+    "short_means": (_short_means, "preprocess"),
+    "null_pca_center": (_null_pca_center, "preprocess"),
+    "negative_kept_column": (_negative_kept_column, "preprocess"),
+    "basis_missing_component": (_basis_missing_component, "preprocess"),
 }
 
 
 # config values that must be rejected before any stage runs, as
-# case -> (config, text the error line must contain); a type error names
-# its field as section.key
+# case -> (config, or its raw JSON text, text the error line must contain);
+# a type error names its field as section.key
 WRONG_TYPE_CONFIGS = {
     "test_fraction_text": ({"evaluation": {"test_fraction": "x"}}, "evaluation.test_fraction"),
     "bootstrap_iterations_text": (
@@ -120,6 +154,12 @@ WRONG_TYPE_CONFIGS = {
     "vqc_ensemble_weights_text": ({"model": {"ensemble_weights": "ab"}}, "model.ensemble_weights"),
     "vqc_ensemble_weights_negative": ({"model": {"ensemble_weights": [1, -1]}}, "ensemble_weights"),
     "seed_flag_negative": ({}, "seed"),
+    "svm_tol_negative": ({"model": {"svm_tol": -1}}, "svm_tol"),
+    "svm_max_passes_zero": ({"model": {"svm_max_passes": 0}}, "svm_max_passes"),
+    "beta1_above_one": ({"training": {"beta1": 2}}, "beta1"),
+    "beta2_one": ({"training": {"beta2": 1}}, "beta2"),
+    "eps_zero": ({"training": {"eps": 0}}, "eps"),
+    "learning_rate_overflow": ('{"training": {"learning_rate": 1e400}}', "learning_rate"),
 }
 # command-line arguments a case adds after the config
 WRONG_CONFIG_ARGS = {"seed_flag_negative": ["--seed", "-1"]}
@@ -198,7 +238,7 @@ class TestRun:
     def test_wrong_type_config_exits_1(self, case, workspace, tmp_path, capsys):
         config, named = WRONG_TYPE_CONFIGS[case]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(config))
+        bad.write_text(config if isinstance(config, str) else json.dumps(config))
         out_dir = tmp_path / "out"
         capsys.readouterr()
         code = main([
@@ -211,6 +251,47 @@ class TestRun:
         assert named in error_line
         assert "Traceback" not in captured.err + captured.out
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["train"]], ids=["run", "train"])
+    def test_positive_label_matching_no_row_exits_2(self, command, workspace, tmp_path, capsys):
+        config = json.loads(workspace["config"].read_text())
+        config["data"] = {"positive_label": "yes"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = main([
+            *command, "--data", str(workspace["data"]),
+            "--config", str(bad), "--out-dir", str(tmp_path / "out"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert "data.positive_label" in error_line
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["train", "qsvm"]], ids=["run", "train"])
+    def test_svm_update_cap_is_one_note(self, command, workspace, tmp_path, capsys):
+        config = json.loads(workspace["config"].read_text())
+        config["model"].update(type="qsvm", svm_max_passes=1)
+        capped = tmp_path / "capped.json"
+        capped.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                *command, "--data", str(workspace["data"]),
+                "--config", str(capped), "--out-dir", str(out_dir),
+            ])
+        captured = capsys.readouterr()
+        assert code == 0
+        notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
+        assert len(notes) == 1 and "model.svm_max_passes" in notes[0]
+        assert captured.err == notes[0] + "\n"
+        assert json.loads((out_dir / "model.json").read_text())["converged"] is False
+        if command == ["run"]:
+            assert json.loads((out_dir / "report.json").read_text())["svm"]["converged"] is False
 
 
 class TestPreprocess:
@@ -268,17 +349,22 @@ class TestPredict:
             assert row[2] in ("0", "1")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
-    def test_malformed_model_exits_2(self, case, workspace, svm_model, tmp_path, capsys):
+    def test_malformed_model_exits_2(
+        self, case, workspace, svm_model, pca_preprocess, tmp_path, capsys
+    ):
         edit, kind = MALFORMED_MODELS[case]
-        source = svm_model if kind == "qsvm" else workspace["model"]
-        payload = json.loads(source.read_text())
+        sources = {"qsvm": svm_model, "vqc": workspace["model"], "preprocess": pca_preprocess}
+        payload = json.loads(sources[kind].read_text())
         edit(payload)
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(payload))
+        model, preprocess = (
+            (workspace["model"], bad) if kind == "preprocess" else (bad, workspace["preprocess"])
+        )
         capsys.readouterr()
         code = main([
-            "predict", "--model", str(bad),
-            "--preprocess-model", str(workspace["preprocess"]),
+            "predict", "--model", str(model),
+            "--preprocess-model", str(preprocess),
             "--data", str(workspace["data"]),
             "--config", str(workspace["config"]), "--out", str(tmp_path / "p.csv"),
         ])

@@ -1,7 +1,7 @@
 """Config parsing, model persistence, ensembles, and full experiment runs."""
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,10 +9,12 @@ from helpers import teacher_vqc_dataset
 
 from qshield.encoding import FeatureMapSpec
 from qshield.errors import ConfigError, ModelFormatError, PipelineStageError
+from qshield.evalstats import ConfusionMatrix, MetricsReport, StatReport
 from qshield.pipeline import (
     EnsembleModel,
     PipelineConfig,
     load_model,
+    predict_labels,
     preprocess_experiment,
     run_experiment,
     save_model,
@@ -26,7 +28,7 @@ from qshield.preprocess import (
     write_csv,
 )
 from qshield.qkernel import kernel_matrix, train_qsvm
-from qshield.vqc import Prediction, TrainConfig, VqcModel, train_vqc
+from qshield.vqc import TrainConfig, VqcModel, train_vqc
 
 
 def write_teacher_csv(path, seed=201, n=24):
@@ -162,6 +164,15 @@ class _StubModel:
         return np.full(len(features), self.p)
 
 
+class TestPredictLabels:
+    def test_clips_and_labels_at_half(self):
+        probabilities, labels = predict_labels(
+            _StubModel(np.array([-0.25, 0.0, 0.4999, 0.5, 1.0, 1.5])), np.zeros((6, 1))
+        )
+        np.testing.assert_array_equal(probabilities, [0.0, 0.0, 0.4999, 0.5, 1.0, 1.0])
+        np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1, 1])
+
+
 class TestEnsemble:
     def test_weights_normalize(self):
         model = EnsembleModel([_StubModel(0.0), _StubModel(1.0)], np.array([1.0, 3.0]))
@@ -172,7 +183,7 @@ class TestEnsemble:
         model = EnsembleModel([_StubModel(0.2), _StubModel(0.8)], np.array([0.5, 0.5]))
         p = model.predict_proba(np.zeros((1, 1)))[0]
         assert p == pytest.approx(0.5)
-        assert Prediction.from_probability(p).label == 1  # tie goes malicious
+        assert predict_labels(model, np.zeros((1, 1)))[1][0] == 1  # tie goes malicious
 
     def test_member_count_mismatch(self):
         with pytest.raises(ConfigError):
@@ -320,6 +331,18 @@ class TestRunExperiment:
         assert header == "sample_index,probability,label"
         on_disk = json.loads((out / "report.json").read_text())
         assert on_disk["metrics"] == report["metrics"]
+
+    def test_report_fields_are_the_result_dataclasses(self, tmp_path):
+        data_path = tmp_path / "data.csv"
+        write_teacher_csv(data_path)
+        report = run_experiment(fast_config(), data_path, tmp_path / "out")
+
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        assert set(report["metrics"]) == names(MetricsReport) - {"confusion"}
+        assert set(report["confusion"]) == names(ConfusionMatrix)
+        assert set(report["bootstrap"]) == names(StatReport)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         data_path = tmp_path / "data.csv"

@@ -1,5 +1,6 @@
 """Kernel matrix and dual SVM tests."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qshield.errors import (
     NumericalError,
     ShapeError,
 )
+from qshield.pipeline import predict_labels
 from qshield.preprocess import Dataset
 from qshield.qkernel import (
     KernelMatrix,
@@ -28,7 +30,6 @@ from qshield.qkernel import (
     write_kernel_csv,
 )
 from qshield.statevector import inner_product
-from qshield.vqc import Prediction
 
 
 def kernel_entry(a, b, spec: FeatureMapSpec) -> float:
@@ -257,13 +258,14 @@ class TestSvmTraining:
         assert capped.size > 0
         assert np.all(capped == 0.05)
 
-    def test_update_limit_warns(self):
+    def test_update_limit_is_reported_as_data(self):
         rng = np.random.default_rng(43)
         spec = FeatureMapSpec(2, 2)
         features = rng.uniform(-math.pi, math.pi, (10, 2))
         gram = kernel_matrix(features, spec)
         labels = separable_kernel_labels(gram.entries, rng)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             model = train_qsvm(gram, labels, C=50.0, max_passes=1)
         assert not model.converged
         assert model.n_updates == 1
@@ -318,7 +320,7 @@ class TestSvmPrediction:
 
     def test_label_agrees_with_oracle_decision_sign(self):
         row = self.features[3]
-        label = Prediction.from_probability(self.model.predict_proba([row])[0]).label
+        label = predict_labels(self.model, [row])[1][0]
         assert label == int(svm_decision_oracle(self.model, [row])[0] >= 0)
 
     def test_decision_needs_stored_vectors(self):

@@ -1,5 +1,6 @@
 """Classifier tests: ansatz structure, gradients, loss, training."""
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,10 @@ from qshield.errors import (
     NumericalError,
     ShapeError,
 )
+from qshield.pipeline import predict_labels
 from qshield.preprocess import Dataset
 from qshield.statevector import new_zero_state, run_circuit
 from qshield.vqc import (
-    Prediction,
     TrainConfig,
     VqcModel,
     ansatz_expectations,
@@ -37,8 +38,10 @@ def make_model(n_qubits, n_layers, params, repetitions=2, **kwargs):
     )
 
 
-def predict_one(model, x) -> Prediction:
-    return Prediction.from_probability(model.predict_proba([x])[0])
+def predict_one(model, x) -> tuple[float, int]:
+    """(probability, label) of one row, through the scoring step the CLI uses."""
+    probabilities, labels = predict_labels(model, [x])
+    return float(probabilities[0]), int(labels[0])
 
 
 class TestAnsatz:
@@ -79,27 +82,27 @@ class TestAnsatz:
 class TestForward:
     def test_trivial_model_predicts_one(self):
         model = make_model(2, 1, np.zeros(6))
-        pred = predict_one(model, [0.0, 0.0])
-        assert pred.probability_malicious == pytest.approx(1.0, abs=1e-12)
-        assert pred.label == 1
+        p, label = predict_one(model, [0.0, 0.0])
+        assert p == pytest.approx(1.0, abs=1e-12)
+        assert label == 1
 
     def test_rx_pi_reads_zero(self):
         model = make_model(1, 1, [math.pi, 0.0, 0.0], repetitions=1)
-        pred = predict_one(model, [0.0])
-        assert pred.probability_malicious == pytest.approx(0.0, abs=1e-12)
-        assert pred.label == 0
+        p, label = predict_one(model, [0.0])
+        assert p == pytest.approx(0.0, abs=1e-12)
+        assert label == 0
 
     def test_tie_probability_labels_malicious(self):
         model = make_model(1, 1, [math.pi / 2, 0.0, 0.0], repetitions=1)
-        pred = predict_one(model, [0.0])
-        assert pred.probability_malicious == pytest.approx(0.5, abs=1e-12)
-        assert pred.label == 1
+        p, label = predict_one(model, [0.0])
+        assert p == pytest.approx(0.5, abs=1e-12)
+        assert label == 1
 
     def test_single_qubit_matrix_oracle(self):
         # z after RZ(c) RY(b) RX(a) |0> via an independent 2x2 product
         a, b, c = 0.73, -1.4, 2.2
         model = make_model(1, 1, [a, b, c], repetitions=1)
-        p = predict_one(model, [0.0]).probability_malicious
+        p, _ = predict_one(model, [0.0])
 
         def mat_rx(t):
             return np.array([[math.cos(t / 2), -1j * math.sin(t / 2)],
@@ -121,23 +124,23 @@ class TestForward:
         for _ in range(20):
             model = random_vqc(rng, int(rng.integers(1, 5)), int(rng.integers(1, 3)))
             x = rng.uniform(-math.pi, math.pi, model.n_qubits)
-            p = predict_one(model, x).probability_malicious
+            p, _ = predict_one(model, x)
             assert 0.0 <= p <= 1.0
 
     def test_amplitude_encoding_forward(self):
         # ring disabled so zero parameters leave the encoded state alone
         model = make_model(2, 1, np.zeros(6), encoding="amplitude", entangling=False)
-        pred = predict_one(model, [1.0, 0.0, 0.0, 0.0])
-        assert pred.probability_malicious == pytest.approx(1.0, abs=1e-12)
+        p, _ = predict_one(model, [1.0, 0.0, 0.0, 0.0])
+        assert p == pytest.approx(1.0, abs=1e-12)
         # basis index 1: qubit 0 set, so the readout sees z = -1
-        pred = predict_one(model, [0.0, 1.0])
-        assert pred.probability_malicious == pytest.approx(0.0, abs=1e-12)
+        p, _ = predict_one(model, [0.0, 1.0])
+        assert p == pytest.approx(0.0, abs=1e-12)
 
     def test_amplitude_encoding_ring_permutes_basis(self):
         # with the ring on, |01> -> CNOT(0,1) -> |11> -> CNOT(1,0) -> |10>
         model = make_model(2, 1, np.zeros(6), encoding="amplitude")
-        pred = predict_one(model, [0.0, 1.0])
-        assert pred.probability_malicious == pytest.approx(1.0, abs=1e-12)
+        p, _ = predict_one(model, [0.0, 1.0])
+        assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_appended_zero_layer_is_inert_without_ring(self):
         rng = np.random.default_rng(67)
@@ -150,15 +153,14 @@ class TestForward:
             FeatureMapSpec(2, 1, entangling=False), entangling=False,
         )
         x = [0.4, -0.9]
-        assert predict_one(base, x).probability_malicious == pytest.approx(
-            predict_one(extended, x).probability_malicious, abs=1e-12
-        )
-
+        assert predict_one(base, x)[0] == pytest.approx(predict_one(extended, x)[0], abs=1e-12)
 
     @pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_probability_raises(self, p):
-        with pytest.raises(NumericalError):
-            Prediction.from_probability(p)
+    def test_non_finite_probability_raises(self, p, monkeypatch):
+        model = make_model(1, 1, np.zeros(3), repetitions=1)
+        monkeypatch.setattr(model, "predict_proba", lambda features: np.full(len(features), p))
+        with pytest.raises(NumericalError, match=re.escape(f"({p!r})")):
+            predict_one(model, [0.0])
 
 
 class TestParamShift:
