@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 data error,
-3 numerical error.
+3 numerical error or an unexpected internal error.
 """
 from __future__ import annotations
 
@@ -230,6 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     except QShieldError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
+    except Exception as exc:
+        # last resort: a bug outside any pipeline stage still ends in one error line
+        click.echo(f"error: internal error: {type(exc).__name__}: {exc}", err=True)
+        return 3
     return 0
 
 

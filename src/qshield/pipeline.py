@@ -410,22 +410,57 @@ def _stage(name: str):
 
 @contextmanager
 def _output_lock(out_dir: Path):
+    """Hold ``out_dir/.lock``, which names the owner PID, for one run.
+
+    A lock whose PID no longer exists is left by a crashed run and is
+    reclaimed once.  An empty or unreadable lock counts as held: its
+    owner may sit between creating the file and writing its PID.
+    """
     lock = out_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+    fd = _create_lock(lock)
+    if fd is None and _lock_owner_is_dead(lock):
+        try:
+            lock.unlink()
+        except FileNotFoundError:
+            pass
+        fd = _create_lock(lock)
+    if fd is None:
         raise ConfigError(
             f"output directory {out_dir} is locked by another run "
             f"(stale lock? remove {lock})"
-        ) from None
+        )
     try:
-        os.close(fd)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(str(os.getpid()))
         yield
     finally:
         try:
             lock.unlink()
         except OSError:
             pass
+
+
+def _create_lock(lock: Path) -> int | None:
+    try:
+        return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return None
+
+
+def _lock_owner_is_dead(lock: Path) -> bool:
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:  # 0 and negatives address process groups, not one process
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):  # alive under another user, or no valid PID
+        pass
+    return False
 
 
 def _resolved_preprocess_config(config: PipelineConfig) -> PreprocessConfig:

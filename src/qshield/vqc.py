@@ -1,9 +1,15 @@
-"""Variational quantum classifier: ansatz, inference, parameter-shift training.
+"""Variational quantum classifier: ansatz, inference, adjoint-gradient training.
 
 The ansatz stacks ``n_layers`` blocks of per-qubit RX, RY, RZ rotations
 followed by a circular CNOT ring.  Readout is <Z> on one qubit, squashed
 to a malicious-class probability p = (1 + <Z>) / 2.  Inference, training
 and gradients all run over ``(rows, 2**n)`` arrays of encoded states.
+
+Training takes its gradient by adjoint differentiation (Jones & Gacon
+2020, arXiv:2009.02823): one forward and one backward sweep of the
+ansatz, whatever the parameter count.  The parameter-shift rule, which
+is what would run on hardware, stays as the exact public reference in
+:func:`shift_jacobian` and :func:`param_shift_grad`.
 """
 from __future__ import annotations
 
@@ -23,11 +29,15 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     InvalidInputError,
+    NumericalError,
     ShapeError,
 )
 from .statevector import (
     Circuit,
     Observable,
+    _apply_1q_matrix,
+    _apply_gate_to_array,
+    _rotation_matrix,
     cnot_ring,
     evolve,
     row_chunks,
@@ -222,10 +232,12 @@ class TrainConfig:
 
 
 def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, list[float]]:
-    """Minimize BCE with parameter-shift gradients.
+    """Minimize BCE with adjoint-differentiation gradients.
 
     Returns the trained model and the loss history; history[0] is the
     loss at initialization and history[e] the loss after epoch e.
+    Raises NumericalError when an optimiser step leaves a parameter
+    non-finite (a learning rate large enough to overflow).
     """
     if dataset.n_samples == 0:
         raise DegenerateInputError("training dataset is empty")
@@ -247,18 +259,25 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
         return _bce((1.0 + z) / 2.0, y)
 
     history = [full_loss(params)]
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         for batch in _batches(m, config.batch_size, rng):
             grad = _bce_grad(replace(arch, params=params), states[batch], y[batch])
-            if config.optimizer == "adam":
-                adam_t += 1
-                adam_m = config.beta1 * adam_m + (1.0 - config.beta1) * grad
-                adam_v = config.beta2 * adam_v + (1.0 - config.beta2) * grad**2
-                m_hat = adam_m / (1.0 - config.beta1**adam_t)
-                v_hat = adam_v / (1.0 - config.beta2**adam_t)
-                params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
-            else:
-                params = params - config.learning_rate * grad
+            # an overflowing step is reported below as a NumericalError, not a warning
+            with np.errstate(over="ignore"):
+                if config.optimizer == "adam":
+                    adam_t += 1
+                    adam_m = config.beta1 * adam_m + (1.0 - config.beta1) * grad
+                    adam_v = config.beta2 * adam_v + (1.0 - config.beta2) * grad**2
+                    m_hat = adam_m / (1.0 - config.beta1**adam_t)
+                    v_hat = adam_v / (1.0 - config.beta2**adam_t)
+                    params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+                else:
+                    params = params - config.learning_rate * grad
+            if not np.all(np.isfinite(params)):
+                raise NumericalError(
+                    f"training diverged in epoch {epoch}: an optimiser step left the "
+                    f"parameters non-finite (training.learning_rate {config.learning_rate!r})"
+                )
         history.append(full_loss(params))
 
     meta = {**asdict(config), "final_loss": history[-1]}
@@ -276,8 +295,36 @@ def _batches(m: int, batch_size: int | None, rng: np.random.Generator):
 
 
 def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of mean BCE: chain rule through p = (1 + <Z>) / 2."""
-    z = ansatz_expectations(model, states)
-    p = np.clip((1.0 + z) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    dloss_dp = (p - y) / (p * (1.0 - p)) / len(y)
-    return dloss_dp @ (0.5 * shift_jacobian(model, states))
+    """Gradient of mean BCE by adjoint differentiation.
+
+    One forward sweep gives the evolved states phi and, through
+    p = (1 + <Z>) / 2, the row weights w = dL/dp / 2.  The backward sweep
+    starts from lam = w * Z phi and walks the gates in reverse: at each
+    rotation R(theta) = exp(-i theta sigma / 2),
+    dL/dtheta = 2 Re sum_b <lam_b|(-i sigma / 2)|phi_b> = Re sum_b <lam_b|R(pi)|phi_b>,
+    since R(pi) = -i sigma; then both phi and lam step back through the
+    gate's inverse.  Parameters are met in reverse of the flat layout.
+    """
+    circuit = build_ansatz(model)
+    n, qubit = model.n_qubits, model.readout.qubit
+    z_sign = 1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)
+    grad = np.zeros(model.n_params)
+    for rows in row_chunks(len(y), n):
+        phi = evolve(states[rows], circuit)
+        p = np.clip((1.0 + z_expectations(phi, qubit, n)) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        w = 0.5 * (p - y[rows]) / (p * (1.0 - p)) / len(y)
+        lam = w[:, None] * z_sign * phi
+        k = model.n_params
+        for gate in reversed(circuit.gates):
+            if gate.angle is not None:
+                k -= 1
+                turned = _apply_1q_matrix(
+                    phi.copy(), _rotation_matrix(gate.kind, math.pi), gate.target, n
+                )
+                # Re <lam|turned> as one real dot over the (re, im) pairs; a complex
+                # np.vdot here raised the vqc-train peak RSS by about 0.25 MB
+                grad[k] += np.dot(lam.view(float).ravel(), turned.view(float).ravel())
+            inverse = gate.inverse()
+            phi = _apply_gate_to_array(phi, inverse, n)
+            lam = _apply_gate_to_array(lam, inverse, n)
+    return grad

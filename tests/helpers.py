@@ -3,8 +3,9 @@ and independent numerical oracles.
 
 The oracles here are the slow routes the library code replaced:
 gate-level encoding circuits run one state at a time, the
-inverse-circuit kernel, per-parameter shifts, and a cyclic Jacobi
-eigensolver standing in for LAPACK's ``eigh``.  Tests compare the
+inverse-circuit kernel, per-parameter shifts, the parameter-shift
+training gradient that adjoint differentiation replaced, and a cyclic
+Jacobi eigensolver standing in for LAPACK's ``eigh``.  Tests compare the
 production code against them.
 """
 from __future__ import annotations
@@ -33,7 +34,14 @@ from qshield.statevector import (
     rz,
     swap,
 )
-from qshield.vqc import PARAM_SHIFT, VqcModel, build_ansatz
+from qshield.vqc import (
+    PARAM_SHIFT,
+    PROB_CLAMP,
+    VqcModel,
+    ansatz_expectations,
+    build_ansatz,
+    shift_jacobian,
+)
 
 GATE_POOL = ("RX", "RY", "RZ", "H", "CNOT", "CPHASE", "SWAP")
 JACOBI_TOL = 1e-10
@@ -198,6 +206,18 @@ def shift_gradient(model: VqcModel, x) -> np.ndarray:
         grad[i] = (gate_level_probability(replace(model, params=up), x)
                    - gate_level_probability(replace(model, params=down), x))
     return grad
+
+
+def shift_bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean-BCE gradient as ``weights @ shift_jacobian``: 2P + 1 ansatz runs.
+
+    The weights are dL/dp per row times dp/d<Z> = 1/2.  ``y`` may be any
+    real targets, which gives the weights arbitrary signs and sizes.
+    """
+    z = ansatz_expectations(model, states)
+    p = np.clip((1.0 + z) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    dloss_dp = (p - y) / (p * (1.0 - p)) / len(y)
+    return dloss_dp @ (0.5 * shift_jacobian(model, states))
 
 
 def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 100):

@@ -1,12 +1,16 @@
 """Command-line interface tests, run in-process through main()."""
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from helpers import teacher_vqc_dataset
 
+from qshield import cli
 from qshield.cli import main
 from qshield.preprocess import write_csv
 
@@ -223,6 +227,70 @@ class TestRun:
             "--config", str(workspace["config"]), "--out-dir", str(out_dir),
         ])
         assert code == 1
+
+    def test_live_owner_lock_exits_1(self, workspace, tmp_path, capsys):
+        out_dir = tmp_path / "busy"
+        out_dir.mkdir()
+        (out_dir / ".lock").write_text(str(os.getpid()))
+        code = main([
+            "run", "--data", str(workspace["data"]),
+            "--config", str(workspace["config"]), "--out-dir", str(out_dir),
+        ])
+        assert code == 1
+        (error_line,) = [line for line in capsys.readouterr().err.splitlines()
+                         if line.startswith("error:")]
+        assert "locked by another run" in error_line
+        assert (out_dir / ".lock").read_text() == str(os.getpid())
+
+    def test_dead_owner_lock_is_reclaimed(self, workspace, tmp_path):
+        with subprocess.Popen([sys.executable, "-c", "pass"]) as finished:
+            pass  # leaving the block waits for the child, so its PID is free
+        out_dir = tmp_path / "crashed"
+        out_dir.mkdir()
+        (out_dir / ".lock").write_text(str(finished.pid))
+        code = main([
+            "run", "--data", str(workspace["data"]),
+            "--config", str(workspace["config"]), "--out-dir", str(out_dir),
+        ])
+        assert code == 0
+        assert (out_dir / "report.json").exists()
+        assert not (out_dir / ".lock").exists()
+
+    def test_overflowing_learning_rate_exits_3(self, workspace, tmp_path, capsys):
+        config = json.loads(workspace["config"].read_text())
+        config["training"] = {"learning_rate": 1e308, "epochs": 3}
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(config))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "run", "--data", str(workspace["data"]),
+                "--config", str(bad), "--out-dir", str(tmp_path / "out"),
+            ])
+        captured = capsys.readouterr()
+        assert code == 3
+        (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert "in epoch " in error_line and "training.learning_rate 1e+308" in error_line
+        assert "math domain error" not in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_internal_error_is_one_error_line(self, workspace, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setattr(cli, "_load_config", broken)
+        capsys.readouterr()
+        code = main([
+            "run", "--data", str(workspace["data"]),
+            "--config", str(workspace["config"]), "--out-dir", str(tmp_path / "out"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert error_line == "error: internal error: RuntimeError: unexpected state"
+        assert "Traceback" not in captured.err + captured.out
 
     def test_invalid_config_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
