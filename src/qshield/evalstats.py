@@ -156,34 +156,26 @@ def cohens_d(sample_a, sample_b) -> float | None:
     return float((a.mean() - b.mean()) / pooled)
 
 
+def _off_zero(v: float) -> float:
+    """``v``, or 1e-300 when it is too close to zero to divide by (Lentz's guard)."""
+    return 1e-300 if abs(v) < 1e-300 else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (Lentz)."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < 1e-300:
-        d = 1e-300
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     result = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         result *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         delta = d * c
         result *= delta
         if abs(delta - 1.0) < _BETA_EPS:

@@ -49,7 +49,7 @@ def grad_attribution(model: VqcModel, x) -> AttributionReport:
     probs = (1.0 + ansatz_expectations(model, encode_angle_rows(rows, spec))) / 2.0
     base_p = float(probs[0])
     scores = [float(v) for v in (0.5 * (probs[1::2] - probs[2::2])).reshape(d, reps).sum(axis=1)]
-    weighted = [max(s, 0.0) * float(arr[j]) for j, s in enumerate(scores)]
+    weighted = [s * float(arr[j]) if s > 0 else 0.0 for j, s in enumerate(scores)]
     return AttributionReport(
         feature_indices=tuple(range(arr.size)),
         scores=tuple(scores),

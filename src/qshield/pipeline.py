@@ -7,6 +7,7 @@ seed, training seed + 1, bootstrap seed + 2.
 """
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -130,7 +131,7 @@ class PipelineConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(
@@ -369,7 +370,7 @@ def load_model(path, expected_type: str | None = None):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     try:
         payload = json.loads(text)
@@ -394,7 +395,7 @@ def load_model(path, expected_type: str | None = None):
         return _decode_model(payload)
     except KeyError as exc:
         raise ModelFormatError(f"model file {path} is missing field {exc}") from exc
-    except (QShieldError, TypeError, ValueError) as exc:
+    except (QShieldError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model file {path} is invalid: {exc}") from exc
 
 
@@ -409,58 +410,35 @@ def _stage(name: str):
 
 
 @contextmanager
-def _output_lock(out_dir: Path):
-    """Hold ``out_dir/.lock``, which names the owner PID, for one run.
+def _output_dir(out_dir):
+    """Create ``out_dir`` and hold it for one run by a ``flock`` on ``out_dir/.lock``.
 
-    A lock whose PID no longer exists is left by a crashed run and is
-    reclaimed once.  An empty or unreadable lock counts as held: its
-    owner may sit between creating the file and writing its PID.
+    The kernel drops the lock when its holder exits, however it ends, so a
+    crashed run never blocks the next one.  The holder unlinks ``.lock``
+    before it lets go; a run that locked a file already unlinked (its inode
+    no longer the one at the path) counts the directory as held.
     """
-    lock = out_dir / ".lock"
-    fd = _create_lock(lock)
-    if fd is None and _lock_owner_is_dead(lock):
-        try:
-            lock.unlink()
-        except FileNotFoundError:
-            pass
-        fd = _create_lock(lock)
-    if fd is None:
-        raise ConfigError(
-            f"output directory {out_dir} is locked by another run "
-            f"(stale lock? remove {lock})"
-        )
+    out = Path(out_dir)
+    lock = out / ".lock"
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        yield
+        out.mkdir(parents=True, exist_ok=True)
+        fd = os.open(lock, os.O_RDWR | os.O_CREAT)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            held = not os.path.samestat(os.fstat(fd), os.stat(lock))
+        except (BlockingIOError, FileNotFoundError):
+            held = True
+        if held:
+            raise ConfigError(f"output directory {out} is locked by another run")
+        try:
+            yield out
+        finally:
+            lock.unlink(missing_ok=True)
     finally:
-        try:
-            lock.unlink()
-        except OSError:
-            pass
-
-
-def _create_lock(lock: Path) -> int | None:
-    try:
-        return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return None
-
-
-def _lock_owner_is_dead(lock: Path) -> bool:
-    try:
-        pid = int(lock.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:  # 0 and negatives address process groups, not one process
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (PermissionError, OverflowError):  # alive under another user, or no valid PID
-        pass
-    return False
+        os.close(fd)
 
 
 def _resolved_preprocess_config(config: PipelineConfig) -> PreprocessConfig:
@@ -554,9 +532,7 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     Writes model.json, preprocess.json, predictions.csv, report.json, and
     report.txt into ``out_dir`` and returns the report dictionary.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with _output_lock(out):
+    with _output_dir(out_dir) as out:
         data, pre_model, processed = _load_and_preprocess(config, data_path)
         with _stage("split"):
             train, test = train_test_split(
@@ -597,11 +573,10 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
 
 def preprocess_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     """Standalone preprocessing: writes processed.csv and preprocess.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    data, pre_model, processed = _load_and_preprocess(config, data_path)
-    save_model(pre_model, out / "preprocess.json")
-    write_csv(processed, out / "processed.csv")
+    with _output_dir(out_dir) as out:
+        data, pre_model, processed = _load_and_preprocess(config, data_path)
+        save_model(pre_model, out / "preprocess.json")
+        write_csv(processed, out / "processed.csv")
     return {
         "n_samples_in": int(data.n_samples),
         "n_samples_out": int(processed.n_samples),
@@ -616,11 +591,10 @@ def train_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     Writes model.json and preprocess.json into ``out_dir``; returns the row
     count and the training extras that ``run`` puts in its report.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _, pre_model, processed = _load_and_preprocess(config, data_path)
-    with _stage("train"):
-        model, extras = _train_model(config, processed)
-    save_model(model, out / "model.json")
-    save_model(pre_model, out / "preprocess.json")
+    with _output_dir(out_dir) as out:
+        _, pre_model, processed = _load_and_preprocess(config, data_path)
+        with _stage("train"):
+            model, extras = _train_model(config, processed)
+        save_model(model, out / "model.json")
+        save_model(pre_model, out / "preprocess.json")
     return {"n_samples": int(processed.n_samples), **extras}

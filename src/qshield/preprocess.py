@@ -80,7 +80,7 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise IngestionError(f"{path}: file is empty")

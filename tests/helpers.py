@@ -10,7 +10,10 @@ production code against them.
 """
 from __future__ import annotations
 
+import fcntl
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -264,3 +267,19 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 1
     raise ConvergenceError(
         f"Jacobi sweeps exhausted ({max_sweeps}) without reaching tolerance {tol}"
     )
+
+
+@contextmanager
+def holding_out_dir(out_dir):
+    """Hold ``out_dir/.lock`` with ``flock`` as a running command does; yields the fd.
+
+    Two open file descriptions conflict under ``flock`` even inside one
+    process, so a command run in-process finds the directory held.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fd = os.open(out_dir / ".lock", os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield fd
+    finally:
+        os.close(fd)

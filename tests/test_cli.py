@@ -2,14 +2,17 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import teacher_vqc_dataset
+from helpers import holding_out_dir, teacher_vqc_dataset
 
+import qshield
 from qshield import cli
 from qshield.cli import main
 from qshield.preprocess import write_csv
@@ -112,11 +115,20 @@ def _basis_missing_component(p):
     p["pca_basis"] = [row[:-1] for row in p["pca_basis"]]
 
 
+def _huge_support_index(p):
+    p["support_indices"][0] = 1e300
+
+
+def _huge_kept_column(p):
+    p["kept_columns"][0] = 1e80
+
+
 # (edit, which model file it applies to)
 MALFORMED_MODELS = {
     "short_dual_coeffs": (_drop_last_coeff, "qsvm"),
     "narrow_support_vectors": (_narrow_support_vectors, "qsvm"),
     "nan_bias": (_nan_bias, "qsvm"),
+    "huge_support_index": (_huge_support_index, "qsvm"),
     "text_params": (_text_params, "vqc"),
     "list_feature_map": (_list_feature_map, "vqc"),
     "infinite_param": (_infinite_param, "vqc"),
@@ -124,6 +136,7 @@ MALFORMED_MODELS = {
     "null_pca_center": (_null_pca_center, "preprocess"),
     "negative_kept_column": (_negative_kept_column, "preprocess"),
     "basis_missing_component": (_basis_missing_component, "preprocess"),
+    "huge_kept_column": (_huge_kept_column, "preprocess"),
 }
 
 
@@ -167,6 +180,15 @@ WRONG_TYPE_CONFIGS = {
 }
 # command-line arguments a case adds after the config
 WRONG_CONFIG_ARGS = {"seed_flag_negative": ["--seed", "-1"]}
+
+# a child process holds the output directory named by argv[1] until killed
+HOLD_AND_SLEEP = """
+import sys, time
+from qshield.pipeline import _output_dir
+with _output_dir(sys.argv[1]):
+    print("held", flush=True)
+    time.sleep(60)
+"""
 
 
 class TestHelp:
@@ -220,41 +242,64 @@ class TestRun:
 
     def test_locked_out_dir_exits_1(self, workspace, tmp_path):
         out_dir = tmp_path / "busy"
-        out_dir.mkdir()
-        (out_dir / ".lock").touch()
-        code = main([
-            "run", "--data", str(workspace["data"]),
-            "--config", str(workspace["config"]), "--out-dir", str(out_dir),
-        ])
+        with holding_out_dir(out_dir):
+            code = main([
+                "run", "--data", str(workspace["data"]),
+                "--config", str(workspace["config"]), "--out-dir", str(out_dir),
+            ])
         assert code == 1
 
     def test_live_owner_lock_exits_1(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "busy"
-        out_dir.mkdir()
-        (out_dir / ".lock").write_text(str(os.getpid()))
-        code = main([
-            "run", "--data", str(workspace["data"]),
-            "--config", str(workspace["config"]), "--out-dir", str(out_dir),
-        ])
+        with holding_out_dir(out_dir) as fd:
+            code = main([
+                "run", "--data", str(workspace["data"]),
+                "--config", str(workspace["config"]), "--out-dir", str(out_dir),
+            ])
+            assert os.path.samestat(os.fstat(fd), os.stat(out_dir / ".lock"))
         assert code == 1
         (error_line,) = [line for line in capsys.readouterr().err.splitlines()
                          if line.startswith("error:")]
         assert "locked by another run" in error_line
-        assert (out_dir / ".lock").read_text() == str(os.getpid())
+        assert [p.name for p in out_dir.iterdir()] == [".lock"]
 
     def test_dead_owner_lock_is_reclaimed(self, workspace, tmp_path):
-        with subprocess.Popen([sys.executable, "-c", "pass"]) as finished:
-            pass  # leaving the block waits for the child, so its PID is free
         out_dir = tmp_path / "crashed"
-        out_dir.mkdir()
-        (out_dir / ".lock").write_text(str(finished.pid))
+        args = [
+            "run", "--data", str(workspace["data"]),
+            "--config", str(workspace["config"]), "--out-dir", str(out_dir),
+        ]
+        # the child imports the qshield this test imported
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(qshield.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        )}
+        with subprocess.Popen(
+            [sys.executable, "-c", HOLD_AND_SLEEP, str(out_dir)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        ) as holder:
+            try:
+                assert holder.stdout.readline() == "held\n"
+                assert main(args) == 1
+            finally:
+                holder.kill()
+        assert holder.returncode == -signal.SIGKILL
+        assert (out_dir / ".lock").exists()  # the killed holder could not remove it
+        assert main(args) == 0
+        assert (out_dir / "report.json").exists()
+        assert not (out_dir / ".lock").exists()
+
+    def test_unusable_out_dir_exits_1(self, workspace, capsys):
+        out_dir = workspace["data"] / "sub"
+        capsys.readouterr()
         code = main([
             "run", "--data", str(workspace["data"]),
             "--config", str(workspace["config"]), "--out-dir", str(out_dir),
         ])
-        assert code == 0
-        assert (out_dir / "report.json").exists()
-        assert not (out_dir / ".lock").exists()
+        captured = capsys.readouterr()
+        assert code == 1
+        (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert f"output directory {out_dir}" in error_line
+        assert "Traceback" not in captured.err + captured.out
 
     def test_overflowing_learning_rate_exits_3(self, workspace, tmp_path, capsys):
         config = json.loads(workspace["config"].read_text())
@@ -374,6 +419,17 @@ class TestPreprocess:
         assert (out_dir / "processed.csv").exists()
         assert (out_dir / "preprocess.json").exists()
 
+    def test_held_out_dir_exits_1(self, workspace, tmp_path, capsys):
+        out_dir = tmp_path / "busy"
+        with holding_out_dir(out_dir):
+            code = main([
+                "preprocess", "--data", str(workspace["data"]),
+                "--config", str(workspace["config"]), "--out-dir", str(out_dir),
+            ])
+        assert code == 1
+        assert "locked by another run" in capsys.readouterr().err
+        assert [p.name for p in out_dir.iterdir()] == [".lock"]
+
 
 class TestTrain:
     def test_model_type_argument_overrides_config(self, workspace, tmp_path):
@@ -389,6 +445,17 @@ class TestTrain:
     def test_config_type_used_when_argument_absent(self, workspace):
         payload = json.loads(workspace["model"].read_text())
         assert payload["model_type"] == "vqc"
+
+    def test_held_out_dir_exits_1(self, workspace, tmp_path, capsys):
+        out_dir = tmp_path / "busy"
+        with holding_out_dir(out_dir):
+            code = main([
+                "train", "--data", str(workspace["data"]),
+                "--config", str(workspace["config"]), "--out-dir", str(out_dir),
+            ])
+        assert code == 1
+        assert "locked by another run" in capsys.readouterr().err
+        assert [p.name for p in out_dir.iterdir()] == [".lock"]
 
     def test_bad_model_type_argument(self, workspace, tmp_path):
         code = main([
@@ -440,6 +507,24 @@ class TestPredict:
         assert code == 2
         assert "error:" in captured.err
         assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("option, code", [("--data", 2), ("--config", 1), ("--model", 2)])
+    def test_non_utf8_input_exits_with_its_code(self, option, code, workspace, tmp_path, capsys):
+        files = {"--data": workspace["data"], "--config": workspace["config"],
+                 "--model": workspace["model"]}
+        bad = tmp_path / files[option].name
+        bad.write_bytes(files[option].read_bytes() + b"\xff")
+        files[option] = bad
+        capsys.readouterr()
+        assert main([
+            "predict", *(arg for opt, path in files.items() for arg in (opt, str(path))),
+            "--preprocess-model", str(workspace["preprocess"]), "--out", str(tmp_path / "p.csv"),
+        ]) == code
+        captured = capsys.readouterr()
+        (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert str(bad) in error_line
+        assert "internal error" not in error_line
         assert not (tmp_path / "p.csv").exists()
 
     def test_missing_model_exits_2(self, workspace, tmp_path):

@@ -84,6 +84,14 @@ class TestGradAttribution:
             -0.5 * math.sin(-1.0) * -1.0, abs=1e-10
         )
 
+    def test_clamped_weighted_score_is_positive_zero(self):
+        # a negative score meets a negative feature: 0.0, never -0.0
+        report = grad_attribution(identity_model(1), [-4.0])
+        assert report.scores[0] < 0
+        assert math.copysign(1.0, report.weighted_scores[0]) == 1.0
+        table = format_attribution(report)
+        assert "+0.000000" in table and "-0.000000" not in table
+
     def test_short_input_pads_with_zeros(self):
         model = identity_model(3)
         report = grad_attribution(model, [0.5])

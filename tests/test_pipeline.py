@@ -1,12 +1,14 @@
 """Config parsing, model persistence, ensembles, and full experiment runs."""
+import fcntl
 import json
 import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import teacher_vqc_dataset
+from helpers import holding_out_dir, teacher_vqc_dataset
 
+from qshield import pipeline
 from qshield.encoding import FeatureMapSpec
 from qshield.errors import ConfigError, ModelFormatError, PipelineStageError
 from qshield.evalstats import ConfusionMatrix, MetricsReport, StatReport
@@ -390,10 +392,26 @@ class TestRunExperiment:
         data_path = tmp_path / "data.csv"
         write_teacher_csv(data_path)
         out = tmp_path / "busy"
-        out.mkdir()
-        (out / ".lock").touch()
+        with holding_out_dir(out), pytest.raises(ConfigError, match="locked"):
+            run_experiment(fast_config(), data_path, out)
+
+    def test_lock_on_a_replaced_file_counts_as_held(self, tmp_path, monkeypatch):
+        # between this run's open and its flock, the holder unlinked .lock on
+        # leaving and a third run created a fresh one: the lock won is void
+        data_path = tmp_path / "data.csv"
+        write_teacher_csv(data_path)
+        out = tmp_path / "busy"
+        real_flock = fcntl.flock
+
+        def holder_leaves(fd, operation):
+            (out / ".lock").unlink()
+            (out / ".lock").touch()
+            real_flock(fd, operation)
+
+        monkeypatch.setattr(pipeline.fcntl, "flock", holder_leaves)
         with pytest.raises(ConfigError, match="locked"):
             run_experiment(fast_config(), data_path, out)
+        assert [p.name for p in out.iterdir()] == [".lock"]
 
     def test_missing_data_wraps_into_stage_error(self, tmp_path):
         with pytest.raises(PipelineStageError) as info:
