@@ -6,12 +6,13 @@ Exit codes: 0 success, 1 configuration/usage error, 2 data error,
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import click
 
-from .errors import QShieldError
+from .errors import ConfigError, QShieldError
 from .explain import (
     format_attribution,
     grad_attribution,
@@ -47,6 +48,15 @@ def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path:
         pre = load_model(preprocess_path, expected_type="preprocess")
         data = apply_preprocess(pre, data)
     return data
+
+
+@contextmanager
+def _writing(out_path: str):
+    """An ``--out`` file that cannot be written is a usage error (exit 1)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _note_svm_exhaustion(config: PipelineConfig, extras: dict) -> None:
@@ -140,7 +150,8 @@ def predict_cmd(
     model = load_model(model_path)
     data = _load_and_transform(config, data_path, preprocess_path)
     probabilities, labels = predict_labels(model, data.features)
-    write_predictions_csv(probabilities, labels, out_path)
+    with _writing(out_path):
+        write_predictions_csv(probabilities, labels, out_path)
     click.echo(f"{len(labels)} predictions written to {out_path}")
 
 
@@ -172,10 +183,12 @@ def explain_cmd(
         report = grad_attribution(model, x)
     else:
         report = score_attribution(model, x)
-    click.echo(format_attribution(report, data.feature_names), nl=False)
+    text = format_attribution(report, data.feature_names)
     if out_path:
-        write_attribution_csv(report, out_path, data.feature_names)
-        click.echo(f"attribution written to {out_path}")
+        with _writing(out_path):
+            write_attribution_csv(report, out_path, data.feature_names)
+        text += f"attribution written to {out_path}\n"
+    click.echo(text, nl=False)
 
 
 @cli.command("evaluate")
@@ -213,7 +226,8 @@ def kernel_cmd(
     data = _load_and_transform(config, data_path, preprocess_path)
     gram = kernel_matrix(data, feature_map_spec(config))
     gram.validate()
-    write_kernel_csv(gram, out_path)
+    with _writing(out_path):
+        write_kernel_csv(gram, out_path)
     click.echo(f"{gram.size}x{gram.size} kernel written to {out_path}")
 
 

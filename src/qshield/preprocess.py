@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,46 +77,63 @@ class Dataset:
 
 
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
-    """Read a header-first CSV; the label column maps positive_label to 1."""
+    """Read a header-first CSV; the label column maps positive_label to 1.
+
+    Rows stream into one flat buffer of doubles, so ingest holds 8 B per
+    cell rather than the text.  Blank rows are skipped; errors name the
+    data row (counting non-blank rows) and the physical line.
+    """
+    values = array("d")
+    labels: list[int] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            rows = filter(None, reader)
+            header = next(rows, None)
+            if header is None:
+                raise IngestionError(f"{path}: file is empty")
+            if label_column not in header:
+                raise IngestionError(
+                    f"{path}: label column {label_column!r} not found in header {header}"
+                )
+            label_idx = header.index(label_column)
+            feature_names = header[:label_idx] + header[label_idx + 1:]
+            for row_num, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    raise IngestionError(
+                        f"{path}: row {row_num} (line {reader.line_num}): expected "
+                        f"{len(header)} fields, got {len(row)}"
+                    )
+                labels.append(1 if row.pop(label_idx).strip() == positive_label else 0)
+                try:
+                    values.extend(map(float, row))
+                except ValueError:
+                    # drop what extend appended before the bad cell, then retry the row
+                    del values[(row_num - 1) * len(feature_names):]
+                    where = f"{path}: row {row_num} (line {reader.line_num})"
+                    values.extend(_parse_cells(row, feature_names, where))
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise IngestionError(f"{path}: file is empty")
-    header = rows[0]
-    if label_column not in header:
-        raise IngestionError(
-            f"{path}: label column {label_column!r} not found in header {header}"
-        )
-    label_idx = header.index(label_column)
-    feature_names = [name for i, name in enumerate(header) if i != label_idx]
-    if len(rows) == 1:
+    except csv.Error as exc:
+        raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not labels:
         raise DegenerateInputError(f"{path}: no data rows")
-    features = []
-    labels = []
-    for row_num, row in enumerate(rows[1:], start=1):
-        line_num = row_num + 1
-        if len(row) != len(header):
+    features = np.frombuffer(values, dtype=float).reshape(len(labels), len(feature_names))
+    return Dataset(feature_names, features, np.array(labels))
+
+
+def _parse_cells(cells: list[str], names: list[str], where: str) -> list[float]:
+    """Cell by cell after ``str.strip()``, which also drops the separators
+    \\x1c-\\x1f that ``float()`` keeps; names the first cell that is not a number."""
+    parsed = []
+    for name, cell in zip(names, cells):
+        try:
+            parsed.append(float(cell.strip()))
+        except ValueError:
             raise IngestionError(
-                f"{path}: row {row_num} (line {line_num}): expected "
-                f"{len(header)} fields, got {len(row)}"
-            )
-        sample = []
-        for col, cell in enumerate(row):
-            if col == label_idx:
-                continue
-            try:
-                sample.append(float(cell.strip()))
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: row {row_num} (line {line_num}): column "
-                    f"{header[col]!r}: cannot parse {cell.strip()!r} as a number"
-                ) from None
-        features.append(sample)
-        labels.append(1 if row[label_idx].strip() == positive_label else 0)
-    return Dataset(feature_names, np.array(features, dtype=float), np.array(labels))
+                f"{where}: column {name!r}: cannot parse {cell.strip()!r} as a number"
+            ) from None
+    return parsed
 
 
 def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
@@ -312,14 +330,17 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
     The two standardization passes and the column drops are folded into a
     single affine map over the surviving original columns.
     """
+    # the standardized copies are never named and cleaned is released, so each
+    # intermediate matrix is freed as soon as the next stage has its own copy
     first = fit_standardize(data)
-    standardized = apply_standardize(first, data)
-    cleaned, _removed = remove_outliers(standardized, config.outlier_z_cap)
+    cleaned, _removed = remove_outliers(apply_standardize(first, data), config.outlier_z_cap)
     if cleaned.n_samples < 2:
         raise DegenerateInputError("fewer than 2 rows survive outlier removal")
     second = fit_standardize(cleaned)
-    rescaled = apply_standardize(second, cleaned)
-    pruned, dropped_local = prune_correlated(rescaled, config.correlation_threshold)
+    pruned, dropped_local = prune_correlated(
+        apply_standardize(second, cleaned), config.correlation_threshold
+    )
+    del cleaned
     if pruned.n_features == 0:
         raise DegenerateOutputError("no feature columns survive preprocessing")
 

@@ -4,12 +4,14 @@ and independent numerical oracles.
 The oracles here are the slow routes the library code replaced:
 gate-level encoding circuits run one state at a time, the
 inverse-circuit kernel, per-parameter shifts, the parameter-shift
-training gradient that adjoint differentiation replaced, and a cyclic
-Jacobi eigensolver standing in for LAPACK's ``eigh``.  Tests compare the
-production code against them.
+training gradient that adjoint differentiation replaced, a cyclic
+Jacobi eigensolver standing in for LAPACK's ``eigh``, and the list-of-rows
+CSV reader that the streaming ``load_csv`` replaced
+(``reference_load_csv``).  Tests compare the production code against them.
 """
 from __future__ import annotations
 
+import csv
 import fcntl
 import math
 import os
@@ -19,7 +21,13 @@ from dataclasses import replace
 import numpy as np
 
 from qshield.encoding import FeatureMapSpec
-from qshield.errors import ConvergenceError, InvalidInputError, ShapeError
+from qshield.errors import (
+    ConvergenceError,
+    DegenerateInputError,
+    IngestionError,
+    InvalidInputError,
+    ShapeError,
+)
 from qshield.preprocess import Dataset
 from qshield.statevector import (
     Circuit,
@@ -267,6 +275,49 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 1
     raise ConvergenceError(
         f"Jacobi sweeps exhausted ({max_sweeps}) without reaching tolerance {tol}"
     )
+
+
+def reference_load_csv(path, label_column: str, positive_label: str) -> Dataset:
+    """Read a header-first CSV; the label column maps positive_label to 1."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise IngestionError(f"{path}: file is empty")
+    header = rows[0]
+    if label_column not in header:
+        raise IngestionError(
+            f"{path}: label column {label_column!r} not found in header {header}"
+        )
+    label_idx = header.index(label_column)
+    feature_names = [name for i, name in enumerate(header) if i != label_idx]
+    if len(rows) == 1:
+        raise DegenerateInputError(f"{path}: no data rows")
+    features = []
+    labels = []
+    for row_num, row in enumerate(rows[1:], start=1):
+        line_num = row_num + 1
+        if len(row) != len(header):
+            raise IngestionError(
+                f"{path}: row {row_num} (line {line_num}): expected "
+                f"{len(header)} fields, got {len(row)}"
+            )
+        sample = []
+        for col, cell in enumerate(row):
+            if col == label_idx:
+                continue
+            try:
+                sample.append(float(cell.strip()))
+            except ValueError:
+                raise IngestionError(
+                    f"{path}: row {row_num} (line {line_num}): column "
+                    f"{header[col]!r}: cannot parse {cell.strip()!r} as a number"
+                ) from None
+        features.append(sample)
+        labels.append(1 if row[label_idx].strip() == positive_label else 0)
+    return Dataset(feature_names, np.array(features, dtype=float), np.array(labels))
 
 
 @contextmanager

@@ -430,6 +430,16 @@ class TestPreprocess:
         assert "locked by another run" in capsys.readouterr().err
         assert [p.name for p in out_dir.iterdir()] == [".lock"]
 
+    def test_field_over_csv_limit_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("f0,label\n" + "1" * (csv.field_size_limit() + 1) + ",1\n")
+        code = main(["preprocess", "--data", str(data), "--out-dir", str(tmp_path / "pre")])
+        assert code == 2
+        (error_line,) = [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")
+        ]
+        assert f"{data}: line 2: field larger than field limit" in error_line
+
 
 class TestTrain:
     def test_model_type_argument_overrides_config(self, workspace, tmp_path):
@@ -617,3 +627,21 @@ class TestKernel:
         assert gram.shape == (n, n)
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
         np.testing.assert_allclose(gram, gram.T, atol=0)
+
+
+@pytest.mark.parametrize("command", ["predict", "kernel", "explain"])
+def test_out_in_missing_directory_exits_1(command, workspace, tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.csv"
+    model = ["--model", str(workspace["model"])] if command != "kernel" else []
+    capsys.readouterr()
+    code = main([
+        command, *model, "--preprocess-model", str(workspace["preprocess"]),
+        "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+        "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (error_line,) = captured.err.splitlines()
+    assert error_line.startswith(f"error: cannot write {out}")
+    assert not out.parent.exists()

@@ -1,5 +1,6 @@
 """CSV ingestion, standardization, PCA on LAPACK eigh, pruning, splitting."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,23 @@ class TestCsv:
         path = self.write(tmp_path, "f0,f1,label\n1.0,2.0,1\n3.0,oops,0\n")
         with pytest.raises(IngestionError, match=r"row 2 \(line 3\).*'f1'.*'oops'"):
             load_csv(path, label_column="label", positive_label="1")
+
+    def test_errors_name_the_physical_line_after_blank_lines(self, tmp_path):
+        path = self.write(tmp_path, "a,b,label\n\n\n1,2,1\n3,x,0\n")
+        with pytest.raises(IngestionError, match=r"row 2 \(line 5\).*'b'.*'x'"):
+            load_csv(path, label_column="label", positive_label="1")
+
+    def test_ingest_holds_the_numbers_not_the_text(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "wide.csv"
+        write_csv(toy_dataset(rng, n=2000, d=40), path)
+        tracemalloc.start()
+        try:
+            data = load_csv(path, label_column="label", positive_label="1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * data.features.nbytes + 2**20
 
     def test_short_row_rejected(self, tmp_path):
         path = self.write(tmp_path, "f0,f1,label\n1.0,1\n")
