@@ -11,10 +11,11 @@ import fcntl
 import json
 import math
 import os
+import sys
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,12 @@ from .preprocess import (
     Dataset,
     PreprocessConfig,
     PreprocessModel,
-    apply_preprocess,
     fit_preprocess,
     load_csv,
     train_test_split,
     write_csv,
 )
-from .qkernel import KernelMatrix, SvmModel, kernel_matrix, train_qsvm
+from .qkernel import SvmModel, kernel_matrix, train_qsvm
 from .vqc import TrainConfig, VqcModel, train_vqc
 
 FORMAT_VERSION = 1
@@ -148,24 +148,34 @@ class PipelineConfig:
         return out
 
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+# never read from JSON: the derived training seed and the SVM's objective trace
+_NOT_READ = {"seed", "objective_history"}
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+          dict: "an object"}
 
 
-def _checked(value, hint, name: str):
+def _checked(value, hint, name: str, model_file: bool = False):
     """``value`` if it is JSON of the annotated type ``hint``, else ConfigError naming ``name``.
 
-    A bool is not a number, an int is a float, ``X | None`` takes null,
-    ``tuple[...]`` takes a list of that length (returned as a tuple) and a
-    config section takes an object.
+    A bool is not a number, an int is a float, a float must be finite,
+    ``X | None`` takes null, ``tuple[...]`` takes a list of that length
+    (returned as a tuple), ``list[X]`` a list of X, a dataclass an object
+    and ``np.ndarray`` a list of numbers (see ``_numbers``).
     """
-    if is_dataclass(hint):
-        return _build_section(hint, value, name)
-    optional = isinstance(hint, types.UnionType)  # config fields use unions only as X | None
+    optional = isinstance(hint, types.UnionType)  # annotations use unions only as X | None
     if optional:
         if value is None:
             return None
         (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    if is_dataclass(hint):
+        return _build_section(hint, value, name, model_file)
+    if hint is np.ndarray:
+        return _numbers(value, name)
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        if isinstance(value, list):
+            return [_checked(v, args[0], name) for v in value]
+        raise ConfigError(f"{name} must be a list, got {value!r}")
     if args:
         if isinstance(value, list) and len(value) == len(args):
             return tuple(_checked(v, a, name) for v, a in zip(value, args))
@@ -173,26 +183,35 @@ def _checked(value, hint, name: str):
     if isinstance(value, bool) == (hint is bool) and isinstance(
         value, (int, float) if hint is float else hint
     ):
+        if hint is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
         return value
     null = " or null" if optional else ""
     raise ConfigError(f"{name} must be {_KINDS[hint]}{null}, got {value!r}")
 
 
-def _build_section(cls, value, name: str):
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object, got {value!r}")
-    hints = typing.get_type_hints(cls)
-    if name == "training":
-        del hints["seed"]  # the experiment seed is the single source
-    unknown = set(value) - set(hints)
+def _check_keys(value: dict, keys, where: str, required: bool) -> None:
+    unknown, missing = sorted(set(value) - set(keys)), sorted(set(keys) - set(value))
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in config section {name!r}")
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    if missing and required:
+        raise ConfigError(f"missing field(s) {missing} in {where}")
+
+
+def _build_section(cls, value, name: str, model_file: bool = False):
+    """``cls`` from a JSON object; a model file's sections must set every field."""
+    section = "section" if model_file else "config section"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{section} {name!r} must be an object, got {value!r}")
+    hints = {k: h for k, h in typing.get_type_hints(cls).items() if k not in _NOT_READ}
+    _check_keys(value, hints, f"{section} {name!r}", required=model_file)
     try:
-        return cls(**{k: _checked(v, hints[k], f"{name}.{k}") for k, v in value.items()})
+        kwargs = {k: _checked(v, hints[k], f"{name}.{k}", model_file) for k, v in value.items()}
+        return cls(**kwargs)
     except QShieldError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config section {name!r}: {exc}") from exc
+        raise ConfigError(f"bad {section} {name!r}: {exc}") from exc
 
 
 @dataclass
@@ -219,150 +238,105 @@ class EnsembleModel:
         return sum(w * m.predict_proba(features) for w, m in zip(self.weights, self.members))
 
 
-def _model_payload(model) -> dict:
-    if isinstance(model, VqcModel):
-        return {
-            "model_type": "vqc",
-            "n_qubits": model.n_qubits,
-            "n_layers": model.n_layers,
-            "params": [float(p) for p in model.params],
-            "feature_map": asdict(model.feature_map),
-            "readout_qubit": model.readout.qubit,
-            "rng_seed": model.rng_seed,
-            "encoding": model.encoding,
-            "entangling": model.entangling,
-            "optimizer_meta": model.optimizer_meta,
-        }
-    if isinstance(model, SvmModel):
-        return {
-            "model_type": "qsvm",
-            "dual_coeffs": [float(c) for c in model.dual_coeffs],
-            "bias": float(model.bias),
-            "support_indices": [int(i) for i in model.support_indices],
-            "support_vectors": None
-            if model.support_vectors is None
-            else [[float(v) for v in row] for row in model.support_vectors],
-            "C": float(model.C),
-            "feature_map": None if model.feature_map is None else asdict(model.feature_map),
-            "converged": bool(model.converged),
-            "n_updates": int(model.n_updates),
-        }
-    if isinstance(model, PreprocessModel):
-        def listed(arr):
-            return None if arr is None else np.asarray(arr).tolist()
+# A model file holds its dataclass's fields by name, except that the readout
+# observable is saved as its qubit, the SVM's objective trace is not saved
+# (_NOT_READ) and a preprocess file states the ddof of its standard deviations.
+_MODEL_CLASSES = {"vqc": VqcModel, "qsvm": SvmModel, "preprocess": PreprocessModel,
+                  "ensemble": EnsembleModel}
+_RENAMED = {"readout": "readout_qubit"}
+_CONSTANTS = {"preprocess": {"std_ddof": 1}}
 
-        return {
-            "model_type": "preprocess",
-            "means": listed(model.means),
-            "std_devs": listed(model.std_devs),
-            "kept_columns": listed(model.kept_columns),
-            "pca_basis": listed(model.pca_basis),
-            "explained_variance": listed(model.explained_variance),
-            "pca_center": listed(model.pca_center),
-            "feature_names": list(model.feature_names),
-            "std_ddof": 1,
-        }
+
+def _saved_fields(cls) -> dict:
+    """{key in the file: field name} over the saved fields of a model dataclass."""
+    return {_RENAMED.get(f.name, f.name): f.name for f in fields(cls) if f.name not in _NOT_READ}
+
+
+def _model_payload(model) -> dict:
     if isinstance(model, EnsembleModel):
-        return {
-            "model_type": "ensemble",
-            "members": [_model_payload(m) for m in model.members],
-            "weights": [float(w) for w in model.weights],
-        }
-    raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
+        members = [_model_payload(m) for m in model.members]
+        return {"model_type": "ensemble", "members": members, "weights": model.weights.tolist()}
+    model_type = next((t for t, c in _MODEL_CLASSES.items() if type(model) is c), None)
+    if model_type is None:
+        raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
+    payload = {"model_type": model_type, **_CONSTANTS.get(model_type, {})}
+    for key, name in _saved_fields(type(model)).items():
+        value = getattr(model, name)
+        if is_dataclass(value):
+            value = value.qubit if name == "readout" else asdict(value)
+        payload[key] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    return payload
 
 
 def save_model(model, path) -> None:
     """Write a versioned JSON model file (repr-precision floats)."""
-    payload = {"format_version": FORMAT_VERSION}
-    payload.update(_model_payload(model))
+    payload = {"format_version": FORMAT_VERSION, **_model_payload(model)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _numbers(value, name: str, dtype=float) -> np.ndarray:
-    """A model-file number or number list as an array; every entry must be finite."""
-    arr = np.array(value, dtype=dtype)
-    if not np.all(np.isfinite(arr)):
-        raise ModelFormatError(f"{name} contains non-finite numbers")
+def _numbers(value, name: str) -> np.ndarray:
+    """A (nested) list of finite numbers, not bools, as an int array if all are ints."""
+    cells = np.array(value if isinstance(value, list) else [None], dtype=object)
+    kinds = {type(v) for v in cells.flat}
+    arr = cells.astype(int if kinds <= {int} else float) if kinds <= {int, float} else None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{name} must be a list of finite numbers, or of rows of them")
     return arr
 
 
-def _decode_model(payload: dict):
-    from .statevector import Observable
-
-    if not isinstance(payload, dict):
-        raise ModelFormatError(f"a model must be an object, got {payload!r}")
-    model_type = payload.get("model_type")
-    if model_type == "vqc":
-        return VqcModel(
-            n_qubits=payload["n_qubits"],
-            n_layers=payload["n_layers"],
-            params=_numbers(payload["params"], "params"),
-            feature_map=FeatureMapSpec(**payload["feature_map"]),
-            readout=Observable(qubit=payload["readout_qubit"]),
-            rng_seed=payload["rng_seed"],
-            encoding=payload["encoding"],
-            entangling=payload.get("entangling", True),
-            optimizer_meta=payload.get("optimizer_meta", {}),
-        )
-    if model_type == "qsvm":
-        coeffs = _numbers(payload["dual_coeffs"], "dual_coeffs")
-        indices = _numbers(payload["support_indices"], "support_indices", dtype=int)
-        vectors = payload["support_vectors"]
-        vectors = None if vectors is None else _numbers(vectors, "support_vectors")
-        n_vectors = len(coeffs) if vectors is None else len(vectors)
-        if not len(coeffs) == len(indices) == n_vectors:
-            raise ModelFormatError(
-                f"dual_coeffs, support_indices and support_vectors have lengths "
-                f"{len(coeffs)}, {len(indices)} and {n_vectors}"
-            )
-        if vectors is not None and n_vectors and vectors.ndim != 2:
-            raise ModelFormatError("support_vectors must be a list of feature rows")
-        fm = payload["feature_map"]
-        return SvmModel(
-            dual_coeffs=coeffs,
-            bias=float(_numbers(payload["bias"], "bias")),
-            support_indices=indices,
-            support_vectors=vectors,
-            C=float(_numbers(payload["C"], "C")),
-            feature_map=None if fm is None else FeatureMapSpec(**fm),
-            converged=payload.get("converged", True),
-            n_updates=payload.get("n_updates", 0),
-        )
-    if model_type == "preprocess":
-        means, stds = _numbers(payload["means"], "means"), _numbers(payload["std_devs"], "std_devs")
-        kept = _numbers(payload["kept_columns"], "kept_columns", dtype=int)
+def _decode_model(body: dict):
+    """The model a parsed model file (without its format_version) holds."""
+    model_type = body.pop("model_type", None)
+    cls = next((c for t, c in _MODEL_CLASSES.items() if t == model_type), None)
+    if cls is None:
+        raise ModelFormatError(f"unknown model type {model_type!r}")
+    keys = set(_saved_fields(cls)) | set(_CONSTANTS.get(model_type, ()))
+    _check_keys(body, keys, f"section {model_type!r}", required=True)  # as the file spells them
+    if cls is EnsembleModel:
+        members = _checked(body["members"], list[dict], "ensemble.members")
+        weights = _numbers(body["weights"], "ensemble.weights")
+        return EnsembleModel([_decode_model(m) for m in members], weights)
+    for key, value in _CONSTANTS.get(model_type, {}).items():
+        if _checked(body.pop(key), int, f"{model_type}.{key}") != value:
+            raise ModelFormatError(f"{model_type}.{key} must be {value}")
+    for key in {"params", "means", "std_devs", "kept_columns"} & body.keys():
+        if body[key] is None:
+            raise ModelFormatError(f"{model_type}.{key} must not be null")
+    if cls is VqcModel:
+        qubit = _checked(body.pop("readout_qubit"), int, "vqc.readout_qubit")
+        body["readout"] = {"qubit": qubit, "kind": "Z"}
+    model = _build_section(cls, body, model_type, model_file=True)
+    if cls is SvmModel:
+        coeffs, indices, vectors = model.dual_coeffs, model.support_indices, model.support_vectors
+        lengths = [len(coeffs), len(indices), len(coeffs if vectors is None else vectors)]
+        rows = vectors is None or not len(vectors) or vectors.ndim == 2
+        if coeffs.ndim != 1 or indices.ndim != 1 or len(set(lengths)) > 1 or not rows:
+            raise ModelFormatError(f"dual_coeffs, support_indices and support_vectors (feature "
+                                   f"rows) have lengths {lengths}")
+    if cls is PreprocessModel:
+        means, stds, kept = model.means, model.std_devs, model.kept_columns
         if kept.ndim != 1 or not means.shape == stds.shape == kept.shape:
-            raise ModelFormatError(
-                f"means, std_devs and kept_columns must be lists of one length, got "
-                f"shapes {means.shape}, {stds.shape} and {kept.shape}"
-            )
-        if np.any(kept < 0) or not np.all(stds > 0):
-            raise ModelFormatError("kept_columns must be >= 0 and std_devs > 0")
-        pca_keys = ("pca_basis", "explained_variance", "pca_center")
-        if len({payload[k] is None for k in pca_keys}) > 1:
-            raise ModelFormatError(f"{', '.join(pca_keys)} must be all present or all null")
-        basis, variance, center = (
-            None if payload[k] is None else _numbers(payload[k], k) for k in pca_keys
-        )
+            raise ModelFormatError(f"means, std_devs and kept_columns must be lists of one "
+                                   f"length, got shapes {means.shape}, {stds.shape}, {kept.shape}")
+        if not np.all(stds > 0):
+            raise ModelFormatError("std_devs must be > 0")
+        basis, variance, center = model.pca_basis, model.explained_variance, model.pca_center
+        if len({v is None for v in (basis, variance, center)}) > 1:
+            raise ModelFormatError("pca_basis, explained_variance, pca_center: all or none null")
         if basis is not None and not (
             variance.ndim == 1 and basis.shape == (len(kept), len(variance))
             and center.shape == (len(kept),)
         ):
-            raise ModelFormatError(
-                f"pca_basis of shape {basis.shape} does not map {len(kept)} kept columns "
-                f"(pca_center {center.shape}) onto {variance.shape} explained variances"
-            )
-        return PreprocessModel(
-            means=means, std_devs=stds, kept_columns=kept, pca_basis=basis,
-            explained_variance=variance, pca_center=center,
-            feature_names=list(payload.get("feature_names", [])),
-        )
-    if model_type == "ensemble":
-        members = [_decode_model(m) for m in payload["members"]]
-        return EnsembleModel(members=members, weights=_numbers(payload["weights"], "weights"))
-    raise ModelFormatError(f"unknown model type {model_type!r}")
+            raise ModelFormatError(f"pca_basis of shape {basis.shape} does not map {len(kept)} "
+                                   f"kept columns (pca_center {center.shape}) onto "
+                                   f"{variance.shape} explained variances")
+    for key in ("support_indices", "kept_columns"):
+        indices = getattr(model, key, np.zeros(0, dtype=int))
+        if indices.dtype.kind != "i" or np.any(indices < 0):
+            raise ModelFormatError(f"{model_type}.{key} must hold non-negative integers")
+    return model
 
 
 def load_model(path, expected_type: str | None = None):
@@ -380,7 +354,7 @@ def load_model(path, expected_type: str | None = None):
         ) from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(f"model file {path} does not contain an object")
-    version = payload.get("format_version")
+    version = payload.pop("format_version", None)
     if version != FORMAT_VERSION:
         raise ModelFormatError(
             f"model file {path} has unsupported format version {version!r} "
@@ -393,8 +367,6 @@ def load_model(path, expected_type: str | None = None):
         )
     try:
         return _decode_model(payload)
-    except KeyError as exc:
-        raise ModelFormatError(f"model file {path} is missing field {exc}") from exc
     except (QShieldError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model file {path} is invalid: {exc}") from exc
 

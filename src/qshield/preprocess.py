@@ -176,13 +176,19 @@ def fit_standardize(data: Dataset) -> PreprocessModel:
 
 
 def apply_standardize(model: PreprocessModel, data: Dataset) -> Dataset:
-    """(x - mean) / std over the model's kept columns."""
+    """(x - mean) / std over the model's kept columns; fitted names must match, in order."""
     kept = model.kept_columns
     if kept.size and kept.max() >= data.n_features:
         raise ShapeError(
             f"model expects column {kept.max()} but data has {data.n_features} columns"
         )
-    feats = (data.features[:, kept] - model.means) / model.std_devs
+    if model.feature_names and data.feature_names != model.feature_names:
+        pairs = enumerate(zip([*data.feature_names, None], [*model.feature_names, None]))
+        col, (got, want) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+        raise ShapeError(f"data column {col + 1} is {got!r}, not the fitted {want!r}")
+    feats = data.features[:, kept]  # a copy, so the arithmetic runs in place
+    feats -= model.means
+    feats /= model.std_devs
     names = [data.feature_names[c] for c in kept]
     return Dataset(names, feats, data.labels)
 

@@ -123,20 +123,77 @@ def _huge_kept_column(p):
     p["kept_columns"][0] = 1e80
 
 
-# (edit, which model file it applies to)
+def _text_entangling(p):
+    p["entangling"] = "no"
+
+
+def _numeric_feature_map_entangling(p):
+    p["feature_map"]["entangling"] = 0
+
+
+def _float_readout_qubit(p):
+    p["readout_qubit"] = 1.0
+
+
+def _text_converged(p):
+    p["converged"] = "no"
+
+
+def _text_bias(p):
+    p["bias"] = "1"
+
+
+def _fractional_support_index(p):
+    p["support_indices"][0] = 1.5
+
+
+def _unknown_key(p):
+    p["extra_key"] = 1
+
+
+def _missing_entangling(p):
+    del p["entangling"]
+
+
+def _missing_feature_map_key(p):
+    del p["feature_map"]["repetitions"]
+
+
+def _bool_param(p):
+    p["params"][0] = True
+
+
+def _text_mean(p):
+    p["means"][0] = "1"
+
+
+# (edit, which model file it applies to, text the one error line must contain)
 MALFORMED_MODELS = {
-    "short_dual_coeffs": (_drop_last_coeff, "qsvm"),
-    "narrow_support_vectors": (_narrow_support_vectors, "qsvm"),
-    "nan_bias": (_nan_bias, "qsvm"),
-    "huge_support_index": (_huge_support_index, "qsvm"),
-    "text_params": (_text_params, "vqc"),
-    "list_feature_map": (_list_feature_map, "vqc"),
-    "infinite_param": (_infinite_param, "vqc"),
-    "short_means": (_short_means, "preprocess"),
-    "null_pca_center": (_null_pca_center, "preprocess"),
-    "negative_kept_column": (_negative_kept_column, "preprocess"),
-    "basis_missing_component": (_basis_missing_component, "preprocess"),
-    "huge_kept_column": (_huge_kept_column, "preprocess"),
+    "short_dual_coeffs": (_drop_last_coeff, "qsvm", "dual_coeffs"),
+    "narrow_support_vectors": (_narrow_support_vectors, "qsvm", "support vectors"),
+    "nan_bias": (_nan_bias, "qsvm", "qsvm.bias"),
+    "huge_support_index": (_huge_support_index, "qsvm", "qsvm.support_indices"),
+    "text_params": (_text_params, "vqc", "vqc.params"),
+    "list_feature_map": (_list_feature_map, "vqc", "vqc.feature_map"),
+    "infinite_param": (_infinite_param, "vqc", "vqc.params"),
+    "short_means": (_short_means, "preprocess", "means"),
+    "null_pca_center": (_null_pca_center, "preprocess", "pca_center"),
+    "negative_kept_column": (_negative_kept_column, "preprocess", "preprocess.kept_columns"),
+    "basis_missing_component": (_basis_missing_component, "preprocess", "pca_basis"),
+    "huge_kept_column": (_huge_kept_column, "preprocess", "preprocess.kept_columns"),
+    "text_entangling": (_text_entangling, "vqc", "vqc.entangling"),
+    "numeric_feature_map_entangling": (
+        _numeric_feature_map_entangling, "vqc", "vqc.feature_map.entangling"
+    ),
+    "float_readout_qubit": (_float_readout_qubit, "vqc", "vqc.readout_qubit"),
+    "text_converged": (_text_converged, "qsvm", "qsvm.converged"),
+    "text_bias": (_text_bias, "qsvm", "qsvm.bias"),
+    "fractional_support_index": (_fractional_support_index, "qsvm", "qsvm.support_indices"),
+    "unknown_key": (_unknown_key, "vqc", "extra_key"),
+    "missing_entangling": (_missing_entangling, "vqc", "entangling"),
+    "missing_feature_map_key": (_missing_feature_map_key, "qsvm", "repetitions"),
+    "bool_param": (_bool_param, "vqc", "vqc.params"),
+    "text_mean": (_text_mean, "preprocess", "preprocess.means"),
 }
 
 
@@ -177,6 +234,13 @@ WRONG_TYPE_CONFIGS = {
     "beta2_one": ({"training": {"beta2": 1}}, "beta2"),
     "eps_zero": ({"training": {"eps": 0}}, "eps"),
     "learning_rate_overflow": ('{"training": {"learning_rate": 1e400}}', "learning_rate"),
+    "svm_c_overflow": ('{"model": {"type": "qsvm", "svm_c": 1e400}}', "model.svm_c"),
+    "ensemble_weight_overflow": (
+        '{"model": {"type": "ensemble", "ensemble_weights": [1e400, 1]}}', "model.ensemble_weights"
+    ),
+    "outlier_z_cap_overflow": (
+        '{"preprocess": {"outlier_z_cap": 1e400}}', "preprocess.outlier_z_cap"
+    ),
 }
 # command-line arguments a case adds after the config
 WRONG_CONFIG_ARGS = {"seed_flag_negative": ["--seed", "-1"]}
@@ -497,7 +561,7 @@ class TestPredict:
     def test_malformed_model_exits_2(
         self, case, workspace, svm_model, pca_preprocess, tmp_path, capsys
     ):
-        edit, kind = MALFORMED_MODELS[case]
+        edit, kind, named = MALFORMED_MODELS[case]
         sources = {"qsvm": svm_model, "vqc": workspace["model"], "preprocess": pca_preprocess}
         payload = json.loads(sources[kind].read_text())
         edit(payload)
@@ -515,7 +579,8 @@ class TestPredict:
         ])
         captured = capsys.readouterr()
         assert code == 2
-        assert "error:" in captured.err
+        (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert named in error_line
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "p.csv").exists()
 
@@ -535,6 +600,25 @@ class TestPredict:
         (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert str(bad) in error_line
         assert "internal error" not in error_line
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_reordered_columns_exit_2(self, workspace, tmp_path, capsys):
+        # same header names, feature columns reversed: the fitted standardization
+        # maps columns by position, so it must refuse them rather than mis-read them
+        rows = [line.split(",") for line in workspace["data"].read_text().splitlines()]
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("".join(",".join(r[-2::-1] + r[-1:]) + "\n" for r in rows))
+        capsys.readouterr()
+        code = main([
+            "predict", "--model", str(workspace["model"]),
+            "--preprocess-model", str(workspace["preprocess"]),
+            "--data", str(reordered), "--config", str(workspace["config"]),
+            "--out", str(tmp_path / "p.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert f"column 1 is {rows[0][-2]!r}, not the fitted {rows[0][0]!r}" in error_line
         assert not (tmp_path / "p.csv").exists()
 
     def test_missing_model_exits_2(self, workspace, tmp_path):

@@ -1,5 +1,6 @@
 """Property test: a saved model file with any top-level value replaced by any
-JSON either loads or raises ModelFormatError."""
+JSON either fails to load with ModelFormatError, or loads into a model that
+scores a row (a preprocess file: transforms a row) or raises a QShieldError."""
 import json
 import tempfile
 from pathlib import Path
@@ -9,9 +10,9 @@ import pytest
 from helpers import teacher_vqc_dataset
 
 from qshield.encoding import FeatureMapSpec
-from qshield.errors import ModelFormatError
-from qshield.pipeline import EnsembleModel, load_model, save_model
-from qshield.preprocess import PreprocessConfig, fit_preprocess
+from qshield.errors import ModelFormatError, QShieldError
+from qshield.pipeline import EnsembleModel, load_model, predict_labels, save_model
+from qshield.preprocess import PreprocessConfig, apply_preprocess, fit_preprocess
 from qshield.qkernel import kernel_matrix, train_qsvm
 from qshield.vqc import VqcModel
 
@@ -26,10 +27,13 @@ JSON = st.recursive(
 )
 
 
-def _saved_payloads() -> dict:
-    """The JSON that save_model writes for one small model of each kind."""
-    data, _ = teacher_vqc_dataset(seed=11, n_qubits=2, n_layers=1, n_samples=12)
-    preprocess, processed = fit_preprocess(data, PreprocessConfig(pca_components=2))
+DATA, _ = teacher_vqc_dataset(seed=11, n_qubits=2, n_layers=1, n_samples=12)
+
+
+def _saved_payloads() -> tuple[dict, np.ndarray]:
+    """The JSON that save_model writes for one small model of each kind, and a
+    preprocessed row for the models to score."""
+    preprocess, processed = fit_preprocess(DATA, PreprocessConfig(pca_components=2))
     spec = FeatureMapSpec(2, 1)
     svm = train_qsvm(
         kernel_matrix(processed, spec), 2 * processed.labels - 1, 1.0,
@@ -45,10 +49,11 @@ def _saved_payloads() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for kind, model in models.items():
             save_model(model, Path(tmp) / kind)
-        return {kind: json.loads((Path(tmp) / kind).read_text()) for kind in models}
+        payloads = {kind: json.loads((Path(tmp) / kind).read_text()) for kind in models}
+    return payloads, processed.features[:1]
 
 
-PAYLOADS = _saved_payloads()
+PAYLOADS, ROW = _saved_payloads()
 FIELDS = [(kind, key) for kind, payload in PAYLOADS.items() for key in sorted(payload)]
 
 
@@ -61,10 +66,18 @@ def model_path(tmp_path_factory):
 @hypothesis.given(st.sampled_from(FIELDS), JSON)
 @hypothesis.example(("qsvm", "support_indices"), [1e300])
 @hypothesis.example(("preprocess", "kept_columns"), [1e80])
+@hypothesis.example(("vqc", "readout_qubit"), 1.0)
 def test_model_loads_or_raises_model_format_error(model_path, field, value):
     kind, key = field
     model_path.write_text(json.dumps({**PAYLOADS[kind], key: value}))
     try:
-        load_model(model_path)
+        model = load_model(model_path)
     except ModelFormatError:
+        return
+    try:
+        if kind == "preprocess":
+            apply_preprocess(model, DATA)
+        else:
+            predict_labels(model, ROW)
+    except QShieldError:
         pass

@@ -266,6 +266,38 @@ class TestPersistence:
         rows = data.features[:4]
         np.testing.assert_allclose(loaded.predict_proba(rows), model.predict_proba(rows), atol=1e-15)
 
+    def test_saved_keys_are_pinned(self, tmp_path):
+        # the keys come from the model dataclasses' field names, so renaming a
+        # field would change the file format; this pins the format instead
+        vqc_model, data = self.trained_vqc()
+        svm_model, _ = self.trained_svm()
+        pre_model, _ = fit_preprocess(data, PreprocessConfig(pca_components=2))
+        models = {
+            "vqc": vqc_model, "qsvm": svm_model, "preprocess": pre_model,
+            "ensemble": EnsembleModel([vqc_model, svm_model], np.array([0.5, 0.5])),
+        }
+        saved = {}
+        for kind, model in models.items():
+            save_model(model, tmp_path / kind)
+            saved[kind] = json.loads((tmp_path / kind).read_text())
+        common = ["format_version", "model_type"]
+        assert sorted(saved["vqc"]) == sorted(common + [
+            "encoding", "entangling", "feature_map", "n_layers", "n_qubits", "optimizer_meta",
+            "params", "readout_qubit", "rng_seed",
+        ])
+        assert sorted(saved["qsvm"]) == sorted(common + [
+            "C", "bias", "converged", "dual_coeffs", "feature_map", "n_updates",
+            "support_indices", "support_vectors",
+        ])
+        assert sorted(saved["preprocess"]) == sorted(common + [
+            "explained_variance", "feature_names", "kept_columns", "means", "pca_basis",
+            "pca_center", "std_ddof", "std_devs",
+        ])
+        assert sorted(saved["ensemble"]) == sorted(common + ["members", "weights"])
+        assert [m["model_type"] for m in saved["ensemble"]["members"]] == ["vqc", "qsvm"]
+        for kind in ("vqc", "qsvm"):
+            assert sorted(saved[kind]["feature_map"]) == ["entangling", "n_qubits", "repetitions"]
+
     def test_version_mismatch(self, tmp_path):
         model, _ = self.trained_vqc()
         path = tmp_path / "model.json"

@@ -207,6 +207,22 @@ class TestStandardize:
         out = apply_standardize(model, new)
         assert out.features[0, 0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_apply_holds_one_copy_of_the_output(self):
+        # the kept columns are gathered once and standardized in place: no
+        # second full-size temporary for the difference or the quotient
+        rng = np.random.default_rng(11)
+        data = toy_dataset(rng, n=2000, d=40)
+        model = fit_standardize(data)
+        tracemalloc.start()
+        try:
+            out = apply_standardize(model, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.features.nbytes + 64 * 1024
+        expected = (data.features[:, model.kept_columns] - model.means) / model.std_devs
+        assert np.array_equal(out.features, expected)
+
     def test_apply_to_narrow_data_rejected(self):
         rng = np.random.default_rng(7)
         model = fit_standardize(toy_dataset(rng, n=10, d=4))
