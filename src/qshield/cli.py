@@ -5,13 +5,17 @@ Exit codes: 0 success, 1 configuration/usage error, 2 data error,
 """
 from __future__ import annotations
 
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-import click
+# qshield's matrix products are mostly too small for a second OpenBLAS thread, which
+# busy-waits after numpy loads and after every product; this must precede numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+# the qshield modules load numpy; loading it after click raised peak RSS by 0.5 MB
 from .errors import ConfigError, QShieldError
 from .explain import (
     format_attribution,
@@ -33,6 +37,8 @@ from .pipeline import (
 from .preprocess import apply_preprocess, load_csv
 from .qkernel import kernel_matrix, write_kernel_csv
 from .evalstats import format_metrics_table
+
+import click
 
 
 def _load_config(path: str | None, seed: int | None) -> PipelineConfig:

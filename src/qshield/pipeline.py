@@ -270,17 +270,42 @@ def _model_payload(model) -> dict:
 
 def save_model(model, path) -> None:
     """Write a versioned JSON model file (repr-precision floats)."""
-    payload = {"format_version": FORMAT_VERSION, **_model_payload(model)}
+    _write_json({"format_version": FORMAT_VERSION, **_model_payload(model)}, path)
+
+
+def _write_json(payload, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_text(text: str, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _publish(path: Path, write, *args) -> None:
+    """Run ``write(*args, tmp)`` on ``.<name>.tmp`` beside ``path``, then rename it onto ``path``.
+
+    A writer that fails midway leaves neither file behind, so an artifact
+    is complete or absent.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(*args, tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _numbers(value, name: str) -> np.ndarray:
     """A (nested) list of finite numbers, not bools, as an int array if all are ints."""
     cells = np.array(value if isinstance(value, list) else [None], dtype=object)
     kinds = {type(v) for v in cells.flat}
-    arr = cells.astype(int if kinds <= {int} else float) if kinds <= {int, float} else None
+    try:
+        arr = cells.astype(int if kinds <= {int} else float) if kinds <= {int, float} else None
+    except OverflowError as exc:
+        raise ModelFormatError(f"{name} holds an integer out of range") from exc
     if arr is None or not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"{name} must be a list of finite numbers, or of rows of them")
     return arr
@@ -532,14 +557,11 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
                 "bootstrap": asdict(stats),
                 **extras,
             }
-            save_model(model, out / "model.json")
-            save_model(pre_model, out / "preprocess.json")
-            write_predictions_csv(probabilities, labels, out / "predictions.csv")
-            with open(out / "report.json", "w", encoding="utf-8") as fh:
-                json.dump(report, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            with open(out / "report.txt", "w", encoding="utf-8") as fh:
-                fh.write(format_metrics_table(metric_report, stats))
+            _publish(out / "model.json", save_model, model)
+            _publish(out / "preprocess.json", save_model, pre_model)
+            _publish(out / "predictions.csv", write_predictions_csv, probabilities, labels)
+            _publish(out / "report.json", _write_json, report)
+            _publish(out / "report.txt", _write_text, format_metrics_table(metric_report, stats))
     return report
 
 
@@ -547,8 +569,8 @@ def preprocess_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     """Standalone preprocessing: writes processed.csv and preprocess.json."""
     with _output_dir(out_dir) as out:
         data, pre_model, processed = _load_and_preprocess(config, data_path)
-        save_model(pre_model, out / "preprocess.json")
-        write_csv(processed, out / "processed.csv")
+        _publish(out / "preprocess.json", save_model, pre_model)
+        _publish(out / "processed.csv", write_csv, processed)
     return {
         "n_samples_in": int(data.n_samples),
         "n_samples_out": int(processed.n_samples),
@@ -567,6 +589,6 @@ def train_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
         _, pre_model, processed = _load_and_preprocess(config, data_path)
         with _stage("train"):
             model, extras = _train_model(config, processed)
-        save_model(model, out / "model.json")
-        save_model(pre_model, out / "preprocess.json")
+        _publish(out / "model.json", save_model, model)
+        _publish(out / "preprocess.json", save_model, pre_model)
     return {"n_samples": int(processed.n_samples), **extras}

@@ -258,10 +258,11 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
         z = ansatz_expectations(replace(arch, params=theta), states)
         return _bce((1.0 + z) / 2.0, y)
 
-    history = [full_loss(params)]
+    full_batch = config.batch_size is None or config.batch_size >= m
+    history = [] if full_batch else [full_loss(params)]
     for epoch in range(1, config.epochs + 1):
         for batch in _batches(m, config.batch_size, rng):
-            grad = _bce_grad(replace(arch, params=params), states[batch], y[batch])
+            grad, loss = _bce_grad(replace(arch, params=params), states[batch], y[batch])
             # an overflowing step is reported below as a NumericalError, not a warning
             with np.errstate(over="ignore"):
                 if config.optimizer == "adam":
@@ -278,6 +279,9 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
                     f"training diverged in epoch {epoch}: an optimiser step left the "
                     f"parameters non-finite (training.learning_rate {config.learning_rate!r})"
                 )
+        # a full-batch gradient sweep already gave the loss at the epoch's start
+        history.append(loss if full_batch else full_loss(params))
+    if full_batch:
         history.append(full_loss(params))
 
     meta = {**asdict(config), "final_loss": history[-1]}
@@ -294,8 +298,8 @@ def _batches(m: int, batch_size: int | None, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of mean BCE by adjoint differentiation.
+def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """(gradient of mean BCE by adjoint differentiation, the mean BCE).
 
     One forward sweep gives the evolved states phi and, through
     p = (1 + <Z>) / 2, the row weights w = dL/dp / 2.  The backward sweep
@@ -309,9 +313,11 @@ def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> np.ndarray:
     n, qubit = model.n_qubits, model.readout.qubit
     z_sign = 1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)
     grad = np.zeros(model.n_params)
+    probs = np.empty(len(y))
     for rows in row_chunks(len(y), n):
         phi = evolve(states[rows], circuit)
         p = np.clip((1.0 + z_expectations(phi, qubit, n)) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        probs[rows] = p
         w = 0.5 * (p - y[rows]) / (p * (1.0 - p)) / len(y)
         lam = w[:, None] * z_sign * phi
         k = model.n_params
@@ -327,4 +333,4 @@ def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> np.ndarray:
             inverse = gate.inverse()
             phi = _apply_gate_to_array(phi, inverse, n)
             lam = _apply_gate_to_array(lam, inverse, n)
-    return grad
+    return grad, _bce(probs, y)

@@ -219,8 +219,8 @@ def shift_gradient(model: VqcModel, x) -> np.ndarray:
     return grad
 
 
-def shift_bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean-BCE gradient as ``weights @ shift_jacobian``: 2P + 1 ansatz runs.
+def shift_bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray):
+    """(mean-BCE gradient as ``weights @ shift_jacobian``, mean BCE): 2P + 1 ansatz runs.
 
     The weights are dL/dp per row times dp/d<Z> = 1/2.  ``y`` may be any
     real targets, which gives the weights arbitrary signs and sizes.
@@ -228,7 +228,8 @@ def shift_bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> np.nda
     z = ansatz_expectations(model, states)
     p = np.clip((1.0 + z) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
     dloss_dp = (p - y) / (p * (1.0 - p)) / len(y)
-    return dloss_dp @ (0.5 * shift_jacobian(model, states))
+    loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+    return dloss_dp @ (0.5 * shift_jacobian(model, states)), loss
 
 
 def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 100):

@@ -127,20 +127,22 @@ def adjoint_case(name: str, n_rows: int = 6):
 @pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
 def test_adjoint_gradient_matches_shift_jacobian(name):
     model, states, y = adjoint_case(name)
-    np.testing.assert_allclose(
-        vqc._bce_grad(model, states, y), shift_bce_grad(model, states, y), atol=TOL, rtol=0
-    )
+    grad, loss = vqc._bce_grad(model, states, y)
+    shift_grad, shift_loss = shift_bce_grad(model, states, y)
+    np.testing.assert_allclose(grad, shift_grad, atol=TOL, rtol=0)
+    assert loss == pytest.approx(shift_loss, abs=TOL, rel=0)
 
 
 def test_adjoint_gradient_across_chunk_boundary(monkeypatch):
     model, states, y = adjoint_case("4q-angle-readout-3", n_rows=7)
-    whole = vqc._bce_grad(model, states, y)
+    whole, whole_loss = vqc._bce_grad(model, states, y)
     # two 4-qubit rows per chunk: seven rows take chunks of 2, 2, 2 and 1
     monkeypatch.setattr(statevector, "CHUNK_AMPLITUDES", 2 * 2**4)
     assert len(statevector.row_chunks(7, 4)) == 4
-    chunked = vqc._bce_grad(model, states, y)
+    chunked, chunked_loss = vqc._bce_grad(model, states, y)
     np.testing.assert_allclose(chunked, whole, atol=TOL, rtol=0)
-    np.testing.assert_allclose(chunked, shift_bce_grad(model, states, y), atol=TOL, rtol=0)
+    np.testing.assert_allclose(chunked, shift_bce_grad(model, states, y)[0], atol=TOL, rtol=0)
+    assert chunked_loss == whole_loss
 
 
 @pytest.mark.parametrize("batch_size", [None, 5], ids=["full-batch", "mini-batch"])

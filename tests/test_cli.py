@@ -119,6 +119,10 @@ def _huge_support_index(p):
     p["support_indices"][0] = 1e300
 
 
+def _int64_overflow_support_index(p):
+    p["support_indices"][0] = 2**70
+
+
 def _huge_kept_column(p):
     p["kept_columns"][0] = 1e80
 
@@ -173,6 +177,9 @@ MALFORMED_MODELS = {
     "narrow_support_vectors": (_narrow_support_vectors, "qsvm", "support vectors"),
     "nan_bias": (_nan_bias, "qsvm", "qsvm.bias"),
     "huge_support_index": (_huge_support_index, "qsvm", "qsvm.support_indices"),
+    "int64_overflow_support_index": (
+        _int64_overflow_support_index, "qsvm", "qsvm.support_indices"
+    ),
     "text_params": (_text_params, "vqc", "vqc.params"),
     "list_feature_map": (_list_feature_map, "vqc", "vqc.feature_map"),
     "infinite_param": (_infinite_param, "vqc", "vqc.params"),
@@ -255,6 +262,46 @@ with _output_dir(sys.argv[1]):
 """
 
 
+def child_env(**extra: str) -> dict:
+    """Environment for a child interpreter that imports the qshield this test imported."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qshield.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    )
+    return {**env, **extra}
+
+
+def fresh_python(code: str, **extra_env: str) -> str:
+    """What ``code`` prints in a new interpreter, with OPENBLAS_NUM_THREADS unset unless given."""
+    child = subprocess.run([sys.executable, "-c", code], env=child_env(**extra_env),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread unless OPENBLAS_NUM_THREADS is exported."""
+
+    def test_package_import_loads_no_numpy(self):
+        assert fresh_python("import sys, qshield; print('numpy' in sys.modules)") == "False\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_cli_import_runs_one_thread(self):
+        code = ("import qshield.cli; "
+                "print(open('/proc/self/status').read().split('Threads:')[1].split()[0])")
+        assert fresh_python(code) == "1\n"
+
+    def test_numpy_loads_before_click(self):
+        code = ("import sys, qshield.cli; m = list(sys.modules); "
+                "print(m.index('numpy'), m.index('click'))")
+        numpy_at, click_at = map(int, fresh_python(code).split())
+        assert numpy_at < click_at
+
+    def test_exported_thread_count_is_kept(self):
+        code = "import os, qshield.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+
 class TestHelp:
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
@@ -333,13 +380,9 @@ class TestRun:
             "run", "--data", str(workspace["data"]),
             "--config", str(workspace["config"]), "--out-dir", str(out_dir),
         ]
-        # the child imports the qshield this test imported
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(qshield.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        )}
         with subprocess.Popen(
             [sys.executable, "-c", HOLD_AND_SLEEP, str(out_dir)],
-            stdout=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, text=True, env=child_env(),
         ) as holder:
             try:
                 assert holder.stdout.readline() == "held\n"

@@ -20,6 +20,7 @@ from qshield.pipeline import (
     preprocess_experiment,
     run_experiment,
     save_model,
+    train_experiment,
 )
 from qshield.preprocess import (
     Dataset,
@@ -486,3 +487,31 @@ class TestPreprocessExperiment:
         assert processed.n_samples == summary["n_samples_out"]
         model = load_model(out / "preprocess.json", expected_type="preprocess")
         assert model.kept_columns is not None
+
+
+# (experiment, writer it runs, the artifact that writer makes, what the failure raises)
+FAILING_WRITERS = {
+    "run": (run_experiment, "write_predictions_csv", "predictions.csv", PipelineStageError),
+    "preprocess": (preprocess_experiment, "write_csv", "processed.csv", OSError),
+    "train": (train_experiment, "save_model", "model.json", OSError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_WRITERS))
+def test_writer_failing_midway_leaves_no_artifact(case, tmp_path, monkeypatch):
+    experiment, writer, artifact, raised = FAILING_WRITERS[case]
+    data_path = tmp_path / "data.csv"
+    write_teacher_csv(data_path)
+    out = tmp_path / "out"
+
+    def write_half(*args):
+        with open(args[-1], "w", encoding="utf-8") as fh:
+            fh.write("sample_index,prob")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pipeline, writer, write_half)
+    with pytest.raises(raised):
+        experiment(fast_config(), data_path, out)
+    left = sorted(p.name for p in out.iterdir())
+    assert artifact not in left
+    assert not [name for name in left if name.endswith(".tmp")]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import gate_level_probability, random_vqc, teacher_vqc_dataset
 
+from qshield import vqc
 from qshield.encoding import FeatureMapSpec
 from qshield.errors import (
     ConfigError,
@@ -17,7 +18,7 @@ from qshield.errors import (
 )
 from qshield.pipeline import predict_labels
 from qshield.preprocess import Dataset
-from qshield.statevector import new_zero_state, run_circuit
+from qshield.statevector import evolve, new_zero_state, run_circuit
 from qshield.vqc import (
     TrainConfig,
     VqcModel,
@@ -273,6 +274,33 @@ class TestTraining:
         model, _ = train_vqc(data, arch, TrainConfig(epochs=60, learning_rate=0.1, seed=2))
         predicted = (model.predict_proba(data.features) >= 0.5).astype(int)
         assert np.mean(predicted == data.labels) >= 0.9
+
+    @pytest.mark.parametrize("epochs", [2, 4])
+    def test_full_batch_loss_comes_from_the_gradient_sweep(self, epochs, monkeypatch):
+        data, _ = teacher_vqc_dataset(seed=151, n_qubits=3, n_layers=1, n_samples=20)
+        arch = VqcModel.fresh(3, 2)
+        config = TrainConfig(epochs=epochs, learning_rate=0.1, seed=7)
+        states = encode_rows(arch, data.features)
+
+        def full_loss(params):  # one ansatz run over every row, as each epoch was once scored
+            z = ansatz_expectations(replace(arch, params=params), states)
+            return vqc._bce((1.0 + z) / 2.0, data.labels.astype(float))
+
+        initial = np.random.default_rng(config.seed).uniform(-math.pi, math.pi, arch.n_params)
+        expected = [full_loss(initial)] + [
+            full_loss(train_vqc(data, arch, replace(config, epochs=e))[0].params)
+            for e in range(1, epochs + 1)
+        ]
+        calls = []
+
+        def counted_evolve(amps, circuit):
+            calls.append(circuit)
+            return evolve(amps, circuit)
+
+        monkeypatch.setattr(vqc, "evolve", counted_evolve)
+        _, history = train_vqc(data, arch, config)
+        assert len(calls) == epochs + 1  # one sweep per epoch and one scoring the result
+        assert history == expected
 
     def test_minibatch_training_runs(self):
         data, _ = teacher_vqc_dataset(seed=137, n_qubits=2, n_layers=1, n_samples=20)
