@@ -451,12 +451,14 @@ def feature_map_spec(config: PipelineConfig) -> FeatureMapSpec:
 
 
 def _load_and_preprocess(config: PipelineConfig, data_path):
-    """The load and preprocess stages; returns (raw data, fitted chain, processed data)."""
+    """The load and preprocess stages; returns (raw shape, fitted chain, processed data)."""
     with _stage("load"):
-        data = load_csv(data_path, config.data.label_column, config.data.positive_label)
+        loaded = [load_csv(data_path, config.data.label_column, config.data.positive_label)]
+    shape = loaded[0].features.shape
     with _stage("preprocess"):
-        pre_model, processed = fit_preprocess(data, _resolved_preprocess_config(config))
-    return data, pre_model, processed
+        # pop() hands over the only reference, so the fit can free the raw matrix
+        pre_model, processed = fit_preprocess(loaded.pop(), _resolved_preprocess_config(config))
+    return shape, pre_model, processed
 
 
 def _train_model(config: PipelineConfig, train: Dataset):
@@ -530,7 +532,7 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     report.txt into ``out_dir`` and returns the report dictionary.
     """
     with _output_dir(out_dir) as out:
-        data, pre_model, processed = _load_and_preprocess(config, data_path)
+        (n_samples, n_features), pre_model, processed = _load_and_preprocess(config, data_path)
         with _stage("split"):
             train, test = train_test_split(
                 processed, config.evaluation.test_fraction, config.seed
@@ -546,8 +548,8 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
             report = {
                 "config": config.to_dict(),
                 "data": {
-                    "n_samples": int(data.n_samples),
-                    "n_features": int(data.n_features),
+                    "n_samples": n_samples,
+                    "n_features": n_features,
                     "n_train": int(train.n_samples),
                     "n_test": int(test.n_samples),
                     "n_features_encoded": int(train.n_features),
@@ -568,13 +570,14 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
 def preprocess_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     """Standalone preprocessing: writes processed.csv and preprocess.json."""
     with _output_dir(out_dir) as out:
-        data, pre_model, processed = _load_and_preprocess(config, data_path)
-        _publish(out / "preprocess.json", save_model, pre_model)
+        (n_samples, n_features), pre_model, processed = _load_and_preprocess(config, data_path)
+        # first, so that write_csv refusing a feature named "label" leaves no artifact
         _publish(out / "processed.csv", write_csv, processed)
+        _publish(out / "preprocess.json", save_model, pre_model)
     return {
-        "n_samples_in": int(data.n_samples),
+        "n_samples_in": n_samples,
         "n_samples_out": int(processed.n_samples),
-        "n_features_in": int(data.n_features),
+        "n_features_in": n_features,
         "n_features_out": int(processed.n_features),
     }
 

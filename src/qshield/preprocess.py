@@ -137,12 +137,16 @@ def _parse_cells(cells: list[str], names: list[str], where: str) -> list[float]:
 
 
 def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Full-precision CSV dump with a trailing label column."""
+    """Full-precision CSV dump with a trailing label column; a float prints as its repr.
+
+    Rows become Python floats one at a time, so the dump holds one row of them."""
+    if label_column in dataset.feature_names:
+        raise InvalidInputError(f"feature column {label_column!r} is named like the label column")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.feature_names + [label_column])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        rows = zip(dataset.features, dataset.labels.tolist())
+        writer.writerows(row.tolist() + [label] for row, label in rows)
 
 
 @dataclass
@@ -335,19 +339,22 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
 
     The two standardization passes and the column drops are folded into a
     single affine map over the surviving original columns.
+
+    ``data`` is never modified.  Each stage's result replaces its input, and
+    ``data`` is dropped once standardized: a caller passing its only reference
+    frees the raw matrix there on CPython >= 3.11, whose frames take over call
+    arguments (a 3.10 caller's frame holds it until the fit returns).
     """
-    # the standardized copies are never named and cleaned is released, so each
-    # intermediate matrix is freed as soon as the next stage has its own copy
     first = fit_standardize(data)
-    cleaned, _removed = remove_outliers(apply_standardize(first, data), config.outlier_z_cap)
-    if cleaned.n_samples < 2:
+    work = apply_standardize(first, data)
+    del data
+    work, _removed = remove_outliers(work, config.outlier_z_cap)
+    if work.n_samples < 2:
         raise DegenerateInputError("fewer than 2 rows survive outlier removal")
-    second = fit_standardize(cleaned)
-    pruned, dropped_local = prune_correlated(
-        apply_standardize(second, cleaned), config.correlation_threshold
-    )
-    del cleaned
-    if pruned.n_features == 0:
+    second = fit_standardize(work)
+    work = apply_standardize(second, work)
+    work, dropped_local = prune_correlated(work, config.correlation_threshold)
+    if work.n_features == 0:
         raise DegenerateOutputError("no feature columns survive preprocessing")
 
     # compose the two affine passes over the surviving columns
@@ -359,24 +366,23 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
         means=mean_eff[keep_local],
         std_devs=std_eff[keep_local],
         kept_columns=orig_after_second[keep_local],
-        feature_names=data.feature_names,
+        feature_names=first.feature_names,
     )
 
-    processed = pruned
     if config.apply_pca:
         k = config.pca_components
         if k is None:
             raise ConfigError("pca_components must be set when apply_pca is true")
-        k = min(k, pruned.n_features)
-        pca = fit_pca(pruned, k)
+        k = min(k, work.n_features)
+        pca = fit_pca(work, k)
         model = replace(
             model,
             pca_basis=pca.pca_basis,
             explained_variance=pca.explained_variance,
             pca_center=pca.pca_center,
         )
-        processed = apply_pca(pca, pruned)
-    return model, processed
+        work = apply_pca(pca, work)
+    return model, work
 
 
 def apply_preprocess(model: PreprocessModel, data: Dataset) -> Dataset:

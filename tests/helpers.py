@@ -5,9 +5,11 @@ The oracles here are the slow routes the library code replaced:
 gate-level encoding circuits run one state at a time, the
 inverse-circuit kernel, per-parameter shifts, the parameter-shift
 training gradient that adjoint differentiation replaced, a cyclic
-Jacobi eigensolver standing in for LAPACK's ``eigh``, and the list-of-rows
+Jacobi eigensolver standing in for LAPACK's ``eigh``, the list-of-rows
 CSV reader that the streaming ``load_csv`` replaced
-(``reference_load_csv``).  Tests compare the production code against them.
+(``reference_load_csv``), and the preprocessing fit that kept each stage's
+input alive through the next stage (``reference_fit_preprocess``).  Tests
+compare the production code against them.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import csv
 import fcntl
 import math
 import os
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -22,13 +25,25 @@ import numpy as np
 
 from qshield.encoding import FeatureMapSpec
 from qshield.errors import (
+    ConfigError,
     ConvergenceError,
     DegenerateInputError,
+    DegenerateOutputError,
     IngestionError,
     InvalidInputError,
     ShapeError,
 )
-from qshield.preprocess import Dataset
+from qshield.preprocess import (
+    Dataset,
+    PreprocessConfig,
+    PreprocessModel,
+    apply_pca,
+    apply_standardize,
+    fit_pca,
+    fit_standardize,
+    prune_correlated,
+    remove_outliers,
+)
 from qshield.statevector import (
     Circuit,
     GateOp,
@@ -319,6 +334,71 @@ def reference_load_csv(path, label_column: str, positive_label: str) -> Dataset:
         features.append(sample)
         labels.append(1 if row[label_idx].strip() == positive_label else 0)
     return Dataset(feature_names, np.array(features, dtype=float), np.array(labels))
+
+
+def reference_fit_preprocess(
+    data: Dataset, config: PreprocessConfig
+) -> tuple[PreprocessModel, Dataset]:
+    """Fit the full chain and return (model, processed training data).
+
+    The two standardization passes and the column drops are folded into a
+    single affine map over the surviving original columns.
+    """
+    # the standardized copies are never named and cleaned is released, so each
+    # intermediate matrix is freed as soon as the next stage has its own copy
+    first = fit_standardize(data)
+    cleaned, _removed = remove_outliers(apply_standardize(first, data), config.outlier_z_cap)
+    if cleaned.n_samples < 2:
+        raise DegenerateInputError("fewer than 2 rows survive outlier removal")
+    second = fit_standardize(cleaned)
+    pruned, dropped_local = prune_correlated(
+        apply_standardize(second, cleaned), config.correlation_threshold
+    )
+    del cleaned
+    if pruned.n_features == 0:
+        raise DegenerateOutputError("no feature columns survive preprocessing")
+
+    # compose the two affine passes over the surviving columns
+    orig_after_second = first.kept_columns[second.kept_columns]
+    mean_eff = first.means[second.kept_columns] + second.means * first.std_devs[second.kept_columns]
+    std_eff = first.std_devs[second.kept_columns] * second.std_devs
+    keep_local = np.delete(np.arange(len(orig_after_second)), dropped_local)
+    model = PreprocessModel(
+        means=mean_eff[keep_local],
+        std_devs=std_eff[keep_local],
+        kept_columns=orig_after_second[keep_local],
+        feature_names=data.feature_names,
+    )
+
+    processed = pruned
+    if config.apply_pca:
+        k = config.pca_components
+        if k is None:
+            raise ConfigError("pca_components must be set when apply_pca is true")
+        k = min(k, pruned.n_features)
+        pca = fit_pca(pruned, k)
+        model = replace(
+            model,
+            pca_basis=pca.pca_basis,
+            explained_variance=pca.explained_variance,
+            pca_center=pca.pca_center,
+        )
+        processed = apply_pca(pca, pruned)
+    return model, processed
+
+
+def traced_peak(fn, *args):
+    """(``fn(*args)``, the peak bytes ``tracemalloc`` saw allocated during the call).
+
+    Memory allocated before the call, such as the arguments, is not counted.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @contextmanager

@@ -547,6 +547,29 @@ class TestPreprocess:
         ]
         assert f"{data}: line 2: field larger than field limit" in error_line
 
+    def test_feature_named_like_label_column_exits_2(self, tmp_path, capsys):
+        # processed.csv appends a "label" column; a kept feature of that name
+        # would make a later run read it as the labels
+        data = tmp_path / "data.csv"
+        data.write_text("a,label,b,class\n" + "".join(
+            f"{i},{i * i % 7},{(3 * i) % 5},{'mal' if i % 2 else 'ok'}\n" for i in range(12)
+        ))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": {"label_column": "class", "positive_label": "mal"},
+            "preprocess": {"apply_pca": False},
+        }))
+        out_dir = tmp_path / "pre"
+        code = main([
+            "preprocess", "--data", str(data), "--config", str(config), "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        (error_line,) = [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")
+        ]
+        assert "feature column 'label'" in error_line
+        assert list(out_dir.iterdir()) == []
+
 
 class TestTrain:
     def test_model_type_argument_overrides_config(self, workspace, tmp_path):

@@ -2,11 +2,12 @@
 import fcntl
 import json
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import holding_out_dir, teacher_vqc_dataset
+from helpers import holding_out_dir, teacher_vqc_dataset, traced_peak
 
 from qshield import pipeline
 from qshield.encoding import FeatureMapSpec
@@ -487,6 +488,24 @@ class TestPreprocessExperiment:
         assert processed.n_samples == summary["n_samples_out"]
         model = load_model(out / "preprocess.json", expected_type="preprocess")
         assert model.kept_columns is not None
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="CPython 3.10 frames keep call arguments alive, so the raw matrix "
+        "lives until fit_preprocess returns",
+    )
+    def test_raw_matrix_freed_once_standardized(self, tmp_path):
+        # the raw matrix is released when its first standardized copy exists,
+        # so the peak is one working matrix and one temporary, not the raw
+        # matrix on top of them
+        rng = np.random.default_rng(29)
+        data = Dataset([f"f{j}" for j in range(80)], rng.normal(size=(4000, 80)),
+                       rng.integers(0, 2, 4000))
+        write_csv(data, tmp_path / "data.csv")
+        _, peak = traced_peak(
+            preprocess_experiment, PipelineConfig(), tmp_path / "data.csv", tmp_path / "pre"
+        )
+        assert peak <= 2.3 * data.features.nbytes
 
 
 # (experiment, writer it runs, the artifact that writer makes, what the failure raises)

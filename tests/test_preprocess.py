@@ -1,10 +1,12 @@
 """CSV ingestion, standardization, PCA on LAPACK eigh, pruning, splitting."""
+import csv
+import io
 import math
-import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import jacobi_eigh
+from helpers import jacobi_eigh, reference_fit_preprocess, traced_peak
 
 from qshield.errors import (
     ConfigError,
@@ -12,11 +14,13 @@ from qshield.errors import (
     DegenerateOutputError,
     IngestionError,
     InvalidInputError,
+    QShieldError,
     ShapeError,
 )
 from qshield.preprocess import (
     Dataset,
     PreprocessConfig,
+    PreprocessModel,
     apply_pca,
     apply_preprocess,
     apply_standardize,
@@ -155,13 +159,37 @@ class TestCsv:
         rng = np.random.default_rng(7)
         path = tmp_path / "wide.csv"
         write_csv(toy_dataset(rng, n=2000, d=40), path)
-        tracemalloc.start()
-        try:
-            data = load_csv(path, label_column="label", positive_label="1")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        data, peak = traced_peak(load_csv, path, "label", "1")
         assert peak < 2 * data.features.nbytes + 2**20
+
+    def test_write_matches_per_cell_repr(self, tmp_path):
+        # the bytes of the per-cell writer that write_csv replaced, on signed
+        # zeros, subnormals and extremes
+        rng = np.random.default_rng(17)
+        n = 60
+        feats = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-300, 300, size=(n, 5))
+        feats[:4] = [[-0.0, 0.0, 5e-324, 1e308, 3.0],
+                     [-5e-324, -1e308, 2.2250738585072014e-308, 0.1, 1 / 3],
+                     [1e16, 1.5e-7, -2.0, 123456789.0, math.pi],
+                     [np.nextafter(1.0, 2.0), 1e22, 1e-5, -1e-320, 100.0]]
+        data = Dataset([f"f{j}" for j in range(5)], feats, rng.integers(0, 2, n))
+        path = tmp_path / "out.csv"
+        write_csv(data, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(data.feature_names + ["label"])
+        for row, label in zip(data.features, data.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_write_refuses_feature_named_like_label_column(self, tmp_path):
+        data = Dataset(["a", "label"], np.zeros((2, 2)), np.array([0, 1]))
+        path = tmp_path / "out.csv"
+        with pytest.raises(InvalidInputError, match="feature column 'label'"):
+            write_csv(data, path)
+        assert not path.exists()
+        write_csv(data, path, label_column="class")
+        assert path.read_text().splitlines()[0] == "a,label,class"
 
     def test_short_row_rejected(self, tmp_path):
         path = self.write(tmp_path, "f0,f1,label\n1.0,1\n")
@@ -213,12 +241,7 @@ class TestStandardize:
         rng = np.random.default_rng(11)
         data = toy_dataset(rng, n=2000, d=40)
         model = fit_standardize(data)
-        tracemalloc.start()
-        try:
-            out = apply_standardize(model, data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(apply_standardize, model, data)
         assert peak <= 1.5 * out.features.nbytes + 64 * 1024
         expected = (data.features[:, model.kept_columns] - model.means) / model.std_devs
         assert np.array_equal(out.features, expected)
@@ -484,7 +507,83 @@ class TestSplit:
             train_test_split(data, 0.999, seed=0)
 
 
+def random_fit_case(seed):
+    """A seeded (dataset, config) mixing outlier rows, constant and
+    near-duplicate columns, PCA on and off, and every threshold and cap."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8)) if seed % 4 == 0 else int(rng.integers(8, 60))
+    d = int(rng.integers(1, 9))
+    feats = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, d) + rng.uniform(-5.0, 5.0, d)
+    for j in range(1, d):
+        if rng.random() < 0.3:
+            source = int(rng.integers(0, j))
+            noise = rng.choice([0.0, 1e-9, 1e-3, 0.1])
+            feats[:, j] = rng.choice([-2.0, 1.0, 3.0]) * feats[:, source] + noise * rng.normal(size=n)
+    constant = rng.random(d) < (1.0 if seed % 25 == 0 else 0.2)
+    feats[:, constant] = rng.uniform(-3.0, 3.0, int(constant.sum()))
+    if rng.random() < 0.5:
+        rows = rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False)
+        feats[rows, int(rng.integers(0, d))] += rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 100.0)
+    apply_pca = seed % 2 == 0
+    config = PreprocessConfig(
+        correlation_threshold=(0.5, 0.9, 0.95, 0.999, 1.0)[seed % 5],
+        outlier_z_cap=(0.5, 1.0, 2.0, 5.0)[seed // 5 % 4] if n < 8 else (2.0, 3.0, 5.0)[seed % 3],
+        pca_components=None if seed % 50 == 2 else int(rng.integers(1, d + 2)),
+        apply_pca=apply_pca,
+    )
+    return Dataset([f"f{j}" for j in range(d)], feats, rng.integers(0, 2, n)), config
+
+
+def assert_same_dataset(got, want):
+    assert got.feature_names == want.feature_names
+    for a, b in ((got.features, want.features), (got.labels, want.labels)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+            b.flags.c_contiguous, b.flags.f_contiguous)
+
+
 class TestFullChain:
+    def test_fit_matches_reference_fit(self):
+        # bitwise the same models, outputs and errors as the fit that kept each
+        # stage's input alive, and the argument is left untouched
+        outcomes = set()
+        for seed in range(200):
+            data, config = random_fit_case(seed)
+            before = Dataset(data.feature_names, data.features.copy(), data.labels.copy())
+            try:
+                want = reference_fit_preprocess(data, config)
+            except QShieldError as exc:
+                with pytest.raises(type(exc)) as got:
+                    fit_preprocess(data, config)
+                assert str(got.value) == str(exc)
+                outcomes.add(str(exc))
+            else:
+                model, processed = fit_preprocess(data, config)
+                for f in fields(PreprocessModel):
+                    a, b = getattr(model, f.name), getattr(want[0], f.name)
+                    if isinstance(b, np.ndarray):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                    else:
+                        assert a == b
+                assert_same_dataset(processed, want[1])
+                outcomes.add("pca" if config.apply_pca else "no pca")
+            assert_same_dataset(data, before)
+        assert {
+            "pca",
+            "no pca",
+            "fewer than 2 rows survive outlier removal",
+            "no feature columns survive preprocessing",
+            "outlier removal would discard every row",
+            "pca_components must be set when apply_pca is true",
+        } <= outcomes
+
+    def test_fit_holds_one_working_copy(self):
+        # beyond the caller's input: one standardized working matrix and one
+        # numpy temporary (with its boolean mask in remove_outliers)
+        data = toy_dataset(np.random.default_rng(23), n=4000, d=80)
+        _, peak = traced_peak(fit_preprocess, data, PreprocessConfig(pca_components=4))
+        assert peak <= 2.25 * data.features.nbytes + 64 * 1024
+
     def composite_dataset(self):
         rng = np.random.default_rng(63)
         n = 50
