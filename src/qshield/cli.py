@@ -49,11 +49,12 @@ def _load_config(path: str | None, seed: int | None) -> PipelineConfig:
 
 
 def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path: str | None):
-    data = load_csv(data_path, config.data.label_column, config.data.positive_label)
-    if preprocess_path:
-        pre = load_model(preprocess_path, expected_type="preprocess")
-        data = apply_preprocess(pre, data)
-    return data
+    loaded = [load_csv(data_path, config.data.label_column, config.data.positive_label)]
+    if not preprocess_path:
+        return loaded.pop()
+    pre = load_model(preprocess_path, expected_type="preprocess")
+    # pop() hands over the only reference, so apply_preprocess can free the raw matrix
+    return apply_preprocess(pre, loaded.pop())
 
 
 @contextmanager

@@ -16,10 +16,11 @@ from .statevector import (
     MAX_QUBITS,
     Circuit,
     QuantumState,
-    _apply_1q_matrix,
     _check_qubit_count,
     cnot_ring,
     evolve,
+    new_zero_state,
+    ry,
 )
 
 NORM_FLOOR = 1e-12
@@ -91,40 +92,27 @@ def amplitude_encode(x) -> QuantumState:
     return QuantumState(n_qubits, encode_amplitude_rows(arr[np.newaxis], n_qubits)[0])
 
 
-def angle_rows(features, spec: FeatureMapSpec) -> np.ndarray:
-    """RY angles of shape (rows, repetitions, n_qubits); missing trailing features are 0."""
+def feature_map_circuit(features, spec: FeatureMapSpec) -> Circuit:
+    """The feature map over a (rows, features) matrix as one gate list.
+
+    Per repetition: RY on qubit j with one angle per row, column j of the
+    matrix, then the CNOT ring.  Qubits beyond the supplied features get no
+    RY, which is exact: a missing feature is an angle of 0.
+    """
     arr = as_feature_matrix(features)
     if arr.shape[1] > spec.n_qubits:
         raise ShapeError(f"{arr.shape[1]} features do not fit on {spec.n_qubits} qubits")
-    angles = np.zeros((arr.shape[0], spec.repetitions, spec.n_qubits))
-    angles[:, :, : arr.shape[1]] = arr[:, np.newaxis, :]
-    return angles
-
-
-def encode_angle_rows(angles: np.ndarray, spec: FeatureMapSpec) -> np.ndarray:
-    """Feature-map states U_phi|0...0> for (rows, repetitions, n_qubits) angles.
-
-    Each repetition is one RY layer, with per-row angles, then the CNOT ring.
-    """
-    n = spec.n_qubits
-    if angles.shape[1:] != (spec.repetitions, n):
-        raise ShapeError(
-            f"angle rows have shape {angles.shape[1:]}, expected {(spec.repetitions, n)}"
-        )
-    amps = np.zeros((angles.shape[0], 2**n), dtype=complex)
-    amps[:, 0] = 1.0
-    ring = Circuit(n, cnot_ring(n) if spec.entangling else ())
-    for layer in angles.transpose(1, 2, 0):
-        for q, theta in enumerate(layer):
-            c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-            amps = _apply_1q_matrix(amps, np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2), q, n)
-        amps = evolve(amps, ring)
-    return amps
+    layer = tuple(ry(q, arr[:, q]) for q in range(arr.shape[1]))
+    ring = cnot_ring(spec.n_qubits) if spec.entangling else ()
+    return Circuit(spec.n_qubits, (layer + ring) * spec.repetitions)
 
 
 def feature_map_states(features, spec: FeatureMapSpec) -> np.ndarray:
-    """Encoded state per row of a (rows, features) matrix, shape (rows, 2**n)."""
-    return encode_angle_rows(angle_rows(features, spec), spec)
+    """Encoded state U_phi(x)|0...0> per row of a (rows, features) matrix, shape (rows, 2**n)."""
+    circuit = feature_map_circuit(features, spec)
+    zero = new_zero_state(spec.n_qubits).amplitudes
+    # evolve copies its input, so the batch is allocated once, from a broadcast view
+    return evolve(np.broadcast_to(zero, (len(features), zero.size)), circuit)
 
 
 def apply_feature_map(x, spec: FeatureMapSpec) -> QuantumState:

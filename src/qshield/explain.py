@@ -1,10 +1,10 @@
 """Feature attribution for trained classifiers.
 
 Two methods: GRAD differentiates the encoding angles of an
-angle-encoded variational model with the parameter-shift rule; SCORE
-occludes one feature at a time against a baseline and works with any
-model exposing ``predict_proba``.  Each method scores all of its shifted
-or occluded rows in one batched call.
+angle-encoded variational model by one adjoint sweep through the
+encoding and the ansatz; SCORE occludes one feature at a time against a
+baseline, scores all occluded rows in one batched call, and works with
+any model exposing ``predict_proba``.
 """
 from __future__ import annotations
 
@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import angle_rows, as_feature_array, encode_angle_rows
+from .encoding import as_feature_array, feature_map_circuit
 from .errors import InvalidInputError, ShapeError, UnsupportedMethodError
-from .vqc import PARAM_SHIFT, VqcModel, ansatz_expectations
+from .statevector import Circuit, evolve, new_zero_state, z_expectations
+from .vqc import VqcModel, adjoint_grad, build_ansatz
 
 
 @dataclass(frozen=True)
@@ -31,24 +32,21 @@ class AttributionReport:
 
 
 def grad_attribution(model: VqcModel, x) -> AttributionReport:
-    """d p / d x_j via parameter shifts, summed over encoding repetitions."""
+    """d p / d x_j by the adjoint method, summed over encoding repetitions."""
     if getattr(model, "encoding", None) != "angle":
         raise UnsupportedMethodError(
             "gradient attribution needs an angle-encoded variational model; "
             "use score_attribution instead"
         )
     arr = as_feature_array(x)
-    spec = model.feature_map
-    d, reps = arr.size, spec.repetitions
-    # row 0 is the input; rows 1 + 2k and 2 + 2k shift angle k = (feature j,
-    # repetition r) up and down, with k = j * reps + r
-    rows = np.repeat(angle_rows(arr[np.newaxis], spec), 1 + 2 * d * reps, axis=0)
-    k = np.arange(d * reps)
-    rows[1 + 2 * k, k % reps, k // reps] += PARAM_SHIFT
-    rows[2 + 2 * k, k % reps, k // reps] -= PARAM_SHIFT
-    probs = (1.0 + ansatz_expectations(model, encode_angle_rows(rows, spec))) / 2.0
-    base_p = float(probs[0])
-    scores = [float(v) for v in (0.5 * (probs[1::2] - probs[2::2])).reshape(d, reps).sum(axis=1)]
+    n, qubit, reps = model.n_qubits, model.readout.qubit, model.feature_map.repetitions
+    encoding = feature_map_circuit(arr[np.newaxis], model.feature_map)
+    circuit = Circuit(n, encoding.gates + build_ansatz(model).gates)
+    phi = evolve(new_zero_state(n).amplitudes[np.newaxis], circuit)
+    base_p = float((1.0 + z_expectations(phi, qubit, n)[0]) / 2.0)
+    # dp/d<Z> = 1/2; the encoding's RY angles lead the gate list, repetition by repetition
+    grad = adjoint_grad(circuit, phi, np.array([0.5]), qubit)
+    scores = [float(v) for v in grad[: reps * arr.size].reshape(reps, arr.size).sum(axis=0)]
     weighted = [s * float(arr[j]) if s > 0 else 0.0 for j, s in enumerate(scores)]
     return AttributionReport(
         feature_indices=tuple(range(arr.size)),

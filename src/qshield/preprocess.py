@@ -386,10 +386,10 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
 
 
 def apply_preprocess(model: PreprocessModel, data: Dataset) -> Dataset:
-    """Replay a fitted chain on new data."""
+    """Replay a fitted chain on new data; ``data`` is dropped once standardized."""
     if model.kept_columns is None:
         raise ConfigError("model has no fitted standardization")
-    out = apply_standardize(model, data)
+    data = apply_standardize(model, data)
     if model.pca_basis is not None:
-        out = apply_pca(model, out)
-    return out
+        data = apply_pca(model, data)
+    return data

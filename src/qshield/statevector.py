@@ -46,13 +46,14 @@ class GateOp:
     """One gate application: kind, target qubit, optional control and angle.
 
     For SWAP the two swapped qubits are stored as (control, target); the
-    order is immaterial.
+    order is immaterial.  An RY angle may be a 1-D array, one angle per row
+    of the ``(rows, 2**n)`` batch it is applied to.
     """
 
     kind: str
     target: int
     control: int | None = None
-    angle: float | None = None
+    angle: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
@@ -185,7 +186,13 @@ def new_zero_state(n_qubits: int) -> QuantumState:
     return QuantumState(n_qubits, amps)
 
 
-def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
+def _rotation_matrix(kind: str, angle) -> np.ndarray:
+    """R_kind(angle) as a (2, 2) matrix, or real (rows, 2, 2) ones for a 1-D array of RY angles."""
+    if isinstance(angle, np.ndarray):
+        if kind != "RY":
+            raise ValueError(f"per-row angles are supported for RY only, not {kind}")
+        c, s = np.cos(0.5 * angle), np.sin(0.5 * angle)
+        return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
     half = 0.5 * angle
     c, s = math.cos(half), math.sin(half)
     if kind == "RX":
@@ -282,13 +289,13 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
 
 
 def evolve(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Every gate in order on each row of an (..., 2**n) array; the input is left untouched."""
+    """Every gate in order on each row of an (..., 2**n) array, into a new C-ordered array."""
     if np.shape(amps)[-1] != 2**circuit.n_qubits:
         raise ShapeError(
             f"circuit width {circuit.n_qubits} needs {2**circuit.n_qubits} amplitudes "
             f"per row, got shape {np.shape(amps)}"
         )
-    out = np.array(amps, dtype=complex)
+    out = np.array(amps, dtype=complex, order="C")
     for gate in circuit.gates:
         out = _apply_gate_to_array(out, gate, circuit.n_qubits)
     return out

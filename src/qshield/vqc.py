@@ -5,10 +5,10 @@ followed by a circular CNOT ring.  Readout is <Z> on one qubit, squashed
 to a malicious-class probability p = (1 + <Z>) / 2.  Inference, training
 and gradients all run over ``(rows, 2**n)`` arrays of encoded states.
 
-Training takes its gradient by adjoint differentiation (Jones & Gacon
-2020, arXiv:2009.02823): one forward and one backward sweep of the
-ansatz, whatever the parameter count.  The parameter-shift rule, which
-is what would run on hardware, stays as the exact public reference in
+Training and GRAD attribution take every derivative from one adjoint
+sweep (:func:`adjoint_grad`; Jones & Gacon 2020, arXiv:2009.02823),
+whatever the angle count.  The parameter-shift rule, which is what
+would run on hardware, stays as the exact public reference in
 :func:`shift_jacobian` and :func:`param_shift_grad`.
 """
 from __future__ import annotations
@@ -299,38 +299,43 @@ def _batches(m: int, batch_size: int | None, rng: np.random.Generator):
 
 
 def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """(gradient of mean BCE by adjoint differentiation, the mean BCE).
-
-    One forward sweep gives the evolved states phi and, through
-    p = (1 + <Z>) / 2, the row weights w = dL/dp / 2.  The backward sweep
-    starts from lam = w * Z phi and walks the gates in reverse: at each
-    rotation R(theta) = exp(-i theta sigma / 2),
-    dL/dtheta = 2 Re sum_b <lam_b|(-i sigma / 2)|phi_b> = Re sum_b <lam_b|R(pi)|phi_b>,
-    since R(pi) = -i sigma; then both phi and lam step back through the
-    gate's inverse.  Parameters are met in reverse of the flat layout.
-    """
+    """(gradient of mean BCE by adjoint differentiation, the mean BCE)."""
     circuit = build_ansatz(model)
     n, qubit = model.n_qubits, model.readout.qubit
-    z_sign = 1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)
     grad = np.zeros(model.n_params)
     probs = np.empty(len(y))
     for rows in row_chunks(len(y), n):
         phi = evolve(states[rows], circuit)
         p = np.clip((1.0 + z_expectations(phi, qubit, n)) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
         probs[rows] = p
-        w = 0.5 * (p - y[rows]) / (p * (1.0 - p)) / len(y)
-        lam = w[:, None] * z_sign * phi
-        k = model.n_params
-        for gate in reversed(circuit.gates):
-            if gate.angle is not None:
-                k -= 1
-                turned = _apply_1q_matrix(
-                    phi.copy(), _rotation_matrix(gate.kind, math.pi), gate.target, n
-                )
-                # Re <lam|turned> as one real dot over the (re, im) pairs; a complex
-                # np.vdot here raised the vqc-train peak RSS by about 0.25 MB
-                grad[k] += np.dot(lam.view(float).ravel(), turned.view(float).ravel())
-            inverse = gate.inverse()
-            phi = _apply_gate_to_array(phi, inverse, n)
-            lam = _apply_gate_to_array(lam, inverse, n)
+        # each row weighs its d<Z>/dtheta by dL/dp * dp/d<Z> = dL/dp / 2
+        grad += adjoint_grad(circuit, phi, 0.5 * (p - y[rows]) / (p * (1.0 - p)) / len(y), qubit)
     return grad, _bce(probs, y)
+
+
+def adjoint_grad(circuit: Circuit, phi: np.ndarray, weights: np.ndarray, qubit: int) -> np.ndarray:
+    """d/dtheta of sum_b weights_b <Z_qubit>_b per angled gate, in circuit order.
+
+    ``phi`` holds the rows' states after ``circuit`` and is consumed.  The
+    backward sweep starts from lam = weights * Z phi and walks the gates in
+    reverse: at each rotation R(theta) = exp(-i theta sigma / 2),
+    d/dtheta = 2 Re sum_b <lam_b|(-i sigma / 2)|phi_b> = Re sum_b <lam_b|R(pi)|phi_b>,
+    since R(pi) = -i sigma; then both phi and lam step back through the
+    gate's inverse.  A gate with per-row angles gets the sum over its rows.
+    """
+    n = circuit.n_qubits
+    lam = weights[:, None] * (1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)) * phi
+    k = sum(gate.angle is not None for gate in circuit.gates)
+    grad = np.zeros(k)
+    for gate in reversed(circuit.gates):
+        if gate.angle is not None:
+            k -= 1
+            r_pi = _rotation_matrix(gate.kind, math.pi)
+            turned = _apply_1q_matrix(phi.copy(), r_pi, gate.target, n)
+            # Re <lam|turned> as one real dot over the (re, im) pairs; a complex
+            # np.vdot here raised the vqc-train peak RSS by about 0.25 MB
+            grad[k] = np.dot(lam.view(float).ravel(), turned.view(float).ravel())
+        inverse = gate.inverse()
+        phi = _apply_gate_to_array(phi, inverse, n)
+        lam = _apply_gate_to_array(lam, inverse, n)
+    return grad

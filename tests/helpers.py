@@ -4,12 +4,13 @@ and independent numerical oracles.
 The oracles here are the slow routes the library code replaced:
 gate-level encoding circuits run one state at a time, the
 inverse-circuit kernel, per-parameter shifts, the parameter-shift
-training gradient that adjoint differentiation replaced, a cyclic
-Jacobi eigensolver standing in for LAPACK's ``eigh``, the list-of-rows
-CSV reader that the streaming ``load_csv`` replaced
-(``reference_load_csv``), and the preprocessing fit that kept each stage's
-input alive through the next stage (``reference_fit_preprocess``).  Tests
-compare the production code against them.
+training gradient and attribution table that adjoint differentiation
+replaced (``shift_bce_grad``, ``shift_attribution``), a cyclic Jacobi
+eigensolver standing in for LAPACK's ``eigh``, the list-of-rows CSV
+reader that the streaming ``load_csv`` replaced (``reference_load_csv``),
+and the preprocessing fit that kept each stage's input alive through the
+next stage (``reference_fit_preprocess``).  Tests compare the production
+code against them.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from qshield.errors import (
     InvalidInputError,
     ShapeError,
 )
+from qshield.explain import AttributionReport
 from qshield.preprocess import (
     Dataset,
     PreprocessConfig,
@@ -232,6 +234,39 @@ def shift_gradient(model: VqcModel, x) -> np.ndarray:
         grad[i] = (gate_level_probability(replace(model, params=up), x)
                    - gate_level_probability(replace(model, params=down), x))
     return grad
+
+
+def shift_attribution(model: VqcModel, x) -> AttributionReport:
+    """GRAD attribution by the parameter-shift rule over the encoding angles.
+
+    Row 0 of the table is the input; rows 1 + 2k and 2 + 2k shift angle k =
+    (feature j, repetition r) up and down, with k = j * reps + r.  Each row
+    is encoded gate by gate, then all rows run through the ansatz at once.
+    """
+    arr = np.asarray(x, dtype=float)
+    spec = model.feature_map
+    n, d, reps = spec.n_qubits, arr.size, spec.repetitions
+    rows = np.zeros((1 + 2 * d * reps, reps, n))
+    rows[:, :, :d] = arr
+    k = np.arange(d * reps)
+    rows[1 + 2 * k, k % reps, k // reps] += PARAM_SHIFT
+    rows[2 + 2 * k, k % reps, k // reps] -= PARAM_SHIFT
+    ring = [cnot(j, (j + 1) % n) for j in range(n)] if spec.entangling and n > 1 else []
+    states = []
+    for row in rows:
+        gates = [g for layer in row for g in (*(ry(q, float(a)) for q, a in enumerate(layer)), *ring)]
+        states.append(run_circuit(new_zero_state(n), Circuit(n, tuple(gates))).amplitudes)
+    probs = (1.0 + ansatz_expectations(model, np.array(states))) / 2.0
+    base_p = float(probs[0])
+    scores = [float(v) for v in (0.5 * (probs[1::2] - probs[2::2])).reshape(d, reps).sum(axis=1)]
+    weighted = [s * float(arr[j]) if s > 0 else 0.0 for j, s in enumerate(scores)]
+    return AttributionReport(
+        feature_indices=tuple(range(arr.size)),
+        scores=tuple(scores),
+        weighted_scores=tuple(weighted),
+        method="GRAD",
+        base_probability=base_p,
+    )
 
 
 def shift_bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray):

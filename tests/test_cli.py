@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import holding_out_dir, teacher_vqc_dataset
+from helpers import holding_out_dir, teacher_vqc_dataset, traced_peak
 
 import qshield
 from qshield import cli
 from qshield.cli import main
-from qshield.preprocess import write_csv
+from qshield.pipeline import PipelineConfig, preprocess_experiment
+from qshield.preprocess import Dataset, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -693,6 +694,27 @@ class TestPredict:
             "--data", str(workspace["data"]), "--out", str(tmp_path / "p.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="CPython 3.10 frames keep call arguments alive, so the raw matrix "
+        "lives until apply_preprocess returns",
+    )
+    def test_scoring_frees_the_raw_matrix_once_standardized(self, tmp_path):
+        # predict, evaluate, explain and kernel load and transform their CSV here:
+        # with the raw matrix released once standardized, the PCA step holds the
+        # standardized matrix and its centered copy, not the raw matrix as well
+        rng = np.random.default_rng(31)
+        data = Dataset([f"f{j}" for j in range(80)], rng.normal(size=(4000, 80)),
+                       rng.integers(0, 2, 4000))
+        write_csv(data, tmp_path / "data.csv")
+        preprocess_experiment(PipelineConfig(), tmp_path / "data.csv", tmp_path / "pre")
+        scored, peak = traced_peak(
+            cli._load_and_transform, PipelineConfig(), str(tmp_path / "data.csv"),
+            str(tmp_path / "pre" / "preprocess.json"),
+        )
+        assert scored.features.shape == (4000, 4)
+        assert peak <= 2.3 * data.features.nbytes
 
 
 class TestExplain:

@@ -9,6 +9,7 @@ from qshield.encoding import (
     FeatureMapSpec,
     amplitude_encode,
     apply_feature_map,
+    feature_map_circuit as batched_feature_map_circuit,
     feature_map_states,
 )
 from qshield.errors import (
@@ -118,6 +119,24 @@ class TestFeatureMap:
         padded = apply_feature_map([0.7], spec)
         explicit = apply_feature_map([0.7, 0.0, 0.0], spec)
         np.testing.assert_allclose(padded.amplitudes, explicit.amplitudes, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "n, reps, entangling", [(2, 1, True), (3, 2, True), (4, 3, False), (5, 2, True)]
+    )
+    def test_short_rows_equal_zero_padded_rows(self, n, reps, entangling):
+        # a missing feature gets no RY gate, and RY(0) is the identity, so the
+        # states agree bit for bit except in the sign of a zero: RY(0) can turn
+        # -0.0 into +0.0, and so does adding +0.0 before the bytes are compared
+        rng = np.random.default_rng(n)
+        spec = FeatureMapSpec(n, reps, entangling=entangling)
+        for d in range(1, n):
+            short = rng.uniform(-4.0, 4.0, (6, d))
+            padded = np.zeros((6, n))
+            padded[:, :d] = short
+            kinds = [g.kind for g in batched_feature_map_circuit(short, spec).gates]
+            assert kinds.count("RY") == d * reps
+            a, b = feature_map_states(short, spec), feature_map_states(padded, spec)
+            assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
     def test_too_many_features(self):
         with pytest.raises(ShapeError):

@@ -1,10 +1,11 @@
-"""Attribution tests: parameter-shift scores, occlusion scores, ranking."""
+"""Attribution tests: adjoint GRAD scores against the parameter-shift
+table and finite differences, occlusion scores, ranking."""
 import csv
 import math
 
 import numpy as np
 import pytest
-from helpers import random_vqc
+from helpers import random_vqc, shift_attribution, traced_peak
 
 from qshield.encoding import FeatureMapSpec
 from qshield.errors import InvalidInputError, ShapeError, UnsupportedMethodError
@@ -16,6 +17,7 @@ from qshield.explain import (
     score_attribution,
     write_attribution_csv,
 )
+from qshield.statevector import Observable
 from qshield.vqc import VqcModel
 
 
@@ -27,7 +29,43 @@ def identity_model(n_qubits, repetitions=1, entangling=True):
     )
 
 
+# (qubits, ansatz layers, repetitions, entangling, features supplied, readout qubit)
+SHIFT_CASES = {
+    "1q": (1, 1, 1, True, 1, 0),
+    "2q-3rep-readout-1": (2, 2, 3, True, 2, 1),
+    "3q-2rep-no-ring": (3, 2, 2, False, 3, 0),
+    "3q-short-readout-2": (3, 1, 1, True, 1, 2),
+    "4q-3rep-short-readout-3": (4, 2, 3, True, 3, 3),
+    "4q-no-ring-short-readout-1": (4, 1, 2, False, 2, 1),
+    "5q-3rep-readout-2": (5, 2, 3, True, 5, 2),
+    "5q-no-ring-short-readout-4": (5, 1, 1, False, 4, 4),
+}
+
+
 class TestGradAttribution:
+    @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+    def test_matches_parameter_shift_table(self, name):
+        n, layers, reps, entangling, d, readout = SHIFT_CASES[name]
+        rng = np.random.default_rng(sorted(SHIFT_CASES).index(name))
+        model = VqcModel(
+            n, layers, rng.uniform(-math.pi, math.pi, 3 * n * layers),
+            FeatureMapSpec(n, reps, entangling=entangling),
+            readout=Observable(readout), entangling=entangling,
+        )
+        x = rng.uniform(-2.5, 2.5, d)
+        adjoint, shift = grad_attribution(model, x), shift_attribution(model, x)
+        np.testing.assert_allclose(adjoint.scores, shift.scores, atol=1e-12, rtol=0)
+        assert adjoint.base_probability == pytest.approx(shift.base_probability, abs=1e-12, rel=0)
+
+    def test_memory_is_a_few_states(self):
+        # one sweep holds about six 14-qubit states (256 KiB each); a shift table
+        # encodes 1 + 2 * 14 * 2 = 57 rows at once, about 50 MiB with temporaries
+        model = random_vqc(np.random.default_rng(83), 14, 1)
+        x = np.random.default_rng(84).uniform(-1.0, 1.0, 14)
+        report, peak = traced_peak(grad_attribution, model, x)
+        assert len(report.scores) == 14
+        assert peak <= 16 * 2**14 * 16
+
     def test_single_qubit_analytic_derivative(self):
         # identity ansatz, one repetition: p = cos^2(x/2), dp/dx = -sin(x)/2
         model = identity_model(1)

@@ -11,6 +11,7 @@ from qshield.statevector import (
     GateOp,
     Observable,
     QuantumState,
+    _rotation_matrix,
     apply_gate,
     cnot,
     cphase,
@@ -123,6 +124,20 @@ class TestStatesAndGates:
             GateOp("RX", 0)
         with pytest.raises(ValueError):
             GateOp("XX", 0)
+
+    def test_per_row_ry_matrices_stack_the_scalar_ones(self):
+        # the feature map's per-row RY matrices equal the ansatz's scalar ones
+        # bit for bit: numpy's float64 cos and sin give the math module's doubles
+        rng = np.random.default_rng(37)
+        angles = np.concatenate([
+            rng.uniform(-20.0, 20.0, 2000), [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 5e-324],
+        ])
+        batched = _rotation_matrix("RY", angles)
+        assert batched.shape == (len(angles), 2, 2)
+        stacked = np.stack([_rotation_matrix("RY", float(t)) for t in angles])
+        assert batched.astype(complex).tobytes() == stacked.tobytes()
+        with pytest.raises(ValueError, match="RY only"):
+            _rotation_matrix("RX", angles)
 
 
 class TestCircuits:
