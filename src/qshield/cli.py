@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 # qshield's matrix products are mostly too small for a second OpenBLAS thread, which
@@ -25,6 +25,7 @@ from .explain import (
 )
 from .pipeline import (
     PipelineConfig,
+    _publish,
     evaluate_predictions,
     feature_map_spec,
     load_model,
@@ -57,11 +58,10 @@ def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path:
     return apply_preprocess(pre, loaded.pop())
 
 
-@contextmanager
-def _writing(out_path: str):
-    """An ``--out`` file that cannot be written is a usage error (exit 1)."""
+def _write_out(out_path: str, write, *args) -> None:
+    """Write an ``--out`` file whole or not at all; a failed write is a usage error (exit 1)."""
     try:
-        yield
+        _publish(Path(out_path), write, *args)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
@@ -157,8 +157,7 @@ def predict_cmd(
     model = load_model(model_path)
     data = _load_and_transform(config, data_path, preprocess_path)
     probabilities, labels = predict_labels(model, data.features)
-    with _writing(out_path):
-        write_predictions_csv(probabilities, labels, out_path)
+    _write_out(out_path, write_predictions_csv, probabilities, labels)
     click.echo(f"{len(labels)} predictions written to {out_path}")
 
 
@@ -192,8 +191,9 @@ def explain_cmd(
         report = score_attribution(model, x)
     text = format_attribution(report, data.feature_names)
     if out_path:
-        with _writing(out_path):
-            write_attribution_csv(report, out_path, data.feature_names)
+        # write_attribution_csv takes its path second
+        write = partial(write_attribution_csv, report, feature_names=data.feature_names)
+        _write_out(out_path, write)
         text += f"attribution written to {out_path}\n"
     click.echo(text, nl=False)
 
@@ -233,8 +233,7 @@ def kernel_cmd(
     data = _load_and_transform(config, data_path, preprocess_path)
     gram = kernel_matrix(data, feature_map_spec(config))
     gram.validate()
-    with _writing(out_path):
-        write_kernel_csv(gram, out_path)
+    _write_out(out_path, write_kernel_csv, gram)
     click.echo(f"{gram.size}x{gram.size} kernel written to {out_path}")
 
 

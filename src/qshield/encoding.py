@@ -2,7 +2,8 @@
 
 Both encoders are batched: they take a ``(rows, features)`` matrix and
 return one encoded state per row as a ``(rows, 2**n)`` amplitude array.
-The single-sample forms are one-row views of them.
+Both write real states (RY and CNOT are real gates), so the batch is
+float64.  The single-sample forms are one-row views of them.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .statevector import (
     _check_qubit_count,
     cnot_ring,
     evolve,
-    new_zero_state,
     ry,
 )
 
@@ -75,7 +75,7 @@ def encode_amplitude_rows(features, n_qubits: int) -> np.ndarray:
         raise DegenerateInputError(
             f"cannot amplitude-encode a near-zero vector (norm {norms.min():.3e})"
         )
-    amps = np.zeros((arr.shape[0], dim), dtype=complex)
+    amps = np.zeros((arr.shape[0], dim))
     amps[:, : arr.shape[1]] = arr / norms[:, np.newaxis]
     return amps
 
@@ -108,9 +108,9 @@ def feature_map_circuit(features, spec: FeatureMapSpec) -> Circuit:
 
 
 def feature_map_states(features, spec: FeatureMapSpec) -> np.ndarray:
-    """Encoded state U_phi(x)|0...0> per row of a (rows, features) matrix, shape (rows, 2**n)."""
+    """Real state U_phi(x)|0...0> per row of a (rows, features) matrix, shape (rows, 2**n)."""
     circuit = feature_map_circuit(features, spec)
-    zero = new_zero_state(spec.n_qubits).amplitudes
+    zero = np.eye(1, 2**spec.n_qubits)  # the real |0...0> as a one-row batch
     # evolve copies its input, so the batch is allocated once, from a broadcast view
     return evolve(np.broadcast_to(zero, (len(features), zero.size)), circuit)
 

@@ -477,10 +477,8 @@ def _train_model(config: PipelineConfig, train: Dataset):
         extras["loss_history"] = [float(v) for v in history]
     if m.type in ("qsvm", "ensemble"):
         spec = feature_map_spec(config)
-        gram = kernel_matrix(train, spec)
-        gram.validate()
         svm_model = train_qsvm(
-            gram,
+            kernel_matrix(train, spec),
             2 * train.labels - 1,
             m.svm_c,
             tol=m.svm_tol,

@@ -1,10 +1,12 @@
 """Quantum-kernel Gram matrices and a dual SVM trained by pairwise ascent.
 
 The kernel is the fidelity of encoded states, K(x_i, x_j) =
-|<phi(x_i)|phi(x_j)>|^2 with |phi(x)> = U_phi(x)|0..0>.  With the encoded
-states as the rows of S, the whole Gram matrix is |S* S^T|^2 (elementwise),
-one matrix product; SVM scoring takes the same product between the rows
-to score and the support vectors.
+|<phi(x_i)|phi(x_j)>|^2 with |phi(x)> = U_phi(x)|0..0>.  The encoded
+states are real, so with them as the rows of S the whole Gram matrix is
+(S S^T)^2 (elementwise), one symmetric matrix product; SVM scoring takes
+the same product between the rows to score and the support vectors.
+K = G o G with G = S S^T positive semidefinite, so K is too (Schur
+product theorem): a fit needs no eigenvalue check.
 """
 from __future__ import annotations
 
@@ -60,17 +62,12 @@ class KernelMatrix:
 
 
 def kernel_matrix(data, spec: FeatureMapSpec) -> KernelMatrix:
-    """Gram matrix |S* S^T|^2 over dataset rows; the upper triangle is mirrored."""
-    features = getattr(data, "features", None)
-    if features is None:
-        features = np.asarray(data, dtype=float)
-    if features.ndim != 2:
-        raise ShapeError(f"expected a 2-D feature matrix, got shape {features.shape}")
-    if features.shape[0] == 0:
+    """Gram matrix (S S^T)^2 over dataset rows; numpy's S @ S.T is one exactly symmetric syrk."""
+    states = feature_map_states(getattr(data, "features", data), spec)
+    if len(states) == 0:
         raise DegenerateInputError("cannot build a kernel matrix from zero samples")
-    states = feature_map_states(features, spec)
-    upper = np.triu(np.abs(states.conj() @ states.T) ** 2)
-    return KernelMatrix(upper + np.triu(upper, 1).T)
+    gram = states @ states.T
+    return KernelMatrix(np.square(gram, out=gram))
 
 
 @dataclass
@@ -90,8 +87,8 @@ class SvmModel:
     def predict_proba(self, features) -> np.ndarray:
         """Logistic of the decision value per row of a (rows, features) matrix.
 
-        Support vectors are encoded once per call; rows are scored in
-        chunks against them.
+        Support vectors are encoded once per call; rows are scored against
+        them in chunks whose states and overlaps each fit CHUNK_AMPLITUDES.
         """
         features = as_feature_matrix(features)
         if len(self.support_indices) == 0:
@@ -103,11 +100,11 @@ class SvmModel:
                 f"support vectors have {self.support_vectors.shape[1]} features, "
                 f"input rows have {features.shape[1]}"
             )
-        support = feature_map_states(self.support_vectors, self.feature_map).conj()
+        support = feature_map_states(self.support_vectors, self.feature_map)
         decision = np.empty(len(features))
-        for rows in row_chunks(len(features), self.feature_map.n_qubits):
-            states = feature_map_states(features[rows], self.feature_map)
-            decision[rows] = np.abs(states @ support.T) ** 2 @ self.dual_coeffs + self.bias
+        for rows in row_chunks(len(features), max(support.shape)):  # max(2**n, n_sv)
+            overlaps = feature_map_states(features[rows], self.feature_map) @ support.T
+            decision[rows] = overlaps**2 @ self.dual_coeffs + self.bias
         return _logistic(decision)
 
 

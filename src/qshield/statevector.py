@@ -29,9 +29,10 @@ MAX_QUBITS = 20
 GATE_KINDS = frozenset({"RX", "RY", "RZ", "H", "CNOT", "CPHASE", "SWAP"})
 _ANGLED_KINDS = frozenset({"RX", "RY", "RZ", "CPHASE"})
 _PAIRED_KINDS = frozenset({"CNOT", "CPHASE", "SWAP"})
+_REAL_KINDS = frozenset({"RY", "H", "CNOT", "SWAP"})
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_H_MATRIX = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
+_H_MATRIX = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
 
 
 def _check_qubit_count(n_qubits: int) -> None:
@@ -187,7 +188,7 @@ def new_zero_state(n_qubits: int) -> QuantumState:
 
 
 def _rotation_matrix(kind: str, angle) -> np.ndarray:
-    """R_kind(angle) as a (2, 2) matrix, or real (rows, 2, 2) ones for a 1-D array of RY angles."""
+    """R_kind(angle) as a (2, 2) matrix, or (rows, 2, 2) ones for 1-D RY angles; RY is real."""
     if isinstance(angle, np.ndarray):
         if kind != "RY":
             raise ValueError(f"per-row angles are supported for RY only, not {kind}")
@@ -198,7 +199,7 @@ def _rotation_matrix(kind: str, angle) -> np.ndarray:
     if kind == "RX":
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
     if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        return np.array([[c, -s], [s, c]])
     if kind == "RZ":
         return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]], dtype=complex)
     raise ValueError(f"not a rotation kind: {kind!r}")
@@ -207,14 +208,15 @@ def _rotation_matrix(kind: str, angle) -> np.ndarray:
 # Amplitude arrays have shape (..., 2**n): one state, or one state per row.
 # The kernels below may overwrite their input; callers use the returned array.
 
-# Rows per chunk in batched prediction are capped so that one chunk of
-# encoded states holds at most this many amplitudes (16 MiB of complex128).
+# Rows per chunk in batched prediction are capped so that one chunk holds at
+# most this many values per array: encoded states (16 MiB of complex128) or,
+# in SVM scoring, the rows' overlaps with the support vectors.
 CHUNK_AMPLITUDES = 1 << 20
 
 
-def row_chunks(n_rows: int, n_qubits: int) -> list[slice]:
-    """Row slices of at most CHUNK_AMPLITUDES amplitudes each (at least one row)."""
-    step = max(1, CHUNK_AMPLITUDES >> n_qubits)
+def row_chunks(n_rows: int, row_size: int) -> list[slice]:
+    """Row slices of at most CHUNK_AMPLITUDES values of ``row_size`` per row (at least one row)."""
+    step = max(1, CHUNK_AMPLITUDES // row_size)
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
@@ -289,13 +291,17 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
 
 
 def evolve(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Every gate in order on each row of an (..., 2**n) array, into a new C-ordered array."""
+    """Every gate in order on each row of an (..., 2**n) array, into a new C-ordered array.
+
+    The array is float64 if the input is real and every gate is, else complex128.
+    """
     if np.shape(amps)[-1] != 2**circuit.n_qubits:
         raise ShapeError(
             f"circuit width {circuit.n_qubits} needs {2**circuit.n_qubits} amplitudes "
             f"per row, got shape {np.shape(amps)}"
         )
-    out = np.array(amps, dtype=complex, order="C")
+    real = np.isrealobj(amps) and all(gate.kind in _REAL_KINDS for gate in circuit.gates)
+    out = np.array(amps, dtype=float if real else complex, order="C")
     for gate in circuit.gates:
         out = _apply_gate_to_array(out, gate, circuit.n_qubits)
     return out

@@ -133,7 +133,7 @@ class VqcModel:
         """Malicious-class probability per row of a (rows, features) matrix."""
         features = as_feature_matrix(features)
         out = np.empty(len(features))
-        for rows in row_chunks(len(features), self.n_qubits):
+        for rows in row_chunks(len(features), 2**self.n_qubits):
             out[rows] = (1.0 + ansatz_expectations(self, encode_rows(self, features[rows]))) / 2.0
         return np.clip(out, 0.0, 1.0)
 
@@ -304,7 +304,7 @@ def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> tuple[np.nd
     n, qubit = model.n_qubits, model.readout.qubit
     grad = np.zeros(model.n_params)
     probs = np.empty(len(y))
-    for rows in row_chunks(len(y), n):
+    for rows in row_chunks(len(y), 2**n):
         phi = evolve(states[rows], circuit)
         p = np.clip((1.0 + z_expectations(phi, qubit, n)) / 2.0, PROB_CLAMP, 1.0 - PROB_CLAMP)
         probs[rows] = p

@@ -105,7 +105,7 @@ def test_prediction_across_chunk_boundary(monkeypatch):
 
     # two 3-qubit rows per chunk: seven rows take chunks of 2, 2, 2 and 1
     monkeypatch.setattr(statevector, "CHUNK_AMPLITUDES", 2 * 2**3)
-    assert [s.indices(7) for s in statevector.row_chunks(7, 3)] == [
+    assert [s.indices(7) for s in statevector.row_chunks(7, 2**3)] == [
         (0, 2, 1), (2, 4, 1), (4, 6, 1), (6, 7, 1)
     ]
     vqc_oracle = np.array([gate_level_probability(vqc, x) for x in rows])
@@ -138,7 +138,7 @@ def test_adjoint_gradient_across_chunk_boundary(monkeypatch):
     whole, whole_loss = vqc._bce_grad(model, states, y)
     # two 4-qubit rows per chunk: seven rows take chunks of 2, 2, 2 and 1
     monkeypatch.setattr(statevector, "CHUNK_AMPLITUDES", 2 * 2**4)
-    assert len(statevector.row_chunks(7, 4)) == 4
+    assert len(statevector.row_chunks(7, 2**4)) == 4
     chunked, chunked_loss = vqc._bce_grad(model, states, y)
     np.testing.assert_allclose(chunked, whole, atol=TOL, rtol=0)
     np.testing.assert_allclose(chunked, shift_bce_grad(model, states, y)[0], atol=TOL, rtol=0)

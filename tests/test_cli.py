@@ -800,6 +800,26 @@ class TestKernel:
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
         np.testing.assert_allclose(gram, gram.T, atol=0)
 
+    def test_gram_is_validated_before_it_is_written(self, workspace, tmp_path, monkeypatch):
+        # a fit trusts the Schur product theorem, but the kernel command still
+        # checks the Gram it publishes, eigenvalues included
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code = main([
+            "kernel", "--data", str(workspace["data"]),
+            "--preprocess-model", str(workspace["preprocess"]),
+            "--config", str(workspace["config"]), "--out", str(tmp_path / "gram.csv"),
+        ])
+        assert code == 0
+        n = workspace["n_samples"]
+        assert calls == [(n, n)]
+
 
 @pytest.mark.parametrize("command", ["predict", "kernel", "explain"])
 def test_out_in_missing_directory_exits_1(command, workspace, tmp_path, capsys):
@@ -817,3 +837,43 @@ def test_out_in_missing_directory_exits_1(command, workspace, tmp_path, capsys):
     (error_line,) = captured.err.splitlines()
     assert error_line.startswith(f"error: cannot write {out}")
     assert not out.parent.exists()
+
+
+# --out command, the writer it runs, where the writer takes its path
+FAILING_OUT_WRITERS = {
+    "predict": ("write_predictions_csv", -1),
+    "kernel": ("write_kernel_csv", -1),
+    "explain": ("write_attribution_csv", 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILING_OUT_WRITERS))
+def test_out_writer_failing_midway_leaves_no_file(
+    command, workspace, tmp_path, monkeypatch, capsys
+):
+    # like run, train and preprocess, the --out commands publish a file whole or not at all
+    writer, path_at = FAILING_OUT_WRITERS[command]
+
+    def write_half(*args, **kwargs):
+        with open(args[path_at], "w", encoding="utf-8") as fh:
+            fh.write("sample_index,prob")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, writer, write_half)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "x.csv"
+    model = ["--model", str(workspace["model"])] if command != "kernel" else []
+    capsys.readouterr()
+    code = main([
+        command, *model, "--preprocess-model", str(workspace["preprocess"]),
+        "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+        "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (error_line,) = captured.err.splitlines()
+    assert error_line.startswith(f"error: cannot write {out}")
+    assert "No space left on device" in error_line
+    assert list(out_dir.iterdir()) == []

@@ -9,6 +9,7 @@ from qshield.encoding import (
     FeatureMapSpec,
     amplitude_encode,
     apply_feature_map,
+    encode_amplitude_rows,
     feature_map_circuit as batched_feature_map_circuit,
     feature_map_states,
 )
@@ -18,7 +19,7 @@ from qshield.errors import (
     InvalidInputError,
     ShapeError,
 )
-from qshield.statevector import inner_product, new_zero_state, run_circuit
+from qshield.statevector import evolve, inner_product, new_zero_state, run_circuit
 
 
 def kron_chain(*mats):
@@ -83,6 +84,13 @@ class TestAmplitudeEncode:
         with pytest.raises(DegenerateInputError):
             amplitude_encode([])
 
+    def test_batch_is_real(self):
+        rows = np.array([[3.0, 4.0, 0.0], [-1.0, 1.0, 1.0]])
+        amps = encode_amplitude_rows(rows, 2)
+        assert amps.dtype == np.float64
+        np.testing.assert_array_equal(amps[:, :3], rows / np.linalg.norm(rows, axis=1)[:, None])
+        np.testing.assert_array_equal(amps[:, 3], 0.0)
+
 
 class TestFeatureMap:
     def test_spec_validation(self):
@@ -137,6 +145,26 @@ class TestFeatureMap:
             assert kinds.count("RY") == d * reps
             a, b = feature_map_states(short, spec), feature_map_states(padded, spec)
             assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, reps, entangling, d",
+        [(1, 2, True, 1), (3, 2, True, 3), (4, 3, False, 2), (6, 1, True, 6)],
+    )
+    def test_states_are_the_real_parts_of_the_complex_evolution(self, n, reps, entangling, d):
+        # the float64 encoder equals evolve of a complex |0...0> through the same
+        # gate list, whose imaginary parts are all zero; the two differ only in
+        # the sign of some zeros, which adding +0.0 folds before the bytes compare
+        rng = np.random.default_rng(n + d)
+        spec = FeatureMapSpec(n, reps, entangling=entangling)
+        features = rng.uniform(-6.0, 6.0, (25, d))
+        states = feature_map_states(features, spec)
+        assert states.dtype == np.float64
+        zero = new_zero_state(n).amplitudes
+        circuit = batched_feature_map_circuit(features, spec)
+        oracle = evolve(np.broadcast_to(zero, (25, zero.size)), circuit)
+        assert oracle.dtype == complex
+        assert not oracle.imag.any()
+        assert (states + 0.0).tobytes() == (oracle.real + 0.0).tobytes()
 
     def test_too_many_features(self):
         with pytest.raises(ShapeError):

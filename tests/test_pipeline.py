@@ -409,6 +409,20 @@ class TestRunExperiment:
         model = json.loads((out / "model.json").read_text())
         assert model["model_type"] == "qsvm"
 
+    @pytest.mark.parametrize("model_type", ["qsvm", "ensemble"])
+    def test_fit_runs_no_eigensolver(self, model_type, tmp_path, monkeypatch):
+        # the Gram is PSD by construction (Schur product of real Gram matrices),
+        # so a fit does not pay for an O(m^3) eigenvalue check
+        def refuse(matrix):
+            raise AssertionError("a fit called np.linalg.eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        data_path = tmp_path / "data.csv"
+        write_teacher_csv(data_path)
+        config = fast_config(type=model_type, svm_c=10.0)
+        summary = train_experiment(config, data_path, tmp_path / "out")
+        assert summary["svm"]["n_support"] > 0
+
     def test_ensemble_pipeline(self, tmp_path):
         data_path = tmp_path / "data.csv"
         write_teacher_csv(data_path)

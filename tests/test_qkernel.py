@@ -10,9 +10,10 @@ from helpers import (
     kkt_violations,
     separable_kernel_labels,
     svm_decision_oracle,
+    traced_peak,
 )
 
-from qshield.encoding import FeatureMapSpec, apply_feature_map
+from qshield.encoding import FeatureMapSpec, apply_feature_map, feature_map_circuit
 from qshield.errors import (
     ConfigError,
     DegenerateInputError,
@@ -29,7 +30,7 @@ from qshield.qkernel import (
     train_qsvm,
     write_kernel_csv,
 )
-from qshield.statevector import inner_product
+from qshield.statevector import CHUNK_AMPLITUDES, evolve, inner_product, new_zero_state
 
 
 def kernel_entry(a, b, spec: FeatureMapSpec) -> float:
@@ -156,6 +157,26 @@ class TestKernelMatrix:
         bad[0, 1] = bad[1, 0] = 1.5
         with pytest.raises(NumericalError):
             KernelMatrix(bad).validate()
+
+    @pytest.mark.parametrize("n, reps, entangling", [(1, 1, True), (3, 2, True), (5, 3, False)])
+    def test_entries_match_complex_overlaps(self, n, reps, entangling):
+        # the real product (S S^T)^2 against |S* S^T|^2 over states evolved in complex128
+        rng = np.random.default_rng(n)
+        spec = FeatureMapSpec(n, reps, entangling=entangling)
+        features = rng.uniform(-4.0, 4.0, (40, n))
+        zero = new_zero_state(n).amplitudes
+        states = evolve(np.broadcast_to(zero, (40, zero.size)), feature_map_circuit(features, spec))
+        assert states.dtype == complex
+        oracle = np.abs(states.conj() @ states.T) ** 2
+        gram = kernel_matrix(features, spec).entries
+        np.testing.assert_allclose(gram, oracle, atol=1e-14, rtol=0)
+
+    def test_large_gram_is_psd(self):
+        # a fit trusts the Schur product theorem instead of an eigensolver; at
+        # 4 qubits the rank is at most 136, so most eigenvalues are round-off zeros
+        rng = np.random.default_rng(23)
+        gram = kernel_matrix(rng.uniform(-math.pi, math.pi, (1500, 4)), FeatureMapSpec(4, 2))
+        assert np.linalg.eigvalsh(gram.entries).min() >= -1e-10
 
     def test_validate_flags_indefinite(self):
         # symmetric, unit diagonal, entries in range, yet min eig < 0
@@ -338,6 +359,28 @@ class TestSvmPrediction:
     def test_support_vector_width_must_match_input(self):
         with pytest.raises(ShapeError):
             self.model.predict_proba(np.zeros((2, 1)))
+
+    def test_scoring_memory_is_bounded_by_the_chunk(self):
+        # 3000 rows against 1500 support vectors: the rows' overlaps with the
+        # support vectors come in chunks of at most CHUNK_AMPLITUDES float64
+        # values, and at most two such chunks (overlaps and their squares) live
+        # at once, whatever the row count
+        rng = np.random.default_rng(59)
+        spec = FeatureMapSpec(4, 2)
+        model = SvmModel(
+            dual_coeffs=rng.normal(size=1500),
+            bias=0.1,
+            support_indices=np.arange(1500),
+            support_vectors=rng.uniform(-math.pi, math.pi, (1500, 4)),
+            C=1.0,
+            feature_map=spec,
+        )
+        rows = rng.uniform(-math.pi, math.pi, (3000, 4))
+        probs, peak = traced_peak(model.predict_proba, rows)
+        assert peak <= 2.5 * 8 * CHUNK_AMPLITUDES
+        picked = [698, 699]  # either side of the first chunk boundary
+        expect = 1.0 / (1.0 + np.exp(-svm_decision_oracle(model, rows[picked])))
+        np.testing.assert_allclose(probs[picked], expect, atol=1e-12, rtol=0)
 
     def test_probability_bounds(self):
         rng = np.random.default_rng(53)

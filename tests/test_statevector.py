@@ -15,6 +15,7 @@ from qshield.statevector import (
     apply_gate,
     cnot,
     cphase,
+    evolve,
     expectation_z,
     h,
     inner_product,
@@ -135,7 +136,7 @@ class TestStatesAndGates:
         batched = _rotation_matrix("RY", angles)
         assert batched.shape == (len(angles), 2, 2)
         stacked = np.stack([_rotation_matrix("RY", float(t)) for t in angles])
-        assert batched.astype(complex).tobytes() == stacked.tobytes()
+        assert batched.tobytes() == stacked.tobytes()
         with pytest.raises(ValueError, match="RY only"):
             _rotation_matrix("RX", angles)
 
@@ -174,6 +175,18 @@ class TestCircuits:
         assert inv.gates[0] == cphase(1, 0, -0.3)
         assert inv.gates[1] == cnot(0, 1)
         assert inv.gates[2] == rx(0, -0.5)
+
+    def test_evolve_keeps_real_states_real_under_real_gates(self):
+        real_gates = (ry(0, 0.7), h(1), cnot(0, 2), swap(1, 2), ry(2, -2.1))
+        amps = np.eye(1, 8)
+        out = evolve(amps, Circuit(3, real_gates))
+        assert out.dtype == np.float64
+        oracle = run_circuit(new_zero_state(3), Circuit(3, real_gates)).amplitudes
+        np.testing.assert_allclose(out, oracle[np.newaxis], atol=1e-15)
+        # one complex gate, or a complex input, makes the evolution complex
+        assert evolve(amps, Circuit(3, real_gates + (rz(0, 0.3),))).dtype == complex
+        assert evolve(amps, Circuit(3, real_gates + (cphase(0, 1, 0.3),))).dtype == complex
+        assert evolve(amps.astype(complex), Circuit(3, real_gates)).dtype == complex
 
     def test_determinism(self):
         rng = np.random.default_rng(99)
