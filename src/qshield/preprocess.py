@@ -1,5 +1,10 @@
 """Dataset ingestion and classical preprocessing.
 
+A plain numeric CSV is parsed by numpy's C reader; anything else goes to a
+streaming ``csv`` reader, the one source of ingestion errors.  Both parse
+numbers with CPython's correctly rounded string-to-double, so they give
+bit-identical datasets.
+
 The fitted transform is: standardize (dropping constant columns), remove
 outlier rows, re-standardize, prune correlated columns, then optionally
 project onto principal components found with LAPACK's symmetric
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, field, replace
 
@@ -79,10 +85,63 @@ class Dataset:
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     """Read a header-first CSV; the label column maps positive_label to 1.
 
-    Rows stream into one flat buffer of doubles, so ingest holds 8 B per
-    cell rather than the text.  Blank rows are skipped; errors name the
-    data row (counting non-blank rows) and the physical line.
+    A plain numeric file goes through numpy's C reader (``_load_plain``);
+    any other goes through the streaming reader, which gives the same
+    dataset or raises the documented error.  Blank rows are skipped;
+    errors name the data row (counting non-blank rows) and the physical line.
     """
+    plain = _load_plain(path, label_column, positive_label)
+    return plain if plain is not None else _load_streaming(path, label_column, positive_label)
+
+
+def _load_plain(path, label_column: str, positive_label: str) -> Dataset | None:
+    """The body parsed by ``np.loadtxt`` into one float matrix, label column included.
+
+    None for a file the C reader cannot match exactly: a quote or NUL in a
+    label cell (a quote in a feature cell fails the float parse), a line
+    longer than the csv field limit, a cell numpy's float parser refuses
+    (such as ``1_0``), a ragged row, a decode error or no data rows.  The
+    label column is shifted to the end and the features are a view of the rest.
+    """
+    limit = csv.field_size_limit()
+
+    def bounded(lines):
+        for line in lines:
+            if len(line) > limit:
+                raise ValueError("line longer than the csv field limit")
+            yield line
+
+    def label(cell: str) -> bool:
+        if '"' in cell or "\0" in cell:  # csv unquotes; before 3.11 it refuses a NUL
+            raise ValueError("quote or NUL in a label cell")
+        return cell.strip() == positive_label
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(filter(None, csv.reader(fh)), None)
+            if header is None or label_column not in header:
+                return None
+            label_idx = header.index(label_column)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # "input contained no data"
+                table = np.loadtxt(
+                    bounded(fh), delimiter=",", comments=None, ndmin=2,
+                    converters={label_idx: label},
+                )
+    except (OSError, ValueError, UserWarning, csv.Error):
+        return None
+    # loadtxt fixes the width from the first row, which may not be the header's
+    if table.shape[1] != len(header):
+        return None
+    labels = table[:, label_idx].astype(int)
+    for col in range(label_idx, len(header) - 1):
+        table[:, col] = table[:, col + 1]
+    return Dataset(header[:label_idx] + header[label_idx + 1:], table[:, :-1], labels)
+
+
+def _load_streaming(path, label_column: str, positive_label: str) -> Dataset:
+    """Rows stream into one flat buffer of doubles, so ingest holds 8 B per
+    cell rather than the text."""
     values = array("d")
     labels: list[int] = []
     try:

@@ -127,8 +127,10 @@ def train_qsvm(
 
     Each pass updates the alpha pair that most violates the KKT
     conditions; convergence is declared when the maximal violation drops
-    to ``tol``.  ``vectors`` (training rows) and ``feature_map`` must be
-    supplied for the model to score new inputs later.
+    to ``tol``.  The kernel must be symmetric: the gradient update reads
+    its rows, which are contiguous, in place of its columns.  ``vectors``
+    (training rows) and ``feature_map`` must be supplied for the model to
+    score new inputs later.
     """
     y = np.asarray(labels, dtype=float)
     if y.ndim != 1 or len(y) != kernel.size:
@@ -184,7 +186,7 @@ def train_qsvm(
                 alpha[t] = 0.0
             elif abs(alpha[t] - C) < BOUND_SNAP:
                 alpha[t] = C
-        grad += step * y * (k[:, i] - k[:, j])
+        grad += step * y * (k[i] - k[j])
         updates += 1
         if record_objective:
             objective.append(objective[-1] + violation * step - 0.5 * eta * step * step)

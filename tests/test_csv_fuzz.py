@@ -1,5 +1,7 @@
-"""Property test: the streaming load_csv agrees with the list-of-rows reader it
-replaced (helpers.reference_load_csv) on generated CSV text.
+"""Property test: load_csv agrees with the list-of-rows reader it replaced
+(helpers.reference_load_csv) on generated CSV text, whichever of its two
+readers (numpy's C reader for plain numeric files, the streaming csv reader
+for the rest) takes the file.
 
 Both must return the same names, labels and bitwise-equal features, or raise
 the same exception class.  The messages must match too, with two intended
@@ -42,9 +44,9 @@ LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 @st.composite
-def _cell(draw, values):
+def _cell(draw, values, quotes):
     """A value padded with whitespace, quoted or not; a quoted cell may hold line breaks."""
-    quoted = draw(st.booleans())
+    quoted = draw(quotes)
     pad = st.text(st.sampled_from(WHITESPACE + ("\r\n" if quoted else "")), max_size=2)
     body = draw(pad) + draw(values) + draw(pad)
     return f'"{body}"' if quoted else body
@@ -53,7 +55,8 @@ def _cell(draw, values):
 @st.composite
 def csv_files(draw):
     """(records, endings): rows of rendered cells, [] for a blank line, and each
-    record's line ending.  Half the files hold finite numbers in full rows only."""
+    record's line ending.  Half the files hold finite numbers in full rows only,
+    and half hold no quoted cell, so numpy's C reader may take them."""
     n_features = draw(st.integers(0, 3))
     header = [f"f{i}" for i in range(n_features)]
     label_at = draw(st.integers(0, n_features))
@@ -63,13 +66,14 @@ def csv_files(draw):
     else:
         values = st.one_of(FINITE, NON_FINITE, NOT_NUMBERS)
         widths = st.one_of(st.just(len(header)), st.integers(0, len(header) + 1))
+    quotes = st.booleans() if draw(st.booleans()) else st.just(False)
     records = [[]] * draw(st.integers(0, 1)) + [header]
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 4)) == 0:
             records.append([])
         else:
             cells = [LABELS if i == label_at else values for i in range(draw(widths))]
-            records.append([draw(_cell(c)) for c in cells])
+            records.append([draw(_cell(c, quotes)) for c in cells])
     endings = st.lists(
         st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(records), max_size=len(records)
     )
@@ -116,6 +120,16 @@ def _with_physical_line(message: str, data_lines: list[int]) -> str:
 @hypothesis.example(([["a", "b", "label"], [], [], ["1", "2", "1"], ["3", "x", "0"]], ["\n"] * 5))
 @hypothesis.example(([["a", "label"], ['"1\r\n"', "1"], ["2", "0", "9"]], ["\n", "\r\n", "\n"]))
 @hypothesis.example(([["a", "b", "label"], ["1", "2\x1f", "1"], ["3", "4", "0"]], ["\n"] * 3))
+# files the C reader must hand over: a surplus cell (loadtxt's usecols would
+# drop it), a quote inside or around a label, no data rows, and a line over
+# the field limit whose cells are each under it
+@hypothesis.example(([["label", "f0"], ["1", "0.0", "0.0"]], ["\n", "\n"]))
+@hypothesis.example(([["f0", "label"], ["0.5", '1"'], ["1.5", "1"]], ["\n"] * 3))
+@hypothesis.example(([["f0", "label"], ["0.5", '"1"'], ["1.5", "0"]], ["\n"] * 3))
+@hypothesis.example(([["f0", "label"]], ["\n"]))
+@hypothesis.example(
+    ([["f0", "f1", "label"], ["0" * (FIELD_LIMIT // 2) + "1"] * 2 + ["1"]], ["\n", "\n"])
+)
 def test_load_csv_matches_reference(file):
     records, endings = file
     text, lines = _render(records, endings)

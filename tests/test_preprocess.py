@@ -1,13 +1,16 @@
 """CSV ingestion, standardization, PCA on LAPACK eigh, pruning, splitting."""
+import contextlib
 import csv
 import io
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from helpers import jacobi_eigh, reference_fit_preprocess, traced_peak
 
+from qshield import preprocess
 from qshield.errors import (
     ConfigError,
     DegenerateInputError,
@@ -145,6 +148,15 @@ class TestCsv:
         with pytest.raises(DegenerateInputError):
             load_csv(path, label_column="label", positive_label="1")
 
+    def test_header_only_warns_nothing(self, tmp_path):
+        # loadtxt warns "input contained no data"; that must not reach a user
+        path = self.write(tmp_path, "f0,label\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateInputError):
+                load_csv(path, label_column="label", positive_label="1")
+        assert caught == []
+
     def test_bad_cell_names_row_and_column(self, tmp_path):
         path = self.write(tmp_path, "f0,f1,label\n1.0,2.0,1\n3.0,oops,0\n")
         with pytest.raises(IngestionError, match=r"row 2 \(line 3\).*'f1'.*'oops'"):
@@ -161,6 +173,47 @@ class TestCsv:
         write_csv(toy_dataset(rng, n=2000, d=40), path)
         data, peak = traced_peak(load_csv, path, "label", "1")
         assert peak < 2 * data.features.nbytes + 2**20
+
+    def test_plain_ingest_holds_little_beyond_the_matrix(self, tmp_path):
+        # the C reader grows its output array, so it holds more than the
+        # streaming reader's 1.17x, but never the text (alone about 2.5x the matrix)
+        rng = np.random.default_rng(11)
+        path = tmp_path / "wide.csv"
+        write_csv(toy_dataset(rng, n=4000, d=80), path)
+        data, peak = traced_peak(load_csv, path, "label", "1")
+        assert peak < 1.3 * data.features.nbytes + 2**16
+
+    def test_plain_file_takes_the_c_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        expected = toy_dataset(rng, n=4000, d=80)
+        path = tmp_path / "wide.csv"
+        write_csv(expected, path)
+
+        def refuse(*args):
+            raise AssertionError("the streaming reader ran")
+
+        monkeypatch.setattr(preprocess, "_load_streaming", refuse)
+        data = load_csv(path, "label", "1")
+        assert data.features.tobytes() == expected.features.tobytes()
+        assert data.labels.tolist() == expected.labels.tolist()
+
+    @pytest.mark.parametrize("text, error", [
+        ('f0,label\n"1.5",1\n2.5,0\n', None),  # a quoted cell
+        ("f0,label\n1_0,1\n2.5,0\n", None),  # float() takes it, the C parser does not
+        ("f0,f1,label\n1,2,1\n3,0\n", IngestionError),  # a ragged row
+    ])
+    def test_other_files_reach_the_streaming_reader(self, tmp_path, monkeypatch, text, error):
+        streaming = preprocess._load_streaming
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return streaming(*args)
+
+        monkeypatch.setattr(preprocess, "_load_streaming", spy)
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            load_csv(self.write(tmp_path, text), "label", "1")
+        assert len(calls) == 1
 
     def test_write_matches_per_cell_repr(self, tmp_path):
         # the bytes of the per-cell writer that write_csv replaced, on signed

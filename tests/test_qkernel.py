@@ -266,6 +266,21 @@ class TestSvmTraining:
         assert a.bias == b.bias
         assert a.n_updates == b.n_updates
 
+    def test_transposed_gram_gives_the_same_fit(self):
+        # the update reads kernel rows for columns, which needs an exactly symmetric Gram
+        rng = np.random.default_rng(39)
+        spec = FeatureMapSpec(3, 2)
+        features = rng.uniform(-math.pi, math.pi, (40, 3))
+        gram = kernel_matrix(features, spec)
+        labels = np.where(rng.random(40) < 0.5, -1.0, 1.0)
+        a = train_qsvm(gram, labels, C=1.0)
+        b = train_qsvm(KernelMatrix(gram.entries.T.copy()), labels, C=1.0)
+        assert a.n_updates > 10
+        assert np.array_equal(a.dual_coeffs, b.dual_coeffs)
+        assert np.array_equal(a.support_indices, b.support_indices)
+        assert a.bias == b.bias
+        assert a.n_updates == b.n_updates
+
     def test_capped_alphas_snap_exactly(self):
         rng = np.random.default_rng(41)
         spec = FeatureMapSpec(2, 2)
