@@ -20,6 +20,7 @@ from .statevector import (
     _check_qubit_count,
     cnot_ring,
     evolve,
+    row_chunks,
     ry,
 )
 
@@ -108,11 +109,13 @@ def feature_map_circuit(features, spec: FeatureMapSpec) -> Circuit:
 
 
 def feature_map_states(features, spec: FeatureMapSpec) -> np.ndarray:
-    """Real state U_phi(x)|0...0> per row of a (rows, features) matrix, shape (rows, 2**n)."""
-    circuit = feature_map_circuit(features, spec)
-    zero = np.eye(1, 2**spec.n_qubits)  # the real |0...0> as a one-row batch
-    # evolve copies its input, so the batch is allocated once, from a broadcast view
-    return evolve(np.broadcast_to(zero, (len(features), zero.size)), circuit)
+    """Real state U_phi(x)|0...0> per row of a (rows, features) matrix, in row blocks."""
+    arr = as_feature_matrix(features)
+    states = np.eye(1, 2**spec.n_qubits).repeat(len(arr), axis=0)  # the real |0...0> per row
+    # an empty matrix still runs one (empty) block, for feature_map_circuit's width check
+    for rows in row_chunks(len(arr), states.shape[1]) or [slice(0, 0)]:
+        states[rows] = evolve(states[rows], feature_map_circuit(arr[rows], spec))
+    return states
 
 
 def apply_feature_map(x, spec: FeatureMapSpec) -> QuantumState:

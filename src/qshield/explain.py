@@ -39,7 +39,7 @@ def grad_attribution(model: VqcModel, x) -> AttributionReport:
             "use score_attribution instead"
         )
     arr = as_feature_array(x)
-    n, qubit, reps = model.n_qubits, model.readout.qubit, model.feature_map.repetitions
+    n, qubit, reps = model.n_qubits, model.readout_qubit, model.feature_map.repetitions
     encoding = feature_map_circuit(arr[np.newaxis], model.feature_map)
     circuit = Circuit(n, encoding.gates + build_ansatz(model).gates)
     phi = evolve(new_zero_state(n).amplitudes[np.newaxis], circuit)

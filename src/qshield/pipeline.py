@@ -238,18 +238,17 @@ class EnsembleModel:
         return sum(w * m.predict_proba(features) for w, m in zip(self.weights, self.members))
 
 
-# A model file holds its dataclass's fields by name, except that the readout
-# observable is saved as its qubit, the SVM's objective trace is not saved
-# (_NOT_READ) and a preprocess file states the ddof of its standard deviations.
+# A model file holds its dataclass's fields by name, except that the SVM's
+# objective trace is not saved (_NOT_READ) and a preprocess file states the
+# ddof of its standard deviations.
 _MODEL_CLASSES = {"vqc": VqcModel, "qsvm": SvmModel, "preprocess": PreprocessModel,
                   "ensemble": EnsembleModel}
-_RENAMED = {"readout": "readout_qubit"}
 _CONSTANTS = {"preprocess": {"std_ddof": 1}}
 
 
-def _saved_fields(cls) -> dict:
-    """{key in the file: field name} over the saved fields of a model dataclass."""
-    return {_RENAMED.get(f.name, f.name): f.name for f in fields(cls) if f.name not in _NOT_READ}
+def _saved_fields(cls) -> list[str]:
+    """Names of the saved fields of a model dataclass, each its key in the file."""
+    return [f.name for f in fields(cls) if f.name not in _NOT_READ]
 
 
 def _model_payload(model) -> dict:
@@ -260,11 +259,11 @@ def _model_payload(model) -> dict:
     if model_type is None:
         raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
     payload = {"model_type": model_type, **_CONSTANTS.get(model_type, {})}
-    for key, name in _saved_fields(type(model)).items():
+    for name in _saved_fields(type(model)):
         value = getattr(model, name)
         if is_dataclass(value):
-            value = value.qubit if name == "readout" else asdict(value)
-        payload[key] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+            value = asdict(value)
+        payload[name] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
     return payload
 
 
@@ -318,7 +317,7 @@ def _decode_model(body: dict):
     if cls is None:
         raise ModelFormatError(f"unknown model type {model_type!r}")
     keys = set(_saved_fields(cls)) | set(_CONSTANTS.get(model_type, ()))
-    _check_keys(body, keys, f"section {model_type!r}", required=True)  # as the file spells them
+    _check_keys(body, keys, f"section {model_type!r}", required=True)
     if cls is EnsembleModel:
         members = _checked(body["members"], list[dict], "ensemble.members")
         weights = _numbers(body["weights"], "ensemble.weights")
@@ -329,9 +328,6 @@ def _decode_model(body: dict):
     for key in {"params", "means", "std_devs", "kept_columns"} & body.keys():
         if body[key] is None:
             raise ModelFormatError(f"{model_type}.{key} must not be null")
-    if cls is VqcModel:
-        qubit = _checked(body.pop("readout_qubit"), int, "vqc.readout_qubit")
-        body["readout"] = {"qubit": qubit, "kind": "Z"}
     model = _build_section(cls, body, model_type, model_file=True)
     if cls is SvmModel:
         coeffs, indices, vectors = model.dual_coeffs, model.support_indices, model.support_vectors

@@ -102,7 +102,7 @@ class SvmModel:
             )
         support = feature_map_states(self.support_vectors, self.feature_map)
         decision = np.empty(len(features))
-        for rows in row_chunks(len(features), max(support.shape)):  # max(2**n, n_sv)
+        for rows in row_chunks(len(features), max(support.shape), gate_sweep=False):
             overlaps = feature_map_states(features[rows], self.feature_map) @ support.T
             decision[rows] = overlaps**2 @ self.dual_coeffs + self.bias
         return _logistic(decision)

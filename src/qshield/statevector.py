@@ -10,10 +10,9 @@ Conventions, fixed package-wide:
   construction.
 
 States are mutated in place by :func:`apply_gate` and :func:`run_circuit`
-and must not be shared between threads; gate ops, circuits, and
-observables are frozen and safe to share.  :func:`evolve` runs a circuit
-over a ``(batch, 2**n)`` amplitude array and is the one runner every
-model builds on.
+and must not be shared between threads; gate ops and circuits are frozen
+and safe to share.  :func:`evolve` runs a circuit over a ``(batch, 2**n)``
+amplitude array and is the one runner every model builds on.
 """
 from __future__ import annotations
 
@@ -141,20 +140,6 @@ class Circuit:
         return Circuit(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)))
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Single-qubit Pauli-Z readout."""
-
-    qubit: int
-    kind: str = "Z"
-
-    def __post_init__(self) -> None:
-        if self.kind != "Z":
-            raise ValueError(f"only Pauli-Z observables are supported, got {self.kind!r}")
-        if self.qubit < 0:
-            raise ValueError("qubit index must be non-negative")
-
-
 @dataclass
 class QuantumState:
     """Dense amplitude vector of length 2**n_qubits (complex128)."""
@@ -208,15 +193,18 @@ def _rotation_matrix(kind: str, angle) -> np.ndarray:
 # Amplitude arrays have shape (..., 2**n): one state, or one state per row.
 # The kernels below may overwrite their input; callers use the returned array.
 
-# Rows per chunk in batched prediction are capped so that one chunk holds at
-# most this many values per array: encoded states (16 MiB of complex128) or,
-# in SVM scoring, the rows' overlaps with the support vectors.
+# Gate sweeps (encoding, ansatz, adjoint) run over row blocks of at most
+# BLOCK_AMPLITUDES amplitudes, so a block and a gate's temporaries stay in cache.
+# SVM scoring takes its overlaps with the support vectors in chunks of at most
+# CHUNK_AMPLITUDES values: one large matrix product beats many small ones.
+BLOCK_AMPLITUDES = 1 << 15
 CHUNK_AMPLITUDES = 1 << 20
 
 
-def row_chunks(n_rows: int, row_size: int) -> list[slice]:
-    """Row slices of at most CHUNK_AMPLITUDES values of ``row_size`` per row (at least one row)."""
-    step = max(1, CHUNK_AMPLITUDES // row_size)
+def row_chunks(n_rows: int, row_size: int, gate_sweep: bool = True) -> list[slice]:
+    """Slices of at least one row and at most BLOCK_AMPLITUDES (CHUNK_AMPLITUDES unless
+    ``gate_sweep``, either read at call time) values of ``row_size`` per row."""
+    step = max(1, (BLOCK_AMPLITUDES if gate_sweep else CHUNK_AMPLITUDES) // row_size)
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
@@ -346,14 +334,11 @@ def probabilities(state: QuantumState) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def expectation_z(state: QuantumState, observable: Observable) -> float:
-    """<Z_q> = P(qubit q reads 0) - P(qubit q reads 1)."""
-    if observable.qubit >= state.n_qubits:
-        raise IndexError(
-            f"observable on qubit {observable.qubit} but state has "
-            f"{state.n_qubits} qubits"
-        )
-    return float(z_expectations(state.amplitudes, observable.qubit, state.n_qubits))
+def expectation_z(state: QuantumState, qubit: int) -> float:
+    """<Z_qubit> = P(qubit reads 0) - P(qubit reads 1); IndexError off the register."""
+    if not 0 <= qubit < state.n_qubits:
+        raise IndexError(f"Z readout on qubit {qubit} but state has {state.n_qubits} qubits")
+    return float(z_expectations(state.amplitudes, qubit, state.n_qubits))
 
 
 def z_expectations(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .statevector import (
     Circuit,
-    Observable,
     _apply_1q_matrix,
     _apply_gate_to_array,
     _rotation_matrix,
@@ -60,15 +59,16 @@ class VqcModel:
 
     ``params`` is flat with layout [layer][qubit][RX, RY, RZ], length
     3 * n_qubits * n_layers; ``None`` means all zeros, allocated only after
-    the depth checks pass.  ``entangling=False`` drops the ansatz CNOT
-    ring (diagnostic configurations only).
+    the depth checks pass.  ``readout_qubit`` is the qubit whose <Z> is
+    read out.  ``entangling=False`` drops the ansatz CNOT ring (diagnostic
+    configurations only).
     """
 
     n_qubits: int
     n_layers: int
     params: np.ndarray | None
     feature_map: FeatureMapSpec
-    readout: Observable = Observable(qubit=0)
+    readout_qubit: int = 0
     rng_seed: int = 0
     encoding: str = "angle"
     entangling: bool = True
@@ -90,10 +90,10 @@ class VqcModel:
                 f"{self.n_layers + self.feature_map.repetitions} exceeds the "
                 f"depth cap {MAX_DEPTH_BLOCKS}"
             )
-        if self.readout.qubit >= self.n_qubits:
+        if not isinstance(self.readout_qubit, int) or not 0 <= self.readout_qubit < self.n_qubits:
             raise ConfigError(
-                f"readout qubit {self.readout.qubit} outside a "
-                f"{self.n_qubits}-qubit register"
+                f"readout_qubit must be an integer in [0, {self.n_qubits}), "
+                f"got {self.readout_qubit!r}"
             )
         params = self.params
         params = np.zeros(self.n_params) if params is None else np.asarray(params, dtype=float)
@@ -130,7 +130,7 @@ class VqcModel:
         )
 
     def predict_proba(self, features) -> np.ndarray:
-        """Malicious-class probability per row of a (rows, features) matrix."""
+        """Malicious-class probability per row of a (rows, features) matrix, in row blocks."""
         features = as_feature_matrix(features)
         out = np.empty(len(features))
         for rows in row_chunks(len(features), 2**self.n_qubits):
@@ -161,8 +161,15 @@ def encode_rows(model: VqcModel, features) -> np.ndarray:
 
 
 def ansatz_expectations(model: VqcModel, states: np.ndarray) -> np.ndarray:
-    """Readout <Z> per row of encoded states after the ansatz; ``states`` is untouched."""
-    return z_expectations(evolve(states, build_ansatz(model)), model.readout.qubit, model.n_qubits)
+    """Readout <Z> per row of encoded states after the ansatz; ``states`` is untouched.
+
+    Rows run in the gate-sweep blocks of :func:`statevector.row_chunks`.
+    """
+    circuit, n = build_ansatz(model), model.n_qubits
+    z = np.empty(len(states))
+    for rows in row_chunks(len(states), 2**n):
+        z[rows] = z_expectations(evolve(states[rows], circuit), model.readout_qubit, n)
+    return z
 
 
 def shift_jacobian(model: VqcModel, states: np.ndarray) -> np.ndarray:
@@ -301,7 +308,7 @@ def _batches(m: int, batch_size: int | None, rng: np.random.Generator):
 def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """(gradient of mean BCE by adjoint differentiation, the mean BCE)."""
     circuit = build_ansatz(model)
-    n, qubit = model.n_qubits, model.readout.qubit
+    n, qubit = model.n_qubits, model.readout_qubit
     grad = np.zeros(model.n_params)
     probs = np.empty(len(y))
     for rows in row_chunks(len(y), 2**n):

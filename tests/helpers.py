@@ -219,7 +219,7 @@ def gate_level_probability(model: VqcModel, x) -> float:
     else:
         state = run_circuit(new_zero_state(n), feature_map_circuit(x, model.feature_map))
     run_circuit(state, build_ansatz(model))
-    return (1.0 + expectation_z(state, model.readout)) / 2.0
+    return (1.0 + expectation_z(state, model.readout_qubit)) / 2.0
 
 
 def shift_gradient(model: VqcModel, x) -> np.ndarray:

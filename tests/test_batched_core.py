@@ -19,13 +19,13 @@ from helpers import (
     shift_gradient,
     svm_decision_oracle,
     teacher_vqc_dataset,
+    traced_peak,
 )
 
 from qshield import statevector, vqc
-from qshield.encoding import FeatureMapSpec
+from qshield.encoding import FeatureMapSpec, feature_map_states
 from qshield.pipeline import EnsembleModel
 from qshield.qkernel import kernel_matrix, train_qsvm
-from qshield.statevector import Observable
 from qshield.vqc import TrainConfig, VqcModel, encode_rows, shift_jacobian, train_vqc
 
 TOL = 1e-12
@@ -60,7 +60,7 @@ def vqc_case(name: str, rng: np.random.Generator, n_rows: int = 5, cases=VQC_CAS
     model = VqcModel(
         n, layers, rng.uniform(-math.pi, math.pi, 3 * n * layers),
         FeatureMapSpec(n, reps, entangling=entangling),
-        readout=Observable(*readout or [0]),
+        readout_qubit=readout[0] if readout else 0,
         encoding=encoding, entangling=entangling,
     )
     width = 2**n if encoding == "amplitude" else n
@@ -102,12 +102,17 @@ def test_prediction_across_chunk_boundary(monkeypatch):
         vectors=train, feature_map=spec,
     )
     ensemble = EnsembleModel([vqc, svm], np.array([0.3, 0.7]))
+    states = feature_map_states(rows, spec)
 
-    # two 3-qubit rows per chunk: seven rows take chunks of 2, 2, 2 and 1
+    # two 3-qubit rows per gate-sweep block and per SVM chunk (its seven support
+    # vectors give a row fewer overlaps than amplitudes): seven rows take 2, 2, 2 and 1
+    monkeypatch.setattr(statevector, "BLOCK_AMPLITUDES", 2 * 2**3)
     monkeypatch.setattr(statevector, "CHUNK_AMPLITUDES", 2 * 2**3)
-    assert [s.indices(7) for s in statevector.row_chunks(7, 2**3)] == [
-        (0, 2, 1), (2, 4, 1), (4, 6, 1), (6, 7, 1)
-    ]
+    for gate_sweep in (True, False):
+        assert [s.indices(7) for s in statevector.row_chunks(7, 2**3, gate_sweep)] == [
+            (0, 2, 1), (2, 4, 1), (4, 6, 1), (6, 7, 1)
+        ]
+    assert np.array_equal(feature_map_states(rows, spec), states)
     vqc_oracle = np.array([gate_level_probability(vqc, x) for x in rows])
     svm_oracle = 1.0 / (1.0 + np.exp(-svm_decision_oracle(svm, rows)))
     np.testing.assert_allclose(vqc.predict_proba(rows), vqc_oracle, atol=TOL, rtol=0)
@@ -136,13 +141,24 @@ def test_adjoint_gradient_matches_shift_jacobian(name):
 def test_adjoint_gradient_across_chunk_boundary(monkeypatch):
     model, states, y = adjoint_case("4q-angle-readout-3", n_rows=7)
     whole, whole_loss = vqc._bce_grad(model, states, y)
-    # two 4-qubit rows per chunk: seven rows take chunks of 2, 2, 2 and 1
-    monkeypatch.setattr(statevector, "CHUNK_AMPLITUDES", 2 * 2**4)
+    # two 4-qubit rows per block: seven rows take blocks of 2, 2, 2 and 1
+    monkeypatch.setattr(statevector, "BLOCK_AMPLITUDES", 2 * 2**4)
     assert len(statevector.row_chunks(7, 2**4)) == 4
     chunked, chunked_loss = vqc._bce_grad(model, states, y)
     np.testing.assert_allclose(chunked, whole, atol=TOL, rtol=0)
     np.testing.assert_allclose(chunked, shift_bce_grad(model, states, y)[0], atol=TOL, rtol=0)
     assert chunked_loss == whole_loss
+
+
+def test_gradient_memory_is_a_few_blocks():
+    # 8000 4-qubit rows are four gate-sweep blocks; the sweep holds its states,
+    # adjoints and a gate's temporaries for one block at a time
+    rng = np.random.default_rng(29)
+    model = VqcModel.fresh(4, 2)
+    model = replace(model, params=rng.uniform(-math.pi, math.pi, model.n_params))
+    states = encode_rows(model, rng.uniform(-1.0, 1.0, (8000, 4)))
+    _, peak = traced_peak(vqc._bce_grad, model, states, rng.uniform(0.0, 1.0, 8000))
+    assert peak <= 8 * 16 * statevector.BLOCK_AMPLITUDES  # eight blocks of complex128
 
 
 @pytest.mark.parametrize("batch_size", [None, 5], ids=["full-batch", "mini-batch"])

@@ -140,6 +140,14 @@ def _float_readout_qubit(p):
     p["readout_qubit"] = 1.0
 
 
+def _negative_readout_qubit(p):
+    p["readout_qubit"] = -1
+
+
+def _readout_qubit_off_the_register(p):
+    p["readout_qubit"] = p["n_qubits"]
+
+
 def _text_converged(p):
     p["converged"] = "no"
 
@@ -194,6 +202,8 @@ MALFORMED_MODELS = {
         _numeric_feature_map_entangling, "vqc", "vqc.feature_map.entangling"
     ),
     "float_readout_qubit": (_float_readout_qubit, "vqc", "vqc.readout_qubit"),
+    "negative_readout_qubit": (_negative_readout_qubit, "vqc", "readout_qubit"),
+    "readout_qubit_off_the_register": (_readout_qubit_off_the_register, "vqc", "readout_qubit"),
     "text_converged": (_text_converged, "qsvm", "qsvm.converged"),
     "text_bias": (_text_bias, "qsvm", "qsvm.bias"),
     "fractional_support_index": (_fractional_support_index, "qsvm", "qsvm.support_indices"),

@@ -17,7 +17,6 @@ from qshield.explain import (
     score_attribution,
     write_attribution_csv,
 )
-from qshield.statevector import Observable
 from qshield.vqc import VqcModel
 
 
@@ -50,7 +49,7 @@ class TestGradAttribution:
         model = VqcModel(
             n, layers, rng.uniform(-math.pi, math.pi, 3 * n * layers),
             FeatureMapSpec(n, reps, entangling=entangling),
-            readout=Observable(readout), entangling=entangling,
+            readout_qubit=readout, entangling=entangling,
         )
         x = rng.uniform(-2.5, 2.5, d)
         adjoint, shift = grad_attribution(model, x), shift_attribution(model, x)

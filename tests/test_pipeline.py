@@ -300,6 +300,16 @@ class TestPersistence:
         for kind in ("vqc", "qsvm"):
             assert sorted(saved[kind]["feature_map"]) == ["entangling", "n_qubits", "repetitions"]
 
+    @pytest.mark.parametrize("kind", ["vqc", "ensemble"])
+    def test_load_then_save_is_byte_identical(self, kind, tmp_path):
+        model, _ = self.trained_vqc()
+        if kind == "ensemble":
+            model = EnsembleModel([model, self.trained_svm()[0]], np.array([0.3, 0.7]))
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        save_model(model, first)
+        save_model(load_model(first, expected_type=kind), again)
+        assert again.read_bytes() == first.read_bytes()
+
     def test_version_mismatch(self, tmp_path):
         model, _ = self.trained_vqc()
         path = tmp_path / "model.json"

@@ -9,7 +9,6 @@ from qshield.errors import QubitCapError, ShapeError
 from qshield.statevector import (
     Circuit,
     GateOp,
-    Observable,
     QuantumState,
     _rotation_matrix,
     apply_gate,
@@ -224,10 +223,10 @@ class TestQft:
 
 class TestObservables:
     def test_zero_state_expectation(self):
-        assert expectation_z(new_zero_state(1), Observable(0)) == pytest.approx(1.0)
+        assert expectation_z(new_zero_state(1), 0) == pytest.approx(1.0)
 
     def test_one_state_expectation(self):
-        assert expectation_z(basis_state(1, 1), Observable(0)) == pytest.approx(-1.0)
+        assert expectation_z(basis_state(1, 1), 0) == pytest.approx(-1.0)
 
     def test_ry_theta_gives_cos_theta(self):
         rng = np.random.default_rng(3)
@@ -236,7 +235,7 @@ class TestObservables:
             # oracle: z from the independent 2x2 matrix route
             vec = rotation_matrix_oracle("RY", float(theta)) @ np.array([1.0, 0.0])
             oracle = abs(vec[0]) ** 2 - abs(vec[1]) ** 2
-            z = expectation_z(state, Observable(0))
+            z = expectation_z(state, 0)
             assert z == pytest.approx(math.cos(float(theta)), abs=1e-12)
             assert z == pytest.approx(oracle, abs=1e-12)
 
@@ -248,7 +247,7 @@ class TestObservables:
             probs = probabilities(state)
             for q in range(n):
                 signs = np.array([1.0 if not (k >> q) & 1 else -1.0 for k in range(2**n)])
-                assert expectation_z(state, Observable(q)) == pytest.approx(
+                assert expectation_z(state, q) == pytest.approx(
                     float(signs @ probs), abs=1e-12
                 )
 
@@ -258,12 +257,9 @@ class TestObservables:
         assert probabilities(state).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_observable_index_error(self):
-        with pytest.raises(IndexError):
-            expectation_z(new_zero_state(2), Observable(2))
-
-    def test_non_z_observable_rejected(self):
-        with pytest.raises(ValueError):
-            Observable(0, kind="X")
+        for qubit in (2, -1):
+            with pytest.raises(IndexError):
+                expectation_z(new_zero_state(2), qubit)
 
 
 class TestInnerProduct:
