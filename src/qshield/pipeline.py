@@ -39,7 +39,7 @@ from .preprocess import (
     train_test_split,
     write_csv,
 )
-from .qkernel import SvmModel, kernel_matrix, train_qsvm
+from .qkernel import BOUND_SNAP, SvmModel, kernel_matrix, train_qsvm
 from .vqc import TrainConfig, VqcModel, train_vqc
 
 FORMAT_VERSION = 1
@@ -69,8 +69,8 @@ class ModelConfig:
             raise ConfigError(f"model type must be one of {MODEL_TYPES}, got {self.type!r}")
         # constructing a throwaway model runs the qubit/depth/encoding checks
         VqcModel.fresh(self.n_qubits, self.n_layers, self.repetitions, self.encoding)
-        if not self.svm_c > 0:
-            raise ConfigError(f"svm_c must be positive, got {self.svm_c!r}")
+        if not self.svm_c >= BOUND_SNAP:
+            raise ConfigError(f"model.svm_c must be at least {BOUND_SNAP}, got {self.svm_c!r}")
         if not 0 < self.svm_tol < math.inf:
             raise ConfigError(f"svm_tol must be finite and positive, got {self.svm_tol!r}")
         if self.svm_max_passes < 1:

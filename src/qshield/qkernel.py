@@ -6,7 +6,9 @@ states are real, so with them as the rows of S the whole Gram matrix is
 (S S^T)^2 (elementwise), one symmetric matrix product; SVM scoring takes
 the same product between the rows to score and the support vectors.
 K = G o G with G = S S^T positive semidefinite, so K is too (Schur
-product theorem): a fit needs no eigenvalue check.
+product theorem): a fit needs no eigenvalue check.  The SVM solver works
+in the signed duals beta = y o alpha, each in a per-row box (Bottou & Lin
+2007; LIBSVM), so a working-set mask is one comparison per row.
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ def kernel_matrix(data, spec: FeatureMapSpec) -> KernelMatrix:
 
 @dataclass
 class SvmModel:
-    """Kernel SVM in dual form: f(x) = sum_i alpha_i y_i K(sv_i, x) + b."""
+    """Kernel SVM in dual form: f(x) = sum_i beta_i K(sv_i, x) + b, beta_i = y_i alpha_i."""
 
     dual_coeffs: np.ndarray
     bias: float
@@ -125,12 +127,13 @@ def train_qsvm(
 ) -> SvmModel:
     """Solve the soft-margin dual by maximal-violating-pair updates.
 
-    Each pass updates the alpha pair that most violates the KKT
-    conditions; convergence is declared when the maximal violation drops
-    to ``tol``.  The kernel must be symmetric: the gradient update reads
-    its rows, which are contiguous, in place of its columns.  ``vectors``
-    (training rows) and ``feature_map`` must be supplied for the model to
-    score new inputs later.
+    The solver works in the signed duals beta = y o alpha (the model's
+    ``dual_coeffs``), each in its own box [min(0, C y_t), max(0, C y_t)],
+    so each mask is one comparison per row.  Each pass moves the pair that
+    most violates the KKT conditions on the score g = y - f, until that
+    violation drops to ``tol``.  The kernel must be symmetric: the score
+    update reads its rows in place of its columns.  ``vectors`` (the 2-D
+    training rows) and ``feature_map`` let the model score new inputs.
     """
     y = np.asarray(labels, dtype=float)
     if y.ndim != 1 or len(y) != kernel.size:
@@ -142,70 +145,60 @@ def train_qsvm(
         raise InvalidInputError("labels must be -1 or +1")
     if y.min() == y.max():
         raise InvalidInputError("training labels contain a single class")
-    if not C > 0:
-        raise ConfigError(f"C must be positive, got {C!r}")
+    if not C >= BOUND_SNAP:
+        raise ConfigError(f"C must be at least {BOUND_SNAP} (smaller steps snap to 0), got {C!r}")
     if vectors is not None:
         vectors = np.asarray(vectors, dtype=float)
-        if vectors.shape[0] != kernel.size:
+        if vectors.ndim != 2 or vectors.shape[0] != kernel.size:
             raise ShapeError(
-                f"{vectors.shape[0]} training vectors for a {kernel.size}-sample kernel"
+                f"expected a ({kernel.size}, features) matrix of training vectors, "
+                f"got shape {vectors.shape}"
             )
 
     k = kernel.entries
-    m = kernel.size
-    alpha = np.zeros(m)
-    # gradient of the minimization form 0.5 a'Qa - 1'a, Q_ij = y_i y_j K_ij
-    grad = -np.ones(m)
+    cy = C * y
+    lo, hi = np.minimum(cy, 0.0), np.maximum(cy, 0.0)
+    beta = np.zeros(kernel.size)
+    g = y.copy()  # y_t - f_t with f = K beta, the KKT violation score
     objective = [0.0] if record_objective else None
     converged = False
     updates = 0
 
     for _ in range(max_passes):
-        g = -y * grad  # y_t - f_t, the KKT violation score
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        if not up.any() or not low.any():
-            converged = True
-            break
-        i = int(np.flatnonzero(up)[np.argmax(g[up])])
-        j = int(np.flatnonzero(low)[np.argmin(g[low])])
+        up, low = beta < hi, beta > lo
+        i = int(np.argmax(np.where(up, g, -np.inf)))
+        j = int(np.argmin(np.where(low, g, np.inf)))
         violation = g[i] - g[j]
-        if violation <= tol:
+        if not (up[i] and low[j]) or violation <= tol:
             converged = True
             break
         eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        step = violation / max(eta, 1e-12)
-        # keep both alphas inside [0, C]; the pair moves along y_i e_i - y_j e_j
-        limit_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-        limit_j = alpha[j] if y[j] > 0 else (C - alpha[j])
-        step = min(step, limit_i, limit_j)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
+        # beta_i rises and beta_j falls by step, each kept inside its box
+        step = min(violation / max(eta, 1e-12), hi[i] - beta[i], beta[j] - lo[j])
+        beta[i] += step
+        beta[j] -= step
         for t in (i, j):
-            if abs(alpha[t]) < BOUND_SNAP:
-                alpha[t] = 0.0
-            elif abs(alpha[t] - C) < BOUND_SNAP:
-                alpha[t] = C
-        grad += step * y * (k[i] - k[j])
+            if abs(beta[t]) < BOUND_SNAP:
+                beta[t] = 0.0
+            elif abs(beta[t] - cy[t]) < BOUND_SNAP:
+                beta[t] = cy[t]
+        g -= step * (k[i] - k[j])
         updates += 1
         if record_objective:
             objective.append(objective[-1] + violation * step - 0.5 * eta * step * step)
 
-    g = -y * grad
-    unbounded = (alpha > 0.0) & (alpha < C)
-    if unbounded.any():
-        bias = float(g[unbounded].mean())
+    up, low = beta < hi, beta > lo
+    free = up & low
+    if free.any():
+        bias = float(g[free].mean())
+    elif up.any() and low.any():
+        bias = float((g[up].max() + g[low].min()) / 2.0)
     else:
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        if up.any() and low.any():
-            bias = float((g[up].max() + g[low].min()) / 2.0)
-        else:
-            bias = 0.0
+        bias = 0.0
 
-    support = alpha > 0.0
+    support = beta != 0.0
     return SvmModel(
-        dual_coeffs=(alpha * y)[support],
+        dual_coeffs=beta[support],
         bias=bias,
         support_indices=np.flatnonzero(support),
         support_vectors=vectors[support] if vectors is not None else None,

@@ -8,8 +8,10 @@ training gradient and attribution table that adjoint differentiation
 replaced (``shift_bce_grad``, ``shift_attribution``), a cyclic Jacobi
 eigensolver standing in for LAPACK's ``eigh``, the list-of-rows CSV
 reader that the streaming ``load_csv`` replaced (``reference_load_csv``),
-and the preprocessing fit that kept each stage's input alive through the
-next stage (``reference_fit_preprocess``).  Tests compare the production
+the preprocessing fit that kept each stage's input alive through the
+next stage (``reference_fit_preprocess``), and the SMO solver over
+unsigned alphas with a label case in every mask that the signed-dual
+solver replaced (``reference_train_qsvm``).  Tests compare the production
 code against them.
 """
 from __future__ import annotations
@@ -35,6 +37,7 @@ from qshield.errors import (
     ShapeError,
 )
 from qshield.explain import AttributionReport
+from qshield.qkernel import BOUND_SNAP, KernelMatrix, SvmModel
 from qshield.preprocess import (
     Dataset,
     PreprocessConfig,
@@ -420,6 +423,77 @@ def reference_fit_preprocess(
         )
         processed = apply_pca(pca, pruned)
     return model, processed
+
+
+def reference_train_qsvm(
+    kernel: KernelMatrix, y: np.ndarray, C: float, tol: float = 1e-3,
+    max_passes: int = 10000, record_objective: bool = False,
+) -> SvmModel:
+    """SMO over alpha in [0, C] with a separate gradient, for valid +/-1 labels."""
+    k = kernel.entries
+    m = kernel.size
+    alpha = np.zeros(m)
+    # gradient of the minimization form 0.5 a'Qa - 1'a, Q_ij = y_i y_j K_ij
+    grad = -np.ones(m)
+    objective = [0.0] if record_objective else None
+    converged = False
+    updates = 0
+
+    for _ in range(max_passes):
+        g = -y * grad  # y_t - f_t, the KKT violation score
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        if not up.any() or not low.any():
+            converged = True
+            break
+        i = int(np.flatnonzero(up)[np.argmax(g[up])])
+        j = int(np.flatnonzero(low)[np.argmin(g[low])])
+        violation = g[i] - g[j]
+        if violation <= tol:
+            converged = True
+            break
+        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        step = violation / max(eta, 1e-12)
+        # keep both alphas inside [0, C]; the pair moves along y_i e_i - y_j e_j
+        limit_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
+        limit_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        step = min(step, limit_i, limit_j)
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        for t in (i, j):
+            if abs(alpha[t]) < BOUND_SNAP:
+                alpha[t] = 0.0
+            elif abs(alpha[t] - C) < BOUND_SNAP:
+                alpha[t] = C
+        grad += step * y * (k[i] - k[j])
+        updates += 1
+        if record_objective:
+            objective.append(objective[-1] + violation * step - 0.5 * eta * step * step)
+
+    g = -y * grad
+    unbounded = (alpha > 0.0) & (alpha < C)
+    if unbounded.any():
+        bias = float(g[unbounded].mean())
+    else:
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        if up.any() and low.any():
+            bias = float((g[up].max() + g[low].min()) / 2.0)
+        else:
+            bias = 0.0
+
+    support = alpha > 0.0
+    return SvmModel(
+        dual_coeffs=(alpha * y)[support],
+        bias=bias,
+        support_indices=np.flatnonzero(support),
+        support_vectors=None,
+        C=float(C),
+        feature_map=None,
+        converged=converged,
+        n_updates=updates,
+        objective_history=tuple(objective) if record_objective else None,
+    )
 
 
 def traced_peak(fn, *args):

@@ -248,6 +248,9 @@ WRONG_TYPE_CONFIGS = {
     "seed_flag_negative": ({}, "seed"),
     "svm_tol_negative": ({"model": {"svm_tol": -1}}, "svm_tol"),
     "svm_max_passes_zero": ({"model": {"svm_max_passes": 0}}, "svm_max_passes"),
+    "svm_c_below_bound_snap": (
+        {"model": {"type": "qsvm", "n_qubits": 2, "svm_c": 1e-13}}, "model.svm_c"
+    ),
     "beta1_above_one": ({"training": {"beta1": 2}}, "beta1"),
     "beta2_one": ({"training": {"beta2": 1}}, "beta2"),
     "eps_zero": ({"training": {"eps": 0}}, "eps"),

@@ -8,6 +8,7 @@ from helpers import (
     inverse_circuit_kernel,
     jacobi_eigh,
     kkt_violations,
+    reference_train_qsvm,
     separable_kernel_labels,
     svm_decision_oracle,
     traced_peak,
@@ -24,6 +25,7 @@ from qshield.errors import (
 from qshield.pipeline import predict_labels
 from qshield.preprocess import Dataset
 from qshield.qkernel import (
+    BOUND_SNAP,
     KernelMatrix,
     SvmModel,
     kernel_matrix,
@@ -330,6 +332,48 @@ class TestSvmTraining:
         gram = KernelMatrix(np.eye(2))
         with pytest.raises(ShapeError):
             train_qsvm(gram, [1.0, -1.0], C=1.0, vectors=np.zeros((3, 2)))
+
+    def test_c_below_bound_snap_rejected(self):
+        # every step of a smaller C would snap back to 0 and leave no support vector
+        gram = KernelMatrix(np.eye(2))
+        with pytest.raises(ConfigError, match="C must be at least"):
+            train_qsvm(gram, [1.0, -1.0], C=BOUND_SNAP / 10)
+        model = train_qsvm(gram, [1.0, -1.0], C=BOUND_SNAP)
+        assert model.converged
+        assert list(model.support_indices) == [0, 1]
+
+    def test_one_dimensional_vectors_rejected(self):
+        # a 1-D vector per row would fit, then fail at scoring time
+        gram = KernelMatrix(np.eye(2))
+        with pytest.raises(ShapeError):
+            train_qsvm(gram, [1.0, -1.0], C=1.0, vectors=np.zeros(2))
+
+    def test_matches_the_unsigned_alpha_solver(self):
+        # the signed duals beta = y * alpha reproduce the alpha-form SMO bit for bit
+        rng = np.random.default_rng(53)
+        exhausted = converged = 0
+        for _ in range(240):
+            n_qubits = int(rng.integers(1, 5))
+            m = int(rng.integers(4, 121))
+            spec = FeatureMapSpec(n_qubits, int(rng.integers(1, 3)))
+            gram = kernel_matrix(rng.uniform(-math.pi, math.pi, (m, n_qubits)), spec)
+            labels = np.where(rng.random(m) < rng.uniform(0.2, 0.8), -1.0, 1.0)
+            labels[:2] = (1.0, -1.0)
+            labels = labels[rng.permutation(m)]
+            C = float(10.0 ** rng.uniform(-3, 2))
+            tol = float(10.0 ** rng.uniform(-6, -1))
+            max_passes = int(np.exp(rng.uniform(0, math.log(400))))
+            got = train_qsvm(gram, labels, C, tol, max_passes, record_objective=True)
+            want = reference_train_qsvm(gram, labels, C, tol, max_passes, record_objective=True)
+            assert np.array_equal(got.dual_coeffs, want.dual_coeffs)
+            assert got.bias == want.bias
+            assert np.array_equal(got.support_indices, want.support_indices)
+            assert got.n_updates == want.n_updates
+            assert got.converged == want.converged
+            assert got.objective_history == want.objective_history
+            exhausted += not got.converged
+            converged += got.converged
+        assert exhausted >= 20 and converged >= 20
 
 
 class TestSvmPrediction:
