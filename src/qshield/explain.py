@@ -35,8 +35,8 @@ def grad_attribution(model: VqcModel, x) -> AttributionReport:
     """d p / d x_j by the adjoint method, summed over encoding repetitions."""
     if getattr(model, "encoding", None) != "angle":
         raise UnsupportedMethodError(
-            "gradient attribution needs an angle-encoded variational model; "
-            "use score_attribution instead"
+            "gradient attribution needs an angle-encoded variational model; use the SCORE "
+            "method instead (--method score on the command line, score_attribution in Python)"
         )
     arr = as_feature_array(x)
     n, qubit, reps = model.n_qubits, model.readout_qubit, model.feature_map.repetitions

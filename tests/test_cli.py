@@ -301,19 +301,57 @@ class TestBlasThreads:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
     def test_cli_import_runs_one_thread(self):
-        code = ("import qshield.cli; "
+        # numpy loads after the CLI module, as it does when a command runs
+        code = ("import qshield.cli, numpy; "
                 "print(open('/proc/self/status').read().split('Threads:')[1].split()[0])")
         assert fresh_python(code) == "1\n"
-
-    def test_numpy_loads_before_click(self):
-        code = ("import sys, qshield.cli; m = list(sys.modules); "
-                "print(m.index('numpy'), m.index('click'))")
-        numpy_at, click_at = map(int, fresh_python(code).split())
-        assert numpy_at < click_at
 
     def test_exported_thread_count_is_kept(self):
         code = "import os, qshield.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+
+MAIN_IN_CHILD = """
+import contextlib, io, sys
+from qshield.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, 'numpy' in sys.modules, 'qshield.explain' in sys.modules)
+"""
+
+
+def main_in_child(*args: str) -> str:
+    """main(args) in a new interpreter: its exit code, whether numpy and explain loaded."""
+    child = subprocess.run([sys.executable, "-c", MAIN_IN_CHILD, *args], env=child_env(),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+class TestLazyImports:
+    """The CLI module loads no numpy; each command imports the layers it runs."""
+
+    def test_cli_import_loads_no_layer(self):
+        code = ("import sys, qshield.cli; "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'qshield')))")
+        assert fresh_python(code) == "qshield qshield.cli qshield.errors\n"
+
+    @pytest.mark.parametrize("args, exit_code", [
+        ([], 1), (["--help"], 0), (["frobnicate"], 1), (["run", "--data", "x.csv"], 1),
+        *(([command, "--help"], 0) for command in
+          ("run", "preprocess", "train", "predict", "explain", "evaluate", "kernel")),
+    ])
+    def test_help_and_usage_errors_load_no_numpy(self, args, exit_code):
+        assert main_in_child(*args) == f"{exit_code} False False\n"
+
+    def test_predict_loads_no_explain(self, workspace, tmp_path):
+        assert main_in_child(
+            "predict", "--model", str(workspace["model"]),
+            "--preprocess-model", str(workspace["preprocess"]),
+            "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+            "--out", str(tmp_path / "p.csv"),
+        ) == "0 True False\n"
+        assert (tmp_path / "p.csv").exists()
 
 
 class TestHelp:
@@ -783,6 +821,25 @@ class TestExplain:
         assert code == 1
         assert "score_attribution" in capsys.readouterr().err
 
+    def test_grad_on_ensemble_model_names_the_score_flag(self, workspace, tmp_path, capsys):
+        ensemble_dir = tmp_path / "ensemble"
+        assert main([
+            "train", "ensemble", "--data", str(workspace["data"]),
+            "--config", str(workspace["config"]), "--out-dir", str(ensemble_dir),
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "explain", "--model", str(ensemble_dir / "model.json"),
+            "--preprocess-model", str(ensemble_dir / "preprocess.json"),
+            "--data", str(workspace["data"]),
+            "--config", str(workspace["config"]), "--method", "grad",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        (error_line,) = captured.err.splitlines()
+        assert error_line.startswith("error: ") and "--method score" in error_line
+
 
 class TestEvaluate:
     def test_metrics_table(self, workspace, capsys):
@@ -852,11 +909,12 @@ def test_out_in_missing_directory_exits_1(command, workspace, tmp_path, capsys):
     assert not out.parent.exists()
 
 
-# --out command, the writer it runs, where the writer takes its path
+# --out command, the writer it runs (patched where it is defined, since each command
+# imports its writer when it runs), where the writer takes its path
 FAILING_OUT_WRITERS = {
-    "predict": ("write_predictions_csv", -1),
-    "kernel": ("write_kernel_csv", -1),
-    "explain": ("write_attribution_csv", 1),
+    "predict": ("qshield.pipeline.write_predictions_csv", -1),
+    "kernel": ("qshield.qkernel.write_kernel_csv", -1),
+    "explain": ("qshield.explain.write_attribution_csv", 1),
 }
 
 
@@ -872,7 +930,7 @@ def test_out_writer_failing_midway_leaves_no_file(
             fh.write("sample_index,prob")
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, writer, write_half)
+    monkeypatch.setattr(writer, write_half)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     out = out_dir / "x.csv"
