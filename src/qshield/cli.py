@@ -20,7 +20,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # loading them after click adds up to 0.25 MB of peak RSS (0.15 MB from cached bytecode)
 import click
 
-from .errors import ConfigError, QShieldError
+from .errors import QShieldError
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -45,16 +45,6 @@ def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path:
     pre = load_model(preprocess_path, expected_type="preprocess")
     # pop() hands over the only reference, so apply_preprocess can free the raw matrix
     return apply_preprocess(pre, loaded.pop())
-
-
-def _write_out(out_path: str, write, *args) -> None:
-    """Write an ``--out`` file whole or not at all; a failed write is a usage error (exit 1)."""
-    from .pipeline import _publish
-
-    try:
-        _publish(Path(out_path), write, *args)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _note_svm_exhaustion(config: PipelineConfig, extras: dict) -> None:
@@ -150,13 +140,13 @@ def predict_cmd(
     out_path: str,
 ) -> None:
     """Score a CSV; write sample_index, probability, label."""
-    from .pipeline import load_model, predict_labels, write_predictions_csv
+    from .pipeline import _publish, load_model, predict_labels, write_predictions_csv
 
     config = _load_config(config_path, None)
     model = load_model(model_path)
     data = _load_and_transform(config, data_path, preprocess_path)
     probabilities, labels = predict_labels(model, data.features)
-    _write_out(out_path, write_predictions_csv, probabilities, labels)
+    _publish(out_path, write_predictions_csv, probabilities, labels)
     click.echo(f"{len(labels)} predictions written to {out_path}")
 
 
@@ -180,7 +170,7 @@ def explain_cmd(
     """Per-feature attribution for one sample."""
     from .explain import format_attribution, grad_attribution, score_attribution
     from .explain import write_attribution_csv
-    from .pipeline import load_model
+    from .pipeline import _publish, load_model
 
     config = _load_config(config_path, None)
     model = load_model(model_path)
@@ -196,7 +186,7 @@ def explain_cmd(
     if out_path:
         # write_attribution_csv takes its path second
         write = partial(write_attribution_csv, report, feature_names=data.feature_names)
-        _write_out(out_path, write)
+        _publish(out_path, write)
         text += f"attribution written to {out_path}\n"
     click.echo(text, nl=False)
 
@@ -235,14 +225,14 @@ def kernel_cmd(
     data_path: str, config_path: str | None, preprocess_path: str | None, out_path: str
 ) -> None:
     """Gram matrix of the dataset under the configured feature map."""
-    from .pipeline import feature_map_spec
+    from .pipeline import _publish, feature_map_spec
     from .qkernel import kernel_matrix, write_kernel_csv
 
     config = _load_config(config_path, None)
     data = _load_and_transform(config, data_path, preprocess_path)
     gram = kernel_matrix(data, feature_map_spec(config))
     gram.validate()
-    _write_out(out_path, write_kernel_csv, gram)
+    _publish(out_path, write_kernel_csv, gram)
     click.echo(f"{gram.size}x{gram.size} kernel written to {out_path}")
 
 

@@ -128,16 +128,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config {path} is not valid JSON (byte offset {exc.pos}): {exc.msg}"
-            ) from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path, "config", ConfigError))
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -238,12 +229,10 @@ class EnsembleModel:
         return sum(w * m.predict_proba(features) for w, m in zip(self.weights, self.members))
 
 
-# A model file holds its dataclass's fields by name, except that the SVM's
-# objective trace is not saved (_NOT_READ) and a preprocess file states the
-# ddof of its standard deviations.
+# A model file holds its dataclass's fields by name, minus _NOT_READ (the SVM's
+# objective trace); each class checks its own fields when it is built.
 _MODEL_CLASSES = {"vqc": VqcModel, "qsvm": SvmModel, "preprocess": PreprocessModel,
                   "ensemble": EnsembleModel}
-_CONSTANTS = {"preprocess": {"std_ddof": 1}}
 
 
 def _saved_fields(cls) -> list[str]:
@@ -258,7 +247,7 @@ def _model_payload(model) -> dict:
     model_type = next((t for t, c in _MODEL_CLASSES.items() if type(model) is c), None)
     if model_type is None:
         raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
-    payload = {"model_type": model_type, **_CONSTANTS.get(model_type, {})}
+    payload = {"model_type": model_type}
     for name in _saved_fields(type(model)):
         value = getattr(model, name)
         if is_dataclass(value):
@@ -283,18 +272,42 @@ def _write_text(text: str, path) -> None:
         fh.write(text)
 
 
-def _publish(path: Path, write, *args) -> None:
+def _publish(path, write, *args) -> None:
     """Run ``write(*args, tmp)`` on ``.<name>.tmp`` beside ``path``, then rename it onto ``path``.
 
-    A writer that fails midway leaves neither file behind, so an artifact
-    is complete or absent.
+    A writer that fails midway leaves neither file behind, so an artifact is
+    complete or absent; its OSError, or the rename's, becomes a ConfigError (exit 1).
     """
-    tmp = path.with_name(f".{path.name}.tmp")
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.tmp")
     try:
         write(*args, tmp)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _read_json(path, what: str, error: type[QShieldError]):
+    """The JSON value in the UTF-8 file at ``path``, or ``error`` naming the file as ``what``
+    when it cannot be read or decoded, is not JSON, or repeats a key in an object."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{what} {path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON (byte offset {exc.pos}): {exc.msg}") from exc
 
 
 def _numbers(value, name: str) -> np.ndarray:
@@ -316,43 +329,15 @@ def _decode_model(body: dict):
     cls = next((c for t, c in _MODEL_CLASSES.items() if t == model_type), None)
     if cls is None:
         raise ModelFormatError(f"unknown model type {model_type!r}")
-    keys = set(_saved_fields(cls)) | set(_CONSTANTS.get(model_type, ()))
-    _check_keys(body, keys, f"section {model_type!r}", required=True)
+    _check_keys(body, _saved_fields(cls), f"section {model_type!r}", required=True)
     if cls is EnsembleModel:
         members = _checked(body["members"], list[dict], "ensemble.members")
         weights = _numbers(body["weights"], "ensemble.weights")
         return EnsembleModel([_decode_model(m) for m in members], weights)
-    for key, value in _CONSTANTS.get(model_type, {}).items():
-        if _checked(body.pop(key), int, f"{model_type}.{key}") != value:
-            raise ModelFormatError(f"{model_type}.{key} must be {value}")
     for key in {"params", "means", "std_devs", "kept_columns"} & body.keys():
         if body[key] is None:
             raise ModelFormatError(f"{model_type}.{key} must not be null")
     model = _build_section(cls, body, model_type, model_file=True)
-    if cls is SvmModel:
-        coeffs, indices, vectors = model.dual_coeffs, model.support_indices, model.support_vectors
-        lengths = [len(coeffs), len(indices), len(coeffs if vectors is None else vectors)]
-        rows = vectors is None or not len(vectors) or vectors.ndim == 2
-        if coeffs.ndim != 1 or indices.ndim != 1 or len(set(lengths)) > 1 or not rows:
-            raise ModelFormatError(f"dual_coeffs, support_indices and support_vectors (feature "
-                                   f"rows) have lengths {lengths}")
-    if cls is PreprocessModel:
-        means, stds, kept = model.means, model.std_devs, model.kept_columns
-        if kept.ndim != 1 or not means.shape == stds.shape == kept.shape:
-            raise ModelFormatError(f"means, std_devs and kept_columns must be lists of one "
-                                   f"length, got shapes {means.shape}, {stds.shape}, {kept.shape}")
-        if not np.all(stds > 0):
-            raise ModelFormatError("std_devs must be > 0")
-        basis, variance, center = model.pca_basis, model.explained_variance, model.pca_center
-        if len({v is None for v in (basis, variance, center)}) > 1:
-            raise ModelFormatError("pca_basis, explained_variance, pca_center: all or none null")
-        if basis is not None and not (
-            variance.ndim == 1 and basis.shape == (len(kept), len(variance))
-            and center.shape == (len(kept),)
-        ):
-            raise ModelFormatError(f"pca_basis of shape {basis.shape} does not map {len(kept)} "
-                                   f"kept columns (pca_center {center.shape}) onto "
-                                   f"{variance.shape} explained variances")
     for key in ("support_indices", "kept_columns"):
         indices = getattr(model, key, np.zeros(0, dtype=int))
         if indices.dtype.kind != "i" or np.any(indices < 0):
@@ -362,17 +347,7 @@ def _decode_model(body: dict):
 
 def load_model(path, expected_type: str | None = None):
     """Read a model file, checking version and (optionally) model type."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"model file {path} is not valid JSON (byte offset {exc.pos}): {exc.msg}"
-        ) from exc
+    payload = _read_json(path, "model file", ModelFormatError)
     if not isinstance(payload, dict):
         raise ModelFormatError(f"model file {path} does not contain an object")
     version = payload.pop("format_version", None)

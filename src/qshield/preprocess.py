@@ -210,7 +210,9 @@ def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
 
 @dataclass
 class PreprocessModel:
-    """Fitted transform: column subset, affine standardization, optional PCA."""
+    """Fitted transform: column subset, affine standardization, optional PCA; either part
+    may be absent, all its arrays None (``fit_standardize`` fits no PCA, ``fit_pca`` no
+    standardization)."""
 
     means: np.ndarray | None = None
     std_devs: np.ndarray | None = None
@@ -219,6 +221,29 @@ class PreprocessModel:
     explained_variance: np.ndarray | None = None
     pca_center: np.ndarray | None = None
     feature_names: list[str] = field(default_factory=list)
+    std_ddof: int = 1  # std_devs are sample (n - 1) deviations; a saved file states it
+
+    def __post_init__(self) -> None:
+        if self.std_ddof != 1:
+            raise ConfigError("preprocess.std_ddof must be 1")
+        means, stds, kept = self.means, self.std_devs, self.kept_columns
+        shapes = np.shape(means), np.shape(stds), np.shape(kept)
+        standardized = any(v is not None for v in (means, stds, kept))
+        if standardized and (np.ndim(kept) != 1 or len(set(shapes)) > 1):
+            raise ShapeError(f"means, std_devs and kept_columns must be lists of one "
+                             f"length, got shapes {', '.join(map(str, shapes))}")
+        if standardized and not np.all(stds > 0):
+            raise InvalidInputError("std_devs must be > 0")
+        basis, variance, center = self.pca_basis, self.explained_variance, self.pca_center
+        if len({v is None for v in (basis, variance, center)}) > 1:
+            raise ConfigError("pca_basis, explained_variance, pca_center: all or none null")
+        if basis is not None:
+            n_in = len(center if kept is None else kept)
+            if not (np.ndim(variance) == 1 and np.shape(basis) == (n_in, len(variance))
+                    and np.shape(center) == (n_in,)):
+                raise ShapeError(f"pca_basis of shape {np.shape(basis)} does not map {n_in} "
+                                 f"kept columns (pca_center {np.shape(center)}) onto "
+                                 f"{np.shape(variance)} explained variances")
 
 
 def fit_standardize(data: Dataset) -> PreprocessModel:

@@ -86,6 +86,14 @@ class SvmModel:
     n_updates: int = 0
     objective_history: tuple[float, ...] | None = None
 
+    def __post_init__(self) -> None:
+        coeffs, indices, vectors = self.dual_coeffs, self.support_indices, self.support_vectors
+        lengths = [len(coeffs), len(indices), len(coeffs if vectors is None else vectors)]
+        rows = vectors is None or not len(vectors) or np.ndim(vectors) == 2
+        if np.ndim(coeffs) != 1 or np.ndim(indices) != 1 or len(set(lengths)) > 1 or not rows:
+            raise ShapeError(f"dual_coeffs, support_indices and support_vectors (feature "
+                             f"rows) have lengths {lengths}")
+
     def predict_proba(self, features) -> np.ndarray:
         """Logistic of the decision value per row of a (rows, features) matrix.
 

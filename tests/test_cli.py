@@ -262,6 +262,7 @@ WRONG_TYPE_CONFIGS = {
     "outlier_z_cap_overflow": (
         '{"preprocess": {"outlier_z_cap": 1e400}}', "preprocess.outlier_z_cap"
     ),
+    "seed_repeated": ('{"seed": 1, "seed": 2}', "repeats the key 'seed'"),
 }
 # command-line arguments a case adds after the config
 WRONG_CONFIG_ARGS = {"seed_flag_negative": ["--seed", "-1"]}
@@ -702,6 +703,25 @@ class TestPredict:
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "p.csv").exists()
 
+    def test_model_file_repeating_a_key_exits_2(self, workspace, tmp_path, capsys):
+        # json alone would keep the last value; the nested key is refused by name
+        text = workspace["model"].read_text()
+        repeated = text.replace('"repetitions": 1', '"repetitions": 1, "repetitions": 2', 1)
+        assert repeated != text
+        bad = tmp_path / "model.json"
+        bad.write_text(repeated)
+        capsys.readouterr()
+        code = main([
+            "predict", "--model", str(bad), "--preprocess-model", str(workspace["preprocess"]),
+            "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+            "--out", str(tmp_path / "p.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        (error_line,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert f"model file {bad} repeats the key 'repetitions'" in error_line
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("option, code", [("--data", 2), ("--config", 1), ("--model", 2)])
     def test_non_utf8_input_exits_with_its_code(self, option, code, workspace, tmp_path, capsys):
         files = {"--data": workspace["data"], "--config": workspace["config"],
@@ -947,4 +967,40 @@ def test_out_writer_failing_midway_leaves_no_file(
     (error_line,) = captured.err.splitlines()
     assert error_line.startswith(f"error: cannot write {out}")
     assert "No space left on device" in error_line
+    assert list(out_dir.iterdir()) == []
+
+
+# --out-dir command, the first writer it runs (patched where it is defined), its artifact
+FAILING_OUT_DIR_WRITERS = {
+    "run": ("qshield.pipeline.save_model", "model.json"),
+    "train": ("qshield.pipeline.save_model", "model.json"),
+    "preprocess": ("qshield.pipeline.write_csv", "processed.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILING_OUT_DIR_WRITERS))
+def test_out_dir_writer_failing_midway_exits_1(
+    command, workspace, tmp_path, monkeypatch, capsys
+):
+    # a failed artifact write ends every command the same way as the --out commands
+    writer, artifact = FAILING_OUT_DIR_WRITERS[command]
+
+    def write_half(*args):
+        with open(args[-1], "w", encoding="utf-8") as fh:
+            fh.write("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(writer, write_half)
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    code = main([
+        command, "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+        "--out-dir", str(out_dir),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (error_line,) = captured.err.splitlines()
+    assert error_line.startswith("error: ")
+    assert f"cannot write {out_dir / artifact}: [Errno 28] No space left on device" in error_line
     assert list(out_dir.iterdir()) == []

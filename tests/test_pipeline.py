@@ -2,6 +2,7 @@
 import fcntl
 import json
 import math
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -11,7 +12,7 @@ from helpers import holding_out_dir, teacher_vqc_dataset, traced_peak
 
 from qshield import pipeline
 from qshield.encoding import FeatureMapSpec
-from qshield.errors import ConfigError, ModelFormatError, PipelineStageError
+from qshield.errors import ConfigError, ModelFormatError, PipelineStageError, QShieldError
 from qshield.evalstats import ConfusionMatrix, MetricsReport, StatReport
 from qshield.pipeline import (
     EnsembleModel,
@@ -26,12 +27,13 @@ from qshield.pipeline import (
 from qshield.preprocess import (
     Dataset,
     PreprocessConfig,
+    PreprocessModel,
     apply_preprocess,
     fit_preprocess,
     load_csv,
     write_csv,
 )
-from qshield.qkernel import kernel_matrix, train_qsvm
+from qshield.qkernel import SvmModel, kernel_matrix, train_qsvm
 from qshield.vqc import TrainConfig, VqcModel, train_vqc
 
 
@@ -300,9 +302,13 @@ class TestPersistence:
         for kind in ("vqc", "qsvm"):
             assert sorted(saved[kind]["feature_map"]) == ["entangling", "n_qubits", "repetitions"]
 
-    @pytest.mark.parametrize("kind", ["vqc", "ensemble"])
+    @pytest.mark.parametrize("kind", ["vqc", "qsvm", "preprocess", "ensemble"])
     def test_load_then_save_is_byte_identical(self, kind, tmp_path):
-        model, _ = self.trained_vqc()
+        model, data = self.trained_vqc()
+        if kind == "qsvm":
+            model, _ = self.trained_svm()
+        if kind == "preprocess":
+            model, _ = fit_preprocess(data, PreprocessConfig(pca_components=2))
         if kind == "ensemble":
             model = EnsembleModel([model, self.trained_svm()[0]], np.array([0.3, 0.7]))
         first, again = tmp_path / "first.json", tmp_path / "again.json"
@@ -352,6 +358,36 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):
             load_model(tmp_path / "nope.json")
+
+
+STANDARDIZATION = {"means": np.zeros(3), "std_devs": np.ones(3), "kept_columns": np.arange(3)}
+# model classes check their own fields, so a model built in Python that no file
+# could hold fails as it is built: case -> (class, fields, text the error contains)
+INCONSISTENT_MODELS = {
+    "svm_3_coeffs_2_indices": (SvmModel, {
+        "dual_coeffs": np.ones(3), "bias": 0.0, "support_indices": np.arange(2),
+        "support_vectors": None, "C": 1.0, "feature_map": None,
+    }, "have lengths [3, 2, 3]"),
+    "short_means": (
+        PreprocessModel, {**STANDARDIZATION, "means": np.zeros(2)}, "got shapes (2,), (3,), (3,)"
+    ),
+    "zero_std_dev": (
+        PreprocessModel, {**STANDARDIZATION, "std_devs": np.array([1.0, 0.0, 1.0])},
+        "std_devs must be > 0",
+    ),
+    "pca_basis_misfit": (PreprocessModel, {
+        **STANDARDIZATION, "pca_basis": np.ones((2, 2)), "explained_variance": np.ones(2),
+        "pca_center": np.zeros(3),
+    }, "pca_basis of shape (2, 2) does not map 3 kept columns"),
+    "std_ddof_0": (PreprocessModel, {"std_ddof": 0}, "std_ddof must be 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_MODELS))
+def test_inconsistent_model_fails_as_it_is_built(case):
+    cls, kwargs, message = INCONSISTENT_MODELS[case]
+    with pytest.raises(QShieldError, match=re.escape(message)):
+        cls(**kwargs)
 
 
 class TestRunExperiment:
@@ -535,8 +571,8 @@ class TestPreprocessExperiment:
 # (experiment, writer it runs, the artifact that writer makes, what the failure raises)
 FAILING_WRITERS = {
     "run": (run_experiment, "write_predictions_csv", "predictions.csv", PipelineStageError),
-    "preprocess": (preprocess_experiment, "write_csv", "processed.csv", OSError),
-    "train": (train_experiment, "save_model", "model.json", OSError),
+    "preprocess": (preprocess_experiment, "write_csv", "processed.csv", ConfigError),
+    "train": (train_experiment, "save_model", "model.json", ConfigError),
 }
 
 
