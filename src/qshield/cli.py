@@ -238,6 +238,11 @@ def kernel_cmd(
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with explicit exit-code mapping."""
+    # numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's libcrypto
+    # (3.4 MB of peak RSS) for an entropy source qshield never reads: every generator is
+    # seeded. Blocked, hashlib and hmac fall back to CPython's built-in hashes; a process
+    # that has already loaded the module keeps it, and library imports are unaffected.
+    sys.modules.setdefault("_hashlib", None)
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:

@@ -15,6 +15,7 @@ from .errors import InvalidInputError, NumericalError, ShapeError
 
 _BETA_EPS = 1e-15
 _BETA_MAX_ITER = 400
+_SPAWN_BLOCK = 64  # bootstrap child seeds alive at once
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,15 @@ def bootstrap_ci(correct, iterations: int = 1000, seed: int = 0) -> StatReport:
     if iterations < 100:
         raise InvalidInputError(f"need at least 100 bootstrap iterations, got {iterations}")
     n = len(outcomes)
-    children = np.random.SeedSequence(seed).spawn(iterations)
+    root = np.random.SeedSequence(seed)
     means = np.empty(iterations)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        means[i] = outcomes[rng.integers(0, n, n)].mean()
+    # spawn numbers children in order across calls, so blocks give the same children
+    # as one spawn(iterations) while holding _SPAWN_BLOCK of them at a time
+    for start in range(0, iterations, _SPAWN_BLOCK):
+        block = root.spawn(min(_SPAWN_BLOCK, iterations - start))
+        for i, child in enumerate(block, start):
+            rng = np.random.default_rng(child)
+            means[i] = outcomes[rng.integers(0, n, n)].mean()
     ordered = np.sort(means)
     mean = float(outcomes.mean())
     boot_mean = float(means.mean())

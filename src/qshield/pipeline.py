@@ -308,6 +308,9 @@ def _read_json(path, what: str, error: type[QShieldError]):
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON (byte offset {exc.pos}): {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's digit limit, or nesting past the recursion limit
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _numbers(value, name: str) -> np.ndarray:

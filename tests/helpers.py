@@ -11,13 +11,17 @@ reader that the streaming ``load_csv`` replaced (``reference_load_csv``),
 the preprocessing fit that kept each stage's input alive through the
 next stage (``reference_fit_preprocess``), and the SMO solver over
 unsigned alphas with a label case in every mask that the signed-dual
-solver replaced (``reference_train_qsvm``).  Tests compare the production
-code against them.
+solver replaced (``reference_train_qsvm``), and the bootstrap that spawned
+every resample's seed at once (``reference_bootstrap_ci``).  Tests compare the
+production code against them.  The hypothesis strategies that the fuzz tests
+share are here too (``json_values``, ``json_defects``); they import hypothesis
+when called, so the other tests run without it.
 """
 from __future__ import annotations
 
 import csv
 import fcntl
+import json
 import math
 import os
 import tracemalloc
@@ -27,6 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from qshield.encoding import FeatureMapSpec
+from qshield.evalstats import StatReport, _check_binary, _percentile
 from qshield.errors import (
     ConfigError,
     ConvergenceError,
@@ -496,6 +501,35 @@ def reference_train_qsvm(
     )
 
 
+def reference_bootstrap_ci(correct, iterations: int = 1000, seed: int = 0) -> StatReport:
+    """``evalstats.bootstrap_ci`` as it was when it spawned all its child seeds in one call."""
+    outcomes = _check_binary(correct, "correct").astype(float)
+    if iterations < 100:
+        raise InvalidInputError(f"need at least 100 bootstrap iterations, got {iterations}")
+    n = len(outcomes)
+    children = np.random.SeedSequence(seed).spawn(iterations)
+    means = np.empty(iterations)
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        means[i] = outcomes[rng.integers(0, n, n)].mean()
+    ordered = np.sort(means)
+    mean = float(outcomes.mean())
+    boot_mean = float(means.mean())
+    boot_std = float(means.std(ddof=1))
+    if boot_std == 0.0:
+        cv = 0.0
+    elif boot_mean == 0.0:
+        cv = None
+    else:
+        cv = boot_std / boot_mean
+    return StatReport(
+        mean=mean,
+        ci_low=_percentile(ordered, 2.5),
+        ci_high=_percentile(ordered, 97.5),
+        coeff_variation=cv,
+    )
+
+
 def traced_peak(fn, *args):
     """(``fn(*args)``, the peak bytes ``tracemalloc`` saw allocated during the call).
 
@@ -524,3 +558,73 @@ def holding_out_dir(out_dir):
         yield fd
     finally:
         os.close(fd)
+
+
+def json_values():
+    """Hypothesis strategy: a small JSON value of any type, nested a few levels."""
+    from hypothesis import strategies as st
+
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+_SPLICE = "@@splice@@"
+# the two texts that once ended a command in an internal error: an integer past
+# Python's 4300-digit limit and an array nested past the recursion limit
+DIGITS_5000 = "1" * 5000
+NESTED_100000 = "[" * 100_000 + "]" * 100_000
+
+
+def _leaf_paths(value, path: tuple = ()):
+    """The key/index path of every number, string and boolean in a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_paths(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaf_paths(item, (*path, i))
+    elif value is not None:
+        yield path
+
+
+def spliced(payload, path: tuple, text: str) -> str:
+    """The JSON text of ``payload`` with the value at ``path`` replaced by the raw ``text``."""
+    copy = json.loads(json.dumps(payload))
+    *parents, last = path
+    node = copy
+    for key in parents:
+        node = node[key]
+    node[last] = _SPLICE
+    return json.dumps(copy).replace(json.dumps(_SPLICE), text)
+
+
+def json_defects(payload):
+    """Hypothesis strategy: the JSON text of the object ``payload`` with one defect that
+    no reader may accept.
+
+    One number, string or boolean becomes a digit run past Python's 4300-digit
+    integer limit (or, with a fraction or exponent, past the float range), an
+    array or object nest up to 100,000 deep, or ``NaN``/``Infinity``/``-Infinity``;
+    or the text gets a UTF-8 byte-order mark; or it is cut short.
+    """
+    from hypothesis import strategies as st
+
+    text = json.dumps(payload)
+    digits = st.builds(
+        lambda k, tail: "9" * k + tail, st.integers(4301, 10_000), st.sampled_from(["", ".0", "e5"])
+    )
+    nests = st.builds(
+        lambda depth, nest: nest[0] * depth + nest[1] + nest[2] * depth,
+        st.integers(1, 100_000), st.sampled_from([("[", "", "]"), ('{"a": ', "0", "}")]),
+    )
+    return st.one_of(
+        st.tuples(st.sampled_from(list(_leaf_paths(payload))),
+                  digits | nests | st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+        .map(lambda case: spliced(payload, *case)),
+        st.just("\ufeff" + text),
+        st.integers(0, len(text) - 1).map(lambda k: text[:k]),
+    )

@@ -1,5 +1,7 @@
 """Command-line interface tests, run in-process through main()."""
 import csv
+import hashlib
+import hmac
 import json
 import os
 import signal
@@ -10,7 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import holding_out_dir, teacher_vqc_dataset, traced_peak
+from helpers import (
+    DIGITS_5000,
+    NESTED_100000,
+    holding_out_dir,
+    spliced,
+    teacher_vqc_dataset,
+    traced_peak,
+)
 
 import qshield
 from qshield import cli
@@ -180,7 +189,25 @@ def _text_mean(p):
     p["means"][0] = "1"
 
 
-# (edit, which model file it applies to, text the one error line must contain)
+def _params_nested_100000_deep(p):
+    return spliced(p, ("params",), NESTED_100000)
+
+
+def _bias_of_5000_digits(p):
+    return spliced(p, ("bias",), DIGITS_5000)
+
+
+def _means_nested_100000_deep(p):
+    return spliced(p, ("means",), NESTED_100000)
+
+
+def _mean_of_5000_digits(p):
+    return spliced(p, ("means", 0), DIGITS_5000)
+
+
+# (edit, which model file it applies to, text the one error line must contain); an
+# edit changes the parsed file in place, or returns the file's new text when no
+# parsed value can stand for it
 MALFORMED_MODELS = {
     "short_dual_coeffs": (_drop_last_coeff, "qsvm", "dual_coeffs"),
     "narrow_support_vectors": (_narrow_support_vectors, "qsvm", "support vectors"),
@@ -212,6 +239,14 @@ MALFORMED_MODELS = {
     "missing_feature_map_key": (_missing_feature_map_key, "qsvm", "repetitions"),
     "bool_param": (_bool_param, "vqc", "vqc.params"),
     "text_mean": (_text_mean, "preprocess", "preprocess.means"),
+    "params_nested_100000_deep": (
+        _params_nested_100000_deep, "vqc", "model.json is not valid JSON"
+    ),
+    "bias_of_5000_digits": (_bias_of_5000_digits, "qsvm", "model.json is not valid JSON"),
+    "means_nested_100000_deep": (
+        _means_nested_100000_deep, "preprocess", "model.json is not valid JSON"
+    ),
+    "mean_of_5000_digits": (_mean_of_5000_digits, "preprocess", "model.json is not valid JSON"),
 }
 
 
@@ -263,6 +298,8 @@ WRONG_TYPE_CONFIGS = {
         '{"preprocess": {"outlier_z_cap": 1e400}}', "preprocess.outlier_z_cap"
     ),
     "seed_repeated": ('{"seed": 1, "seed": 2}', "repeats the key 'seed'"),
+    "seed_of_5000_digits": ('{"seed": ' + DIGITS_5000 + "}", "bad.json is not valid JSON"),
+    "seed_nested_100000_deep": ('{"seed": ' + NESTED_100000 + "}", "bad.json is not valid JSON"),
 }
 # command-line arguments a case adds after the config
 WRONG_CONFIG_ARGS = {"seed_flag_negative": ["--seed", "-1"]}
@@ -353,6 +390,79 @@ class TestLazyImports:
             "--out", str(tmp_path / "p.csv"),
         ) == "0 True False\n"
         assert (tmp_path / "p.csv").exists()
+
+
+# runs one command as "module" (what python -m qshield.cli does) or "main" (the
+# qshield.cli:main entry point), then reports whether it loaded numpy.random, whether
+# OpenSSL's hash module or libcrypto is in the process (None without /proc), and what
+# hashlib, hmac and secrets give afterwards
+COMMAND_IN_CHILD = """
+import contextlib, io, os, runpy, sys
+entry, *argv = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    if entry == "module":
+        sys.argv[1:] = argv
+        try:
+            runpy.run_module("qshield.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+    else:
+        from qshield.cli import main
+        code = main(argv)
+maps = "/proc/self/maps"
+libcrypto = "libcrypto" in open(maps).read() if os.path.exists(maps) else None
+import hashlib, hmac, secrets
+print(code, "numpy.random" in sys.modules, sys.modules.get("_hashlib") is not None, libcrypto)
+print(hashlib.sha256(b"qshield").hexdigest(), hmac.new(b"key", b"qshield", "sha256").hexdigest())
+print(len(secrets.token_hex(16)))
+"""
+
+
+class TestFootprint:
+    """A command maps no OpenSSL: numpy.random would load it for an entropy source
+    that seeded generators never read. Library imports keep it."""
+
+    @pytest.fixture(scope="class")
+    def commands(self, workspace):
+        root = workspace["root"]
+        qsvm_config = root / "qsvm_config.json"
+        config = json.loads(workspace["config"].read_text())
+        qsvm_config.write_text(json.dumps({**config, "model": {"type": "qsvm", "n_qubits": 2}}))
+        data = ["--data", str(workspace["data"])]
+        return {
+            "run_vqc": ["run", *data, "--config", str(workspace["config"])],
+            "run_qsvm": ["run", *data, "--config", str(qsvm_config)],
+            "train_ensemble": ["train", "ensemble", *data, "--config", str(workspace["config"])],
+            "evaluate": [
+                "evaluate", *data, "--config", str(workspace["config"]),
+                "--model", str(workspace["model"]),
+                "--preprocess-model", str(workspace["preprocess"]),
+            ],
+        }
+
+    @pytest.mark.parametrize("entry", ["module", "main"])
+    @pytest.mark.parametrize("command", ["run_vqc", "run_qsvm", "train_ensemble", "evaluate"])
+    def test_command_loads_no_openssl(self, commands, command, entry, tmp_path):
+        args = commands[command]
+        if command != "evaluate":
+            args = [*args, "--out-dir", str(tmp_path / "out")]
+        child = subprocess.run([sys.executable, "-c", COMMAND_IN_CHILD, entry, *args],
+                               env=child_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        status, digests, token_length = child.stdout.splitlines()
+        code, numpy_random, hashlib_loaded, libcrypto = status.split()
+        assert (code, numpy_random, hashlib_loaded) == ("0", "True", "False")
+        if libcrypto != "None":
+            assert libcrypto == "False"
+        assert digests.split() == [
+            hashlib.sha256(b"qshield").hexdigest(),
+            hmac.new(b"key", b"qshield", "sha256").hexdigest(),
+        ]
+        assert token_length == "32"
+
+    def test_library_import_keeps_openssl(self):
+        code = "import sys, qshield.pipeline, numpy.random; print(sys.modules.get('_hashlib', 0))"
+        assert fresh_python(code) != "None\n"
 
 
 class TestHelp:
@@ -683,9 +793,9 @@ class TestPredict:
         edit, kind, named = MALFORMED_MODELS[case]
         sources = {"qsvm": svm_model, "vqc": workspace["model"], "preprocess": pca_preprocess}
         payload = json.loads(sources[kind].read_text())
-        edit(payload)
+        text = edit(payload)
         bad = tmp_path / "model.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_text(json.dumps(payload) if text is None else text)
         model, preprocess = (
             (workspace["model"], bad) if kind == "preprocess" else (bad, workspace["preprocess"])
         )

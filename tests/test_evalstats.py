@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import t_two_sided_p_quadrature
+from helpers import reference_bootstrap_ci, t_two_sided_p_quadrature, traced_peak
 
 from qshield.errors import InvalidInputError, ShapeError
 from qshield.evalstats import (
+    _SPAWN_BLOCK,
     ConfusionMatrix,
     bootstrap_ci,
     cohens_d,
@@ -124,6 +125,26 @@ class TestBootstrap:
         assert report.ci_low == 1.0
         assert report.ci_high == 1.0
         assert report.coeff_variation == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 500])
+    @pytest.mark.parametrize("iterations", [
+        100, 2 * _SPAWN_BLOCK - 1, 2 * _SPAWN_BLOCK, 2 * _SPAWN_BLOCK + 1, 1000, 1001,
+    ])
+    def test_seed_blocks_give_the_one_spawn_result(self, n, iterations):
+        # criterion 11 and the stored benchmark references freeze these draws
+        outcomes = np.random.default_rng(n).integers(0, 2, n)
+        for seed in (0, 5, 2**40 + 3):
+            assert bootstrap_ci(outcomes, iterations, seed) == reference_bootstrap_ci(
+                outcomes, iterations, seed
+            )
+
+    def test_holds_one_block_of_child_seeds(self):
+        # 1000 children alive at once took 0.30 MB; one block of them and the
+        # 8 kB of means take about 0.05 MB
+        outcomes = np.random.default_rng(4).integers(0, 2, 19)
+        report, peak = traced_peak(bootstrap_ci, outcomes, 1000, 0)
+        assert report == reference_bootstrap_ci(outcomes, 1000, 0)
+        assert peak < 100_000
 
     def test_iteration_floor(self):
         with pytest.raises(InvalidInputError):
