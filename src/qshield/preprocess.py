@@ -1,9 +1,9 @@
 """Dataset ingestion and classical preprocessing.
 
-A plain numeric CSV is parsed by numpy's C reader; anything else goes to a
-streaming ``csv`` reader, the one source of ingestion errors.  Both parse
-numbers with CPython's correctly rounded string-to-double, so they give
-bit-identical datasets.
+A CSV is read in one pass: numpy's C reader parses the body block by block,
+and at the first block it refuses, a ``csv`` reader, the one source of
+ingestion errors, takes over.  Both parse numbers with CPython's correctly
+rounded string-to-double, so a row gives the same doubles either way.
 
 The fitted transform is: standardize (dropping constant columns), remove
 outlier rows, re-standardize, prune correlated columns, then optionally
@@ -19,6 +19,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .errors import (
     ShapeError,
 )
 
+# characters of CSV text per numpy parse: a block's temporaries stay small beside the matrix
+BLOCK_CHARS = 1 << 16
 CONST_STD_FLOOR = 1e-12
 # fp guard so exact duplicates register as |r| = 1 at threshold 1.0
 CORR_EPS = 1e-12
@@ -85,31 +88,73 @@ class Dataset:
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     """Read a header-first CSV; the label column maps positive_label to 1.
 
-    A plain numeric file goes through numpy's C reader (``_load_plain``);
-    any other goes through the streaming reader, which gives the same
-    dataset or raises the documented error.  Blank rows are skipped;
-    errors name the data row (counting non-blank rows) and the physical line.
+    One pass over one open file: numpy's C reader parses the body in blocks
+    of about ``BLOCK_CHARS`` characters (``_plain_block``), and the csv
+    reader takes the first block it refuses and the rest of the file, giving
+    the same dataset or raising the documented error.  Rows go into one flat
+    buffer of doubles, label last, so ingest holds 8 B per cell rather than
+    the text.  A leading UTF-8 byte-order mark is dropped.  Blank rows are
+    skipped; errors name the data row (counting non-blank rows) and the
+    physical line.
     """
-    plain = _load_plain(path, label_column, positive_label)
-    return plain if plain is not None else _load_streaming(path, label_column, positive_label)
+    values = array("d")
+    lines_read = 0  # physical lines before those the current csv reader has read
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(filter(None, reader), None)
+            if header is None:
+                raise IngestionError(f"{path}: file is empty")
+            if label_column not in header:
+                raise IngestionError(
+                    f"{path}: label column {label_column!r} not found in header {header}"
+                )
+            label_idx, width = header.index(label_column), len(header)
+            feature_names = header[:label_idx] + header[label_idx + 1:]
+            lines_read = reader.line_num
+            while block := fh.readlines(BLOCK_CHARS):
+                table = _plain_block(block, label_idx, width, positive_label)
+                if table is None:
+                    break
+                values.frombytes(memoryview(table).cast("B"))
+                lines_read += len(block)
+            reader = csv.reader(chain(block, fh))
+            for row_num, row in enumerate(filter(None, reader), start=len(values) // width + 1):
+                if len(row) != width:
+                    raise IngestionError(
+                        f"{path}: row {row_num} (line {lines_read + reader.line_num}): "
+                        f"expected {width} fields, got {len(row)}"
+                    )
+                label = row.pop(label_idx).strip() == positive_label
+                try:
+                    values.extend(map(float, row))
+                except ValueError:
+                    # drop what extend appended before the bad cell, then retry the row
+                    del values[(row_num - 1) * width:]
+                    where = f"{path}: row {row_num} (line {lines_read + reader.line_num})"
+                    values.extend(_parse_cells(row, feature_names, where))
+                values.append(label)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise IngestionError(f"{path}: line {lines_read + reader.line_num}: {exc}") from exc
+    if not values:
+        raise DegenerateInputError(f"{path}: no data rows")
+    table = np.frombuffer(values).reshape(-1, width)
+    return Dataset(feature_names, table[:, :-1], table[:, -1].astype(int))
 
 
-def _load_plain(path, label_column: str, positive_label: str) -> Dataset | None:
-    """The body parsed by ``np.loadtxt`` into one float matrix, label column included.
+def _plain_block(lines: list[str], label_idx: int, width: int,
+                 positive_label: str) -> np.ndarray | None:
+    """The lines parsed by ``np.loadtxt`` into one float matrix, label column last.
 
-    None for a file the C reader cannot match exactly: a quote or NUL in a
+    None for lines the C reader cannot match exactly: a quote or NUL in a
     label cell (a quote in a feature cell fails the float parse), a line
     longer than the csv field limit, a cell numpy's float parser refuses
-    (such as ``1_0``), a ragged row, a decode error or no data rows.  The
-    label column is shifted to the end and the features are a view of the rest.
+    (such as ``1_0``), a ragged row or no data rows.
     """
-    limit = csv.field_size_limit()
-
-    def bounded(lines):
-        for line in lines:
-            if len(line) > limit:
-                raise ValueError("line longer than the csv field limit")
-            yield line
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
 
     def label(cell: str) -> bool:
         if '"' in cell or "\0" in cell:  # csv unquotes; before 3.11 it refuses a NUL
@@ -117,68 +162,19 @@ def _load_plain(path, label_column: str, positive_label: str) -> Dataset | None:
         return cell.strip() == positive_label
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(filter(None, csv.reader(fh)), None)
-            if header is None or label_column not in header:
-                return None
-            label_idx = header.index(label_column)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)  # "input contained no data"
-                table = np.loadtxt(
-                    bounded(fh), delimiter=",", comments=None, ndmin=2,
-                    converters={label_idx: label},
-                )
-    except (OSError, ValueError, UserWarning, csv.Error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            table = np.loadtxt(
+                lines, delimiter=",", comments=None, ndmin=2, converters={label_idx: label}
+            )
+    except (ValueError, UserWarning):
         return None
     # loadtxt fixes the width from the first row, which may not be the header's
-    if table.shape[1] != len(header):
+    if table.shape[1] != width:
         return None
-    labels = table[:, label_idx].astype(int)
-    for col in range(label_idx, len(header) - 1):
-        table[:, col] = table[:, col + 1]
-    return Dataset(header[:label_idx] + header[label_idx + 1:], table[:, :-1], labels)
-
-
-def _load_streaming(path, label_column: str, positive_label: str) -> Dataset:
-    """Rows stream into one flat buffer of doubles, so ingest holds 8 B per
-    cell rather than the text."""
-    values = array("d")
-    labels: list[int] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = filter(None, reader)
-            header = next(rows, None)
-            if header is None:
-                raise IngestionError(f"{path}: file is empty")
-            if label_column not in header:
-                raise IngestionError(
-                    f"{path}: label column {label_column!r} not found in header {header}"
-                )
-            label_idx = header.index(label_column)
-            feature_names = header[:label_idx] + header[label_idx + 1:]
-            for row_num, row in enumerate(rows, start=1):
-                if len(row) != len(header):
-                    raise IngestionError(
-                        f"{path}: row {row_num} (line {reader.line_num}): expected "
-                        f"{len(header)} fields, got {len(row)}"
-                    )
-                labels.append(1 if row.pop(label_idx).strip() == positive_label else 0)
-                try:
-                    values.extend(map(float, row))
-                except ValueError:
-                    # drop what extend appended before the bad cell, then retry the row
-                    del values[(row_num - 1) * len(feature_names):]
-                    where = f"{path}: row {row_num} (line {reader.line_num})"
-                    values.extend(_parse_cells(row, feature_names, where))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
-    except csv.Error as exc:
-        raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not labels:
-        raise DegenerateInputError(f"{path}: no data rows")
-    features = np.frombuffer(values, dtype=float).reshape(len(labels), len(feature_names))
-    return Dataset(feature_names, features, np.array(labels))
+    if label_idx == width - 1:
+        return table
+    return table.take([*range(label_idx), *range(label_idx + 1, width), label_idx], axis=1)
 
 
 def _parse_cells(cells: list[str], names: list[str], where: str) -> list[float]:

@@ -850,6 +850,29 @@ class TestPredict:
         assert "internal error" not in error_line
         assert not (tmp_path / "p.csv").exists()
 
+    def test_preprocessing_fitted_with_a_byte_order_mark_scores_a_file_without(
+        self, workspace, tmp_path
+    ):
+        # Excel's "CSV UTF-8" starts the file with one; no fitted name may keep it
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + workspace["data"].read_text(), encoding="utf-8")
+        assert main([
+            "train", "--data", str(marked), "--config", str(workspace["config"]),
+            "--out-dir", str(tmp_path / "marked"),
+        ]) == 0
+        fitted = tmp_path / "marked" / "preprocess.json"
+        assert fitted.read_bytes() == workspace["preprocess"].read_bytes()
+        predictions = []
+        for i, model in enumerate([tmp_path / "marked" / "model.json", workspace["model"]]):
+            out = tmp_path / f"p{i}.csv"
+            assert main([
+                "predict", "--model", str(model), "--preprocess-model", str(fitted),
+                "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+                "--out", str(out),
+            ]) == 0
+            predictions.append(out.read_bytes())
+        assert predictions[0] == predictions[1]
+
     def test_reordered_columns_exit_2(self, workspace, tmp_path, capsys):
         # same header names, feature columns reversed: the fitted standardization
         # maps columns by position, so it must refuse them rather than mis-read them

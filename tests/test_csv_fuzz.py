@@ -1,7 +1,8 @@
 """Property test: load_csv agrees with the list-of-rows reader it replaced
 (helpers.reference_load_csv) on generated CSV text, whichever of its two
-readers (numpy's C reader for plain numeric files, the streaming csv reader
-for the rest) takes the file.
+parsers (numpy's C reader, block by block, and the csv reader from the first
+block the C reader refuses) takes each line.  Each file is read in blocks of
+1 and 100 characters as well as the default, so blocks end at every line.
 
 Both must return the same names, labels and bitwise-equal features, or raise
 the same exception class.  The messages must match too, with two intended
@@ -14,10 +15,12 @@ import csv
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from helpers import reference_load_csv
 
+from qshield import preprocess
 from qshield.errors import IngestionError, QShieldError
 from qshield.preprocess import load_csv
 
@@ -41,6 +44,8 @@ NOT_NUMBERS = st.text(
 )
 LABELS = st.sampled_from(["1", "0", "malware", ""])
 LINE_BREAK = re.compile(r"\r\n|\r|\n")
+# blocks of one character end at every line; the default is about 64 KiB
+BLOCK_SIZES = (1, 100, preprocess.BLOCK_CHARS)
 
 
 @st.composite
@@ -140,18 +145,20 @@ def test_load_csv_matches_reference(file):
             expected = reference_load_csv(path, "label", "1")
         except csv.Error as exc:
             # only the pinned examples hold an oversized field, each the file's one fault
-            with pytest.raises(IngestionError) as caught:
-                load_csv(path, "label", "1")
-            assert str(caught.value) == f"{path}: line {lines[_oversized_record(records)]}: {exc}"
-            return
+            expected = IngestionError(f"{path}: line {lines[_oversized_record(records)]}: {exc}")
         except QShieldError as exc:
-            with pytest.raises(QShieldError) as caught:
-                load_csv(path, "label", "1")
-            assert type(caught.value) is type(exc)
-            assert str(caught.value) == _with_physical_line(str(exc), lines[1:])
-            return
-        actual = load_csv(path, "label", "1")
-    assert actual.feature_names == expected.feature_names
-    assert actual.labels.tolist() == expected.labels.tolist()
-    assert actual.features.shape == expected.features.shape
-    assert actual.features.tobytes() == expected.features.tobytes()
+            expected = type(exc)(_with_physical_line(str(exc), lines[1:]))
+        for block_chars in BLOCK_SIZES:
+            # patched here: hypothesis refuses the function-scoped monkeypatch fixture
+            with mock.patch.object(preprocess, "BLOCK_CHARS", block_chars):
+                if isinstance(expected, QShieldError):
+                    with pytest.raises(QShieldError) as caught:
+                        load_csv(path, "label", "1")
+                    assert type(caught.value) is type(expected)
+                    assert str(caught.value) == str(expected)
+                    continue
+                actual = load_csv(path, "label", "1")
+            assert actual.feature_names == expected.feature_names
+            assert actual.labels.tolist() == expected.labels.tolist()
+            assert actual.features.shape == expected.features.shape
+            assert actual.features.tobytes() == expected.features.tobytes()

@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import jacobi_eigh, reference_fit_preprocess, traced_peak
+from helpers import jacobi_eigh, reference_fit_preprocess, reference_load_csv, traced_peak
 
 from qshield import preprocess
 from qshield.errors import (
@@ -175,25 +175,36 @@ class TestCsv:
         assert peak < 2 * data.features.nbytes + 2**20
 
     def test_plain_ingest_holds_little_beyond_the_matrix(self, tmp_path):
-        # the C reader grows its output array, so it holds more than the
-        # streaming reader's 1.17x, but never the text (alone about 2.5x the matrix)
+        # the rows' buffer grows as blocks arrive, so it holds somewhat more than
+        # the matrix (about 1.23x here), but never the text (alone about 2.5x)
         rng = np.random.default_rng(11)
         path = tmp_path / "wide.csv"
         write_csv(toy_dataset(rng, n=4000, d=80), path)
         data, peak = traced_peak(load_csv, path, "label", "1")
         assert peak < 1.3 * data.features.nbytes + 2**16
 
+    @staticmethod
+    def spy_on_blocks(monkeypatch):
+        """Each block's lines with what ``_plain_block`` returned for them."""
+        calls = []
+        plain_block = preprocess._plain_block
+
+        def spy(lines, *args):
+            calls.append((lines, plain_block(lines, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(preprocess, "_plain_block", spy)
+        return calls
+
     def test_plain_file_takes_the_c_reader(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(13)
         expected = toy_dataset(rng, n=4000, d=80)
         path = tmp_path / "wide.csv"
         write_csv(expected, path)
-
-        def refuse(*args):
-            raise AssertionError("the streaming reader ran")
-
-        monkeypatch.setattr(preprocess, "_load_streaming", refuse)
+        blocks = self.spy_on_blocks(monkeypatch)
         data = load_csv(path, "label", "1")
+        assert len(blocks) > 1
+        assert all(table is not None for _, table in blocks)
         assert data.features.tobytes() == expected.features.tobytes()
         assert data.labels.tolist() == expected.labels.tolist()
 
@@ -203,17 +214,57 @@ class TestCsv:
         ("f0,f1,label\n1,2,1\n3,0\n", IngestionError),  # a ragged row
     ])
     def test_other_files_reach_the_streaming_reader(self, tmp_path, monkeypatch, text, error):
-        streaming = preprocess._load_streaming
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return streaming(*args)
-
-        monkeypatch.setattr(preprocess, "_load_streaming", spy)
+        blocks = self.spy_on_blocks(monkeypatch)
         with pytest.raises(error) if error else contextlib.nullcontext():
             load_csv(self.write(tmp_path, text), "label", "1")
-        assert len(calls) == 1
+        assert [table is None for _, table in blocks] == [True]
+
+    def test_late_refusal_parses_each_line_once(self, tmp_path, monkeypatch):
+        # only the last row holds a cell numpy's parser refuses, so the csv
+        # reader reads the header and the last block, nothing the C reader took
+        rng = np.random.default_rng(19)
+        path = tmp_path / "late.csv"
+        write_csv(toy_dataset(rng, n=2000, d=10), path)
+        with open(path, "a") as fh:
+            fh.write("1_0," * 10 + "1\n")
+        expected = reference_load_csv(path, "label", "1")
+        blocks = self.spy_on_blocks(monkeypatch)
+        rows, csv_reader = [], csv.reader
+
+        class CountingReader:
+            def __init__(self, lines):
+                self.reader = csv_reader(lines)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                rows.append(next(self.reader))
+                return rows[-1]
+
+            line_num = property(lambda self: self.reader.line_num)
+
+        monkeypatch.setattr(csv, "reader", CountingReader)
+        data = load_csv(path, "label", "1")
+        monkeypatch.undo()
+        assert len(blocks) > 2
+        assert [table is None for _, table in blocks] == [False] * (len(blocks) - 1) + [True]
+        assert len(rows) <= 1 + len(blocks[-1][0])
+        assert data.feature_names == expected.feature_names
+        assert data.labels.tolist() == expected.labels.tolist()
+        assert data.features.tobytes() == expected.features.tobytes()
+
+    @pytest.mark.parametrize("header", ["label,f0,f1", "f0,f1,label"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        # Excel's "CSV UTF-8" starts the file with one
+        text = header + "\n1,0.5,2\n0,1.5,1\n"
+        plain = load_csv(self.write(tmp_path, text), "label", "1")
+        marked_path = tmp_path / "bom.csv"
+        marked_path.write_text("\ufeff" + text, encoding="utf-8")
+        marked = load_csv(marked_path, "label", "1")
+        assert marked.feature_names == plain.feature_names == ["f0", "f1"]
+        assert marked.labels.tolist() == plain.labels.tolist()
+        assert marked.features.tobytes() == plain.features.tobytes()
 
     def test_write_matches_per_cell_repr(self, tmp_path):
         # the bytes of the per-cell writer that write_csv replaced, on signed
