@@ -7,26 +7,25 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import replace
-from functools import partial
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 # qshield's matrix products are mostly too small for a second OpenBLAS thread, which
 # busy-waits after numpy loads and after every product; this must precede numpy
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# each command imports the layers it runs, so --help and usage errors load no numpy;
-# loading them after click adds up to 0.25 MB of peak RSS (0.15 MB from cached bytecode)
-import click
-
-from .errors import QShieldError
+# each command imports the layers it runs, and main builds the parser, so importing
+# this module loads no numpy and no argparse
+from .errors import ConfigError, QShieldError
 
 if TYPE_CHECKING:
+    import argparse
+
     from .pipeline import PipelineConfig
 
 
 def _load_config(path: str | None, seed: int | None) -> PipelineConfig:
+    from dataclasses import replace
+
     from .pipeline import PipelineConfig
 
     config = PipelineConfig.from_json_file(path) if path else PipelineConfig()
@@ -51,189 +50,163 @@ def _note_svm_exhaustion(config: PipelineConfig, extras: dict) -> None:
     """One stderr note when SMO stopped at its update cap; the artifacts say converged false."""
     if not extras.get("svm", {}).get("converged", True):
         m = config.model
-        click.echo(
+        print(
             f"note: the SVM used all {m.svm_max_passes} pair updates (model.svm_max_passes) "
             f"without reaching model.svm_tol {m.svm_tol}; saved with converged false",
-            err=True,
+            file=sys.stderr,
         )
 
 
-@click.group()
-def cli() -> None:
-    """Hybrid quantum-classical malware classification toolkit."""
-
-
-@cli.command("run")
-@click.option("--data", "data_path", required=True, type=click.Path(), help="Input CSV.")
-@click.option("--config", "config_path", type=click.Path(), help="JSON config file.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--out-dir", required=True, type=click.Path(), help="Artifact directory.")
-def run_cmd(data_path: str, config_path: str | None, seed: int | None, out_dir: str) -> None:
+def run_cmd(args: argparse.Namespace) -> None:
     """Full experiment: preprocess, split, train, predict, evaluate."""
     from .pipeline import run_experiment
 
-    config = _load_config(config_path, seed)
-    report = run_experiment(config, data_path, out_dir)
+    config = _load_config(args.config, args.seed)
+    report = run_experiment(config, args.data, args.out_dir)
     _note_svm_exhaustion(config, report)
-    with open(Path(out_dir) / "report.txt", encoding="utf-8") as fh:
-        click.echo(fh.read(), nl=False)
-    click.echo(f"artifacts written to {out_dir}")
-    acc = report["metrics"]["accuracy"]
-    click.echo(f"test accuracy: {acc:.4f}")
+    with open(os.path.join(args.out_dir, "report.txt"), encoding="utf-8") as fh:
+        print(fh.read(), end="")
+    print(f"artifacts written to {args.out_dir}")
+    print(f"test accuracy: {report['metrics']['accuracy']:.4f}")
 
 
-@cli.command("preprocess")
-@click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path())
-@click.option("--out-dir", required=True, type=click.Path())
-def preprocess_cmd(data_path: str, config_path: str | None, out_dir: str) -> None:
+def preprocess_cmd(args: argparse.Namespace) -> None:
     """Fit the preprocessing chain; write processed.csv and preprocess.json."""
     from .pipeline import preprocess_experiment
 
-    config = _load_config(config_path, None)
-    summary = preprocess_experiment(config, data_path, out_dir)
-    click.echo(
+    summary = preprocess_experiment(_load_config(args.config, None), args.data, args.out_dir)
+    print(
         f"rows {summary['n_samples_in']} -> {summary['n_samples_out']}, "
         f"features {summary['n_features_in']} -> {summary['n_features_out']}"
     )
 
 
-@cli.command("train")
-@click.argument("model_type", required=False, type=click.Choice(["vqc", "qsvm", "ensemble"]))
-@click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path())
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", required=True, type=click.Path())
-def train_cmd(
-    model_type: str | None,
-    data_path: str,
-    config_path: str | None,
-    seed: int | None,
-    out_dir: str,
-) -> None:
-    """Preprocess and train one model; write model.json and preprocess.json.
+def train_cmd(args: argparse.Namespace) -> None:
+    """Preprocess and train one model; write model.json and preprocess.json."""
+    from dataclasses import replace
 
-    MODEL_TYPE overrides the config's model.type.
-    """
     from .pipeline import train_experiment
 
-    config = _load_config(config_path, seed)
-    if model_type:
-        config = replace(config, model=replace(config.model, type=model_type))
-    summary = train_experiment(config, data_path, out_dir)
+    config = _load_config(args.config, args.seed)
+    if args.model_type:
+        config = replace(config, model=replace(config.model, type=args.model_type))
+    summary = train_experiment(config, args.data, args.out_dir)
     _note_svm_exhaustion(config, summary)
-    click.echo(f"trained {config.model.type} model on {summary['n_samples']} rows")
-    click.echo(f"artifacts written to {out_dir}")
+    print(f"trained {config.model.type} model on {summary['n_samples']} rows")
+    print(f"artifacts written to {args.out_dir}")
 
 
-@cli.command("predict")
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--preprocess-model", "preprocess_path", type=click.Path())
-@click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-def predict_cmd(
-    model_path: str,
-    preprocess_path: str | None,
-    data_path: str,
-    config_path: str | None,
-    out_path: str,
-) -> None:
+def predict_cmd(args: argparse.Namespace) -> None:
     """Score a CSV; write sample_index, probability, label."""
     from .pipeline import _publish, load_model, predict_labels, write_predictions_csv
 
-    config = _load_config(config_path, None)
-    model = load_model(model_path)
-    data = _load_and_transform(config, data_path, preprocess_path)
+    config = _load_config(args.config, None)
+    model = load_model(args.model)
+    data = _load_and_transform(config, args.data, args.preprocess_model)
     probabilities, labels = predict_labels(model, data.features)
-    _publish(out_path, write_predictions_csv, probabilities, labels)
-    click.echo(f"{len(labels)} predictions written to {out_path}")
+    _publish(args.out, write_predictions_csv, probabilities, labels)
+    print(f"{len(labels)} predictions written to {args.out}")
 
 
-@cli.command("explain")
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--preprocess-model", "preprocess_path", type=click.Path())
-@click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path())
-@click.option("--method", type=click.Choice(["grad", "score"]), default="grad")
-@click.option("--row", type=int, default=0, help="Data row to explain.")
-@click.option("--out", "out_path", type=click.Path(), help="Optional CSV output.")
-def explain_cmd(
-    model_path: str,
-    preprocess_path: str | None,
-    data_path: str,
-    config_path: str | None,
-    method: str,
-    row: int,
-    out_path: str | None,
-) -> None:
+def explain_cmd(args: argparse.Namespace) -> None:
     """Per-feature attribution for one sample."""
     from .explain import format_attribution, grad_attribution, score_attribution
     from .explain import write_attribution_csv
     from .pipeline import _publish, load_model
 
-    config = _load_config(config_path, None)
-    model = load_model(model_path)
-    data = _load_and_transform(config, data_path, preprocess_path)
-    if not 0 <= row < data.n_samples:
-        raise click.UsageError(f"row {row} outside 0..{data.n_samples - 1}")
-    x = data.features[row]
-    if method == "grad":
-        report = grad_attribution(model, x)
-    else:
-        report = score_attribution(model, x)
+    config = _load_config(args.config, None)
+    model = load_model(args.model)
+    data = _load_and_transform(config, args.data, args.preprocess_model)
+    if not 0 <= args.row < data.n_samples:
+        raise ConfigError(f"row {args.row} outside 0..{data.n_samples - 1}")
+    attribute = grad_attribution if args.method == "grad" else score_attribution
+    report = attribute(model, data.features[args.row])
     text = format_attribution(report, data.feature_names)
-    if out_path:
-        # write_attribution_csv takes its path second
-        write = partial(write_attribution_csv, report, feature_names=data.feature_names)
-        _publish(out_path, write)
-        text += f"attribution written to {out_path}\n"
-    click.echo(text, nl=False)
+    if args.out:
+        names = data.feature_names
+        _publish(args.out, lambda tmp: write_attribution_csv(report, tmp, feature_names=names))
+        text += f"attribution written to {args.out}\n"
+    print(text, end="")
 
 
-@cli.command("evaluate")
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--preprocess-model", "preprocess_path", type=click.Path())
-@click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path())
-@click.option("--seed", type=int, default=None)
-def evaluate_cmd(
-    model_path: str,
-    preprocess_path: str | None,
-    data_path: str,
-    config_path: str | None,
-    seed: int | None,
-) -> None:
+def evaluate_cmd(args: argparse.Namespace) -> None:
     """Metrics plus bootstrap interval for a trained model on labeled data."""
     from .evalstats import format_metrics_table
     from .pipeline import evaluate_predictions, load_model, predict_labels
 
-    config = _load_config(config_path, seed)
-    model = load_model(model_path)
-    data = _load_and_transform(config, data_path, preprocess_path)
+    config = _load_config(args.config, args.seed)
+    model = load_model(args.model)
+    data = _load_and_transform(config, args.data, args.preprocess_model)
     _, labels = predict_labels(model, data.features)
     metric_report, stats = evaluate_predictions(labels, data.labels, config)
-    click.echo(format_metrics_table(metric_report, stats), nl=False)
+    print(format_metrics_table(metric_report, stats), end="")
 
 
-@cli.command("kernel")
-@click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path())
-@click.option("--preprocess-model", "preprocess_path", type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-def kernel_cmd(
-    data_path: str, config_path: str | None, preprocess_path: str | None, out_path: str
-) -> None:
+def kernel_cmd(args: argparse.Namespace) -> None:
     """Gram matrix of the dataset under the configured feature map."""
     from .pipeline import _publish, feature_map_spec
     from .qkernel import kernel_matrix, write_kernel_csv
 
-    config = _load_config(config_path, None)
-    data = _load_and_transform(config, data_path, preprocess_path)
+    config = _load_config(args.config, None)
+    data = _load_and_transform(config, args.data, args.preprocess_model)
     gram = kernel_matrix(data, feature_map_spec(config))
     gram.validate()
-    _publish(out_path, write_kernel_csv, gram)
-    click.echo(f"{gram.size}x{gram.size} kernel written to {out_path}")
+    _publish(args.out, write_kernel_csv, gram)
+    print(f"{gram.size}x{gram.size} kernel written to {args.out}")
+
+
+def _parser():
+    """The ``qshield`` argument parser: one subcommand per ``*_cmd`` function."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Raises every usage error as one ConfigError (one line, exit 1)."""
+
+        def error(self, message: str):
+            raise ConfigError(f"{self.prog}: {message}")
+
+    def path(text: str) -> str:
+        if not text:
+            raise argparse.ArgumentTypeError("empty path")
+        return text
+
+    # the options that more than one command takes, as add_argument takes them
+    shared = {
+        "--data": dict(type=path, required=True, help="input CSV"),
+        "--config": dict(type=path, help="JSON config file"),
+        "--seed": dict(type=int, help="override the config seed"),
+        "--out-dir": dict(type=path, required=True, help="artifact directory"),
+        "--model": dict(type=path, required=True, help="trained model.json"),
+        "--preprocess-model": dict(type=path, help="preprocess.json to apply to the data"),
+        "--out": dict(type=path, required=True, help="output CSV"),
+    }
+    # allow_abbrev=False: --out is not taken for --out-dir
+    parser = Parser(prog="qshield", allow_abbrev=False,
+                    description="Hybrid quantum-classical malware classification toolkit.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(handler, *options: str) -> argparse.ArgumentParser:
+        doc = handler.__doc__
+        sub = commands.add_parser(handler.__name__.removesuffix("_cmd"), allow_abbrev=False,
+                                  help=doc.splitlines()[0], description=doc)
+        sub.set_defaults(handler=handler)
+        for name in options:
+            sub.add_argument(name, **shared[name])
+        return sub
+
+    command(run_cmd, "--data", "--config", "--seed", "--out-dir")
+    command(preprocess_cmd, "--data", "--config", "--out-dir")
+    train = command(train_cmd, "--data", "--config", "--seed", "--out-dir")
+    train.add_argument("model_type", nargs="?", choices=["vqc", "qsvm", "ensemble"],
+                       metavar="MODEL_TYPE", help="vqc, qsvm or ensemble: overrides model.type")
+    command(predict_cmd, "--model", "--preprocess-model", "--data", "--config", "--out")
+    explain = command(explain_cmd, "--model", "--preprocess-model", "--data", "--config")
+    explain.add_argument("--method", choices=["grad", "score"], default="grad")
+    explain.add_argument("--row", type=int, default=0, help="data row to explain")
+    explain.add_argument("--out", type=path, help="optional CSV output")
+    command(evaluate_cmd, "--model", "--preprocess-model", "--data", "--config", "--seed")
+    command(kernel_cmd, "--data", "--config", "--preprocess-model", "--out")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,19 +217,20 @@ def main(argv: list[str] | None = None) -> int:
     # that has already loaded the module keeps it, and library imports are unaffected.
     sys.modules.setdefault("_hashlib", None)
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.Abort:
-        click.echo("aborted", err=True)
+        args = _parser().parse_args(argv)
+        args.handler(args)
+    except SystemExit as exc:
+        # argparse exits only once it has printed --help; its usage errors raise ConfigError
+        return exc.code
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
         return 1
     except QShieldError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except Exception as exc:
         # last resort: a bug outside any pipeline stage still ends in one error line
-        click.echo(f"error: internal error: {type(exc).__name__}: {exc}", err=True)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0
 

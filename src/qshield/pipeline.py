@@ -276,8 +276,11 @@ def _publish(path, write, *args) -> None:
     """Run ``write(*args, tmp)`` on ``.<name>.tmp`` beside ``path``, then rename it onto ``path``.
 
     A writer that fails midway leaves neither file behind, so an artifact is
-    complete or absent; its OSError, or the rename's, becomes a ConfigError (exit 1).
+    complete or absent; its OSError, or the rename's, becomes a ConfigError (exit 1),
+    and so does a path that names no file (such as ``""``, ``.`` or ``out/``).
     """
+    if os.path.basename(path) in ("", ".", ".."):
+        raise ConfigError(f"cannot write {path}: the path names no file")
     target = Path(path)
     tmp = target.with_name(f".{target.name}.tmp")
     try:

@@ -4,6 +4,7 @@ import hashlib
 import hmac
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -392,6 +393,47 @@ class TestLazyImports:
         assert (tmp_path / "p.csv").exists()
 
 
+# main(argv) in a new interpreter: its exit code, then the top-level packages outside
+# the standard library that importing the CLI and running the command read from files
+# (numpy's Cython extensions also register modules of their own, with no file)
+PACKAGES_IN_CHILD = """
+import contextlib, io, sys
+before = set(sys.modules)
+from qshield.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+new = set(sys.modules) - before
+loaded = {name.split(".")[0] for name in new if hasattr(sys.modules[name], "__file__")}
+print(code, *sorted(loaded - sys.stdlib_module_names))
+"""
+
+
+class TestDependencies:
+    """The CLI needs nothing but the standard library and numpy, as pyproject.toml says."""
+
+    def test_cli_import_loads_only_the_standard_library(self):
+        code = ("import sys; before = set(sys.modules); import qshield.cli; "
+                "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
+                "print(*sorted(loaded - sys.stdlib_module_names))")
+        assert fresh_python(code) == "qshield\n"
+
+    @pytest.mark.parametrize("command", ["run", "predict"])
+    def test_command_loads_only_numpy(self, command, workspace, tmp_path):
+        data = ["--data", str(workspace["data"]), "--config", str(workspace["config"])]
+        args = {
+            "run": ["run", *data, "--out-dir", str(tmp_path / "out")],
+            "predict": [
+                "predict", *data, "--model", str(workspace["model"]),
+                "--preprocess-model", str(workspace["preprocess"]),
+                "--out", str(tmp_path / "p.csv"),
+            ],
+        }[command]
+        child = subprocess.run([sys.executable, "-c", PACKAGES_IN_CHILD, *args],
+                               env=child_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "0 numpy qshield\n"
+
+
 # runs one command as "module" (what python -m qshield.cli does) or "main" (the
 # qshield.cli:main entry point), then reports whether it loaded numpy.random, whether
 # OpenSSL's hash module or libcrypto is in the process (None without /proc), and what
@@ -465,6 +507,20 @@ class TestFootprint:
         assert fresh_python(code) != "None\n"
 
 
+# every option of each command, as its --help names it
+COMMAND_OPTIONS = {
+    "run": ["--data", "--config", "--seed", "--out-dir"],
+    "preprocess": ["--data", "--config", "--out-dir"],
+    "train": ["--data", "--config", "--seed", "--out-dir"],
+    "predict": ["--model", "--preprocess-model", "--data", "--config", "--out"],
+    "explain": [
+        "--model", "--preprocess-model", "--data", "--config", "--method", "--row", "--out",
+    ],
+    "evaluate": ["--model", "--preprocess-model", "--data", "--config", "--seed"],
+    "kernel": ["--data", "--config", "--preprocess-model", "--out"],
+}
+
+
 class TestHelp:
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
@@ -479,8 +535,77 @@ class TestHelp:
     def test_missing_required_option(self):
         assert main(["run", "--data", "x.csv"]) == 1
 
+    @pytest.mark.parametrize("command, options", sorted(COMMAND_OPTIONS.items()))
+    def test_command_help_names_every_option(self, command, options, capsys):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"(?<![\w-])--[\w-]+", out)) == {"--help", *options}
+        assert ("MODEL_TYPE" in out) == (command == "train")
+
+
+class TestUsageErrors:
+    """A usage error is one "error:" line on stderr and exit 1, before any file is written."""
+
+    @pytest.mark.parametrize("args", [
+        [],
+        ["frobnicate"],
+        ["run", "--data", "x.csv"],
+        ["explain", "--model", "m.json", "--data", "x.csv", "--method", "shap"],
+        ["run", "--data", "x.csv", "--out-dir", "out", "--seed", "x"],
+        # no option takes an abbreviation: --out is not --out-dir
+        ["run", "--data", "x.csv", "--out", "out"],
+        ["train", "tree", "--data", "x.csv", "--out-dir", "out"],
+        # an empty path would mean the working directory
+        ["train", "--data", "x.csv", "--out-dir", ""],
+        ["run", "--data", "x.csv", "--out-dir", ""],
+        ["run", "--data", "", "--out-dir", "out"],
+        ["predict", "--model", "m.json", "--data", "x.csv", "--out", ""],
+        ["explain", "--model", "m.json", "--data", "x.csv", "--out", ""],
+        ["kernel", "--data", "x.csv", "--config", "", "--out", "k.csv"],
+        ["evaluate", "--model", "m.json", "--data", "x.csv", "--preprocess-model", ""],
+    ], ids=repr)
+    def test_one_error_line(self, args, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        (error_line,) = captured.err.splitlines()
+        assert error_line.startswith("error: qshield")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_path_names_its_option(self, capsys):
+        assert main(["train", "--data", "x.csv", "--out-dir", ""]) == 1
+        assert capsys.readouterr().err == "error: qshield train: argument --out-dir: empty path\n"
+
+    def test_row_out_of_range_is_one_line(self, workspace, capsys):
+        capsys.readouterr()
+        code = main([
+            "explain", "--model", str(workspace["model"]),
+            "--preprocess-model", str(workspace["preprocess"]),
+            "--data", str(workspace["data"]),
+            "--config", str(workspace["config"]), "--row", "99",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: row 99 outside 0..{workspace['n_samples'] - 1}\n"
+
 
 class TestRun:
+    def test_interrupt_is_aborted_and_exits_1(self, workspace, tmp_path, capsys, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("qshield.pipeline.run_experiment", interrupted)
+        capsys.readouterr()
+        code = main([
+            "run", "--data", str(workspace["data"]), "--out-dir", str(tmp_path / "out"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert (captured.out, captured.err) == ("", "aborted\n")
+
     def test_full_run(self, workspace, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code = main([
@@ -1137,3 +1262,24 @@ def test_out_dir_writer_failing_midway_exits_1(
     assert error_line.startswith("error: ")
     assert f"cannot write {out_dir / artifact}: [Errno 28] No space left on device" in error_line
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", [".", "/", "sub/", "sub/.", ".."])
+@pytest.mark.parametrize("command", ["predict", "kernel", "explain"])
+def test_out_naming_no_file_exits_1(command, out, workspace, tmp_path, capsys, monkeypatch):
+    root = tmp_path / "root"
+    (root / "sub").mkdir(parents=True)
+    monkeypatch.chdir(root)
+    model = ["--model", str(workspace["model"])] if command != "kernel" else []
+    capsys.readouterr()
+    code = main([
+        command, *model, "--preprocess-model", str(workspace["preprocess"]),
+        "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+        "--out", out,
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: the path names no file\n"
+    assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == [Path("root"),
+                                                                      Path("root/sub")]
