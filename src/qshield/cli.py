@@ -17,6 +17,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # this module loads no numpy and no argparse
 from .errors import ConfigError, QShieldError
 
+CLASSIFIERS = ("vqc", "qsvm", "ensemble")  # the model types train makes and the scorers take
+
 if TYPE_CHECKING:
     import argparse
 
@@ -101,7 +103,7 @@ def predict_cmd(args: argparse.Namespace) -> None:
     from .pipeline import _publish, load_model, predict_labels, write_predictions_csv
 
     config = _load_config(args.config, None)
-    model = load_model(args.model)
+    model = load_model(args.model, CLASSIFIERS)
     data = _load_and_transform(config, args.data, args.preprocess_model)
     probabilities, labels = predict_labels(model, data.features)
     _publish(args.out, write_predictions_csv, probabilities, labels)
@@ -115,7 +117,7 @@ def explain_cmd(args: argparse.Namespace) -> None:
     from .pipeline import _publish, load_model
 
     config = _load_config(args.config, None)
-    model = load_model(args.model)
+    model = load_model(args.model, CLASSIFIERS)
     data = _load_and_transform(config, args.data, args.preprocess_model)
     if not 0 <= args.row < data.n_samples:
         raise ConfigError(f"row {args.row} outside 0..{data.n_samples - 1}")
@@ -135,7 +137,7 @@ def evaluate_cmd(args: argparse.Namespace) -> None:
     from .pipeline import evaluate_predictions, load_model, predict_labels
 
     config = _load_config(args.config, args.seed)
-    model = load_model(args.model)
+    model = load_model(args.model, CLASSIFIERS)
     data = _load_and_transform(config, args.data, args.preprocess_model)
     _, labels = predict_labels(model, data.features)
     metric_report, stats = evaluate_predictions(labels, data.labels, config)
@@ -197,7 +199,7 @@ def _parser():
     command(run_cmd, "--data", "--config", "--seed", "--out-dir")
     command(preprocess_cmd, "--data", "--config", "--out-dir")
     train = command(train_cmd, "--data", "--config", "--seed", "--out-dir")
-    train.add_argument("model_type", nargs="?", choices=["vqc", "qsvm", "ensemble"],
+    train.add_argument("model_type", nargs="?", choices=CLASSIFIERS,
                        metavar="MODEL_TYPE", help="vqc, qsvm or ensemble: overrides model.type")
     command(predict_cmd, "--model", "--preprocess-model", "--data", "--config", "--out")
     explain = command(explain_cmd, "--model", "--preprocess-model", "--data", "--config")

@@ -15,7 +15,6 @@ from .errors import InvalidInputError, NumericalError, ShapeError
 
 _BETA_EPS = 1e-15
 _BETA_MAX_ITER = 400
-_SPAWN_BLOCK = 64  # bootstrap child seeds alive at once
 
 
 @dataclass(frozen=True)
@@ -111,22 +110,17 @@ def _percentile(sorted_values: np.ndarray, q: float) -> float:
 def bootstrap_ci(correct, iterations: int = 1000, seed: int = 0) -> StatReport:
     """Percentile bootstrap (95%) of mean accuracy over 0/1 outcomes.
 
-    Each iteration draws from its own spawned child of the seed sequence,
-    so results are reproducible regardless of evaluation order.
+    Iteration i draws from the i-th child that ``SeedSequence(seed).spawn`` would give,
+    built alone, so results are reproducible regardless of evaluation order.
     """
     outcomes = _check_binary(correct, "correct").astype(float)
     if iterations < 100:
         raise InvalidInputError(f"need at least 100 bootstrap iterations, got {iterations}")
     n = len(outcomes)
-    root = np.random.SeedSequence(seed)
     means = np.empty(iterations)
-    # spawn numbers children in order across calls, so blocks give the same children
-    # as one spawn(iterations) while holding _SPAWN_BLOCK of them at a time
-    for start in range(0, iterations, _SPAWN_BLOCK):
-        block = root.spawn(min(_SPAWN_BLOCK, iterations - start))
-        for i, child in enumerate(block, start):
-            rng = np.random.default_rng(child)
-            means[i] = outcomes[rng.integers(0, n, n)].mean()
+    for i in range(iterations):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        means[i] = outcomes[rng.integers(0, n, n)].mean()
     ordered = np.sort(means)
     mean = float(outcomes.mean())
     boot_mean = float(means.mean())

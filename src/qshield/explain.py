@@ -15,8 +15,8 @@ import numpy as np
 
 from .encoding import as_feature_array, feature_map_circuit
 from .errors import InvalidInputError, ShapeError, UnsupportedMethodError
-from .statevector import Circuit, evolve, new_zero_state, z_expectations
-from .vqc import VqcModel, adjoint_grad, build_ansatz
+from .statevector import Circuit, adjoint_grad, evolve, new_zero_state, z_expectations
+from .vqc import VqcModel, build_ansatz
 
 
 @dataclass(frozen=True)

@@ -338,6 +338,9 @@ def _decode_model(body: dict):
     _check_keys(body, _saved_fields(cls), f"section {model_type!r}", required=True)
     if cls is EnsembleModel:
         members = _checked(body["members"], list[dict], "ensemble.members")
+        for i, member in enumerate(members):
+            if member.get("model_type") == "preprocess":
+                raise ModelFormatError(f"ensemble.members[{i}] is a preprocess model, not a classifier")
         weights = _numbers(body["weights"], "ensemble.weights")
         return EnsembleModel([_decode_model(m) for m in members], weights)
     for key in {"params", "means", "std_devs", "kept_columns"} & body.keys():
@@ -351,8 +354,8 @@ def _decode_model(body: dict):
     return model
 
 
-def load_model(path, expected_type: str | None = None):
-    """Read a model file, checking version and (optionally) model type."""
+def load_model(path, expected_type: str | tuple[str, ...] | None = None):
+    """Read a model file, checking version and (optionally) model type: one or any of several."""
     payload = _read_json(path, "model file", ModelFormatError)
     if not isinstance(payload, dict):
         raise ModelFormatError(f"model file {path} does not contain an object")
@@ -362,9 +365,10 @@ def load_model(path, expected_type: str | None = None):
             f"model file {path} has unsupported format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    if expected_type is not None and payload.get("model_type") != expected_type:
+    expected = (expected_type,) if isinstance(expected_type, str) else expected_type
+    if expected is not None and payload.get("model_type") not in expected:
         raise ModelFormatError(
-            f"model type mismatch in {path}: expected {expected_type!r}, "
+            f"model type mismatch in {path}: expected {' or '.join(map(repr, expected))}, "
             f"found {payload.get('model_type')!r}"
         )
     try:

@@ -6,7 +6,7 @@ to a malicious-class probability p = (1 + <Z>) / 2.  Inference, training
 and gradients all run over ``(rows, 2**n)`` arrays of encoded states.
 
 Training and GRAD attribution take every derivative from one adjoint
-sweep (:func:`adjoint_grad`; Jones & Gacon 2020, arXiv:2009.02823),
+sweep (:func:`statevector.adjoint_grad`; Jones & Gacon 2020, arXiv:2009.02823),
 whatever the angle count.  The parameter-shift rule, which is what
 would run on hardware, stays as the exact public reference in
 :func:`shift_jacobian` and :func:`param_shift_grad`.
@@ -34,9 +34,7 @@ from .errors import (
 )
 from .statevector import (
     Circuit,
-    _apply_1q_matrix,
-    _apply_gate_to_array,
-    _rotation_matrix,
+    adjoint_grad,
     cnot_ring,
     evolve,
     row_chunks,
@@ -318,31 +316,3 @@ def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> tuple[np.nd
         # each row weighs its d<Z>/dtheta by dL/dp * dp/d<Z> = dL/dp / 2
         grad += adjoint_grad(circuit, phi, 0.5 * (p - y[rows]) / (p * (1.0 - p)) / len(y), qubit)
     return grad, _bce(probs, y)
-
-
-def adjoint_grad(circuit: Circuit, phi: np.ndarray, weights: np.ndarray, qubit: int) -> np.ndarray:
-    """d/dtheta of sum_b weights_b <Z_qubit>_b per angled gate, in circuit order.
-
-    ``phi`` holds the rows' states after ``circuit`` and is consumed.  The
-    backward sweep starts from lam = weights * Z phi and walks the gates in
-    reverse: at each rotation R(theta) = exp(-i theta sigma / 2),
-    d/dtheta = 2 Re sum_b <lam_b|(-i sigma / 2)|phi_b> = Re sum_b <lam_b|R(pi)|phi_b>,
-    since R(pi) = -i sigma; then both phi and lam step back through the
-    gate's inverse.  A gate with per-row angles gets the sum over its rows.
-    """
-    n = circuit.n_qubits
-    lam = weights[:, None] * (1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)) * phi
-    k = sum(gate.angle is not None for gate in circuit.gates)
-    grad = np.zeros(k)
-    for gate in reversed(circuit.gates):
-        if gate.angle is not None:
-            k -= 1
-            r_pi = _rotation_matrix(gate.kind, math.pi)
-            turned = _apply_1q_matrix(phi.copy(), r_pi, gate.target, n)
-            # Re <lam|turned> as one real dot over the (re, im) pairs; a complex
-            # np.vdot here raised the vqc-train peak RSS by about 0.25 MB
-            grad[k] = np.dot(lam.view(float).ravel(), turned.view(float).ravel())
-        inverse = gate.inverse()
-        phi = _apply_gate_to_array(phi, inverse, n)
-        lam = _apply_gate_to_array(lam, inverse, n)
-    return grad

@@ -2,6 +2,7 @@
 and independent numerical oracles.
 
 The oracles here are the slow routes the library code replaced:
+the two-qubit gates on n bit axes (``reference_two_qubit_gate``),
 gate-level encoding circuits run one state at a time, the
 inverse-circuit kernel, per-parameter shifts, the parameter-shift
 training gradient and attribution table that adjoint differentiation
@@ -182,6 +183,34 @@ def t_two_sided_p_quadrature(t_stat: float, dof: int, n_points: int = 200001) ->
     step = xs[1] - xs[0]
     integral = step / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
     return 1.0 - 2.0 * integral
+
+
+def reference_two_qubit_gate(amps: np.ndarray, gate: GateOp, n_qubits: int) -> np.ndarray:
+    """CNOT, SWAP or CPHASE on an (..., 2**n) array as the simulator applied them before
+    their split view: the amplitudes reshaped to one axis per qubit, and each subspace
+    indexed by a tuple as long as those axes, with the two qubits' bits fixed."""
+    lead = amps.shape[:-1]
+    psi = amps.reshape(lead + (2,) * n_qubits)
+
+    def index(bits: dict[int, int]) -> tuple:
+        idx: list = [slice(None)] * (len(lead) + n_qubits)
+        for qubit, bit in bits.items():
+            idx[len(lead) + (n_qubits - 1 - qubit)] = bit
+        return tuple(idx)
+
+    c, t = gate.control, gate.target
+    if gate.kind == "CPHASE":
+        hi = index({c: 1, t: 1})
+        psi[hi] = psi[hi] * np.exp(1j * gate.angle)
+        return psi.reshape(amps.shape)
+    if gate.kind == "CNOT":
+        lo, hi = index({c: 1, t: 0}), index({c: 1, t: 1})
+    else:
+        lo, hi = index({c: 0, t: 1}), index({c: 1, t: 0})
+    tmp = psi[lo].copy()
+    psi[lo] = psi[hi]
+    psi[hi] = tmp
+    return psi.reshape(amps.shape)
 
 
 def feature_map_circuit(x, spec: FeatureMapSpec) -> Circuit:

@@ -25,7 +25,7 @@ from helpers import (
 import qshield
 from qshield import cli
 from qshield.cli import main
-from qshield.pipeline import PipelineConfig, preprocess_experiment
+from qshield.pipeline import FORMAT_VERSION, PipelineConfig, preprocess_experiment
 from qshield.preprocess import Dataset, write_csv
 
 
@@ -1283,3 +1283,56 @@ def test_out_naming_no_file_exits_1(command, out, workspace, tmp_path, capsys, m
     assert captured.err == f"error: cannot write {out}: the path names no file\n"
     assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == [Path("root"),
                                                                       Path("root/sub")]
+
+
+# the commands that score rows with --model, and the options each needs besides it
+SCORING_COMMANDS = {
+    "predict": ["predict", "--out", "p.csv"],
+    "evaluate": ["evaluate"],
+    "explain --method score": ["explain", "--method", "score"],
+    "explain --method grad": ["explain", "--method", "grad"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORING_COMMANDS))
+def test_preprocess_file_as_the_model_exits_2(case, workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code = main([
+        *SCORING_COMMANDS[case], "--model", str(workspace["preprocess"]),
+        "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: model type mismatch in {workspace['preprocess']}: "
+        "expected 'vqc' or 'qsvm' or 'ensemble', found 'preprocess'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", sorted(SCORING_COMMANDS))
+def test_ensemble_with_a_preprocess_member_exits_2(case, workspace, tmp_path, capsys,
+                                                   monkeypatch):
+    members = [json.loads(workspace[key].read_text()) for key in ("model", "preprocess")]
+    for member in members:
+        del member["format_version"]
+    bad = tmp_path / "ensemble.json"
+    bad.write_text(json.dumps({"format_version": FORMAT_VERSION, "model_type": "ensemble",
+                               "members": members, "weights": [1, 1]}))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code = main([
+        *SCORING_COMMANDS[case], "--model", str(bad),
+        "--preprocess-model", str(workspace["preprocess"]),
+        "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: model file {bad} is invalid: "
+        "ensemble.members[1] is a preprocess model, not a classifier\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ensemble.json"]

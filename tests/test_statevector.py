@@ -1,15 +1,21 @@
 """Simulator unit tests: gate semantics, QFT, inversion, observables."""
+import ast
+import itertools
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import random_circuit
+from helpers import random_circuit, reference_two_qubit_gate
 
+from qshield import explain, vqc
 from qshield.errors import QubitCapError, ShapeError
 from qshield.statevector import (
     Circuit,
     GateOp,
     QuantumState,
+    _apply_gate_to_array,
     _rotation_matrix,
     apply_gate,
     cnot,
@@ -193,6 +199,77 @@ class TestCircuits:
         a = run_circuit(new_zero_state(3), circuit).amplitudes
         b = run_circuit(new_zero_state(3), circuit).amplitudes
         assert np.array_equal(a, b)
+
+
+def dense_two_qubit_matrix(gate, n):
+    # oracle: the 2**n x 2**n matrix written from the gate's action on basis index k
+    size = 2**n
+    c, t = gate.control, gate.target
+    matrix = np.zeros((size, size), dtype=complex)
+    for k in range(size):
+        bc, bt = (k >> c) & 1, (k >> t) & 1
+        if gate.kind == "CNOT":
+            matrix[k ^ (bc << t), k] = 1.0
+        elif gate.kind == "SWAP":
+            matrix[k ^ ((bc ^ bt) << c) ^ ((bc ^ bt) << t), k] = 1.0
+        else:
+            matrix[k, k] = np.exp(1j * gate.angle) if bc and bt else 1.0
+    return matrix
+
+
+class TestTwoQubitKernels:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 5)])
+    @pytest.mark.parametrize("kind", ["CNOT", "SWAP", "CPHASE"])
+    def test_split_view_matches_the_n_axis_reference(self, kind, lead, dtype):
+        rng = np.random.default_rng(41)
+        for n in range(2, 7):
+            for control, target in itertools.permutations(range(n), 2):
+                gate = GateOp(kind, target, control, 0.37 if kind == "CPHASE" else None)
+                amps = rng.standard_normal(lead + (2**n,))
+                if dtype is np.complex128:
+                    amps = amps + 1j * rng.standard_normal(amps.shape)
+                if kind == "CPHASE" and dtype is np.float64:
+                    # a phase is never written into a real buffer; evolve makes CPHASE's complex
+                    for apply in (_apply_gate_to_array, reference_two_qubit_gate):
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            with pytest.raises(RuntimeWarning, match="Casting complex"):
+                                apply(amps.copy(), gate, n)
+                    continue
+                got = _apply_gate_to_array(amps.copy(), gate, n)
+                want = reference_two_qubit_gate(amps.copy(), gate, n)
+                assert got.dtype == want.dtype == dtype
+                assert got.shape == amps.shape
+                if kind == "CPHASE" and n == 2 and lead == ():
+                    # there the reference's one |11> amplitude is a numpy scalar, and numpy
+                    # multiplies scalars without the fused multiply-add of its SIMD array loop
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+                else:
+                    assert got.tobytes() == want.tobytes(), (n, control, target)
+
+    @pytest.mark.parametrize("gate", [cnot(3, 0), swap(4, 1), cphase(0, 4, 0.9)],
+                             ids=["cnot(3,0)", "swap(4,1)", "cphase(0,4)"])
+    def test_matches_the_dense_basis_matrix(self, gate):
+        rng = np.random.default_rng(43)
+        amps = rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32))
+        want = amps @ dense_two_qubit_matrix(gate, 5).T
+        np.testing.assert_allclose(evolve(amps, Circuit(5, (gate,))), want, rtol=0, atol=1e-15)
+        state = apply_gate(QuantumState(5, amps[0].copy()), gate)
+        np.testing.assert_allclose(state.amplitudes, want[0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("module", [vqc, explain], ids=["vqc", "explain"])
+def test_layers_import_no_private_simulator_name(module):
+    # the qubit-bit layout and the kernels stay inside statevector
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "statevector"
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 class TestQft:
