@@ -45,7 +45,7 @@ class StatReport:
     mean: float
     ci_low: float
     ci_high: float
-    coeff_variation: float | None
+    coeff_variation: float
 
 
 def _check_binary(values: np.ndarray, name: str) -> np.ndarray:
@@ -123,19 +123,13 @@ def bootstrap_ci(correct, iterations: int = 1000, seed: int = 0) -> StatReport:
         means[i] = outcomes[rng.integers(0, n, n)].mean()
     ordered = np.sort(means)
     mean = float(outcomes.mean())
-    boot_mean = float(means.mean())
     boot_std = float(means.std(ddof=1))
-    if boot_std == 0.0:
-        cv = 0.0
-    elif boot_mean == 0.0:
-        cv = None
-    else:
-        cv = boot_std / boot_mean
     return StatReport(
         mean=mean,
         ci_low=_percentile(ordered, 2.5),
         ci_high=_percentile(ordered, 97.5),
-        coeff_variation=cv,
+        # 0/1 outcomes: a zero bootstrap mean means every resample mean is 0, so no spread
+        coeff_variation=0.0 if boot_std == 0.0 else boot_std / float(means.mean()),
     )
 
 

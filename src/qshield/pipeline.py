@@ -343,7 +343,8 @@ def _decode_model(body: dict):
                 raise ModelFormatError(f"ensemble.members[{i}] is a preprocess model, not a classifier")
         weights = _numbers(body["weights"], "ensemble.weights")
         return EnsembleModel([_decode_model(m) for m in members], weights)
-    for key in {"params", "means", "std_devs", "kept_columns"} & body.keys():
+    non_null = {"params", "means", "std_devs", "kept_columns", "support_vectors", "feature_map"}
+    for key in non_null & body.keys():
         if body[key] is None:
             raise ModelFormatError(f"{model_type}.{key} must not be null")
     model = _build_section(cls, body, model_type, model_file=True)
@@ -381,8 +382,6 @@ def load_model(path, expected_type: str | tuple[str, ...] | None = None):
 def _stage(name: str):
     try:
         yield
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 
@@ -450,11 +449,12 @@ def _train_model(config: PipelineConfig, train: Dataset):
             f" must match some but not all of column {config.data.label_column!r}"
         )
     m = config.model
+    members: list = []
     extras: dict = {}
-    training = replace(config.training, seed=config.seed + 1)
     if m.type in ("vqc", "ensemble"):
         arch = VqcModel.fresh(m.n_qubits, m.n_layers, m.repetitions, m.encoding)
-        vqc_model, history = train_vqc(train, arch, training)
+        vqc_model, history = train_vqc(train, arch, replace(config.training, seed=config.seed + 1))
+        members.append(vqc_model)
         extras["loss_history"] = [float(v) for v in history]
     if m.type in ("qsvm", "ensemble"):
         spec = feature_map_spec(config)
@@ -467,16 +467,14 @@ def _train_model(config: PipelineConfig, train: Dataset):
             vectors=train.features,
             feature_map=spec,
         )
+        members.append(svm_model)
         extras["svm"] = {
             "converged": bool(svm_model.converged),
             "n_support": int(len(svm_model.support_indices)),
             "n_updates": int(svm_model.n_updates),
         }
-    if m.type == "vqc":
-        return vqc_model, extras
-    if m.type == "qsvm":
-        return svm_model, extras
-    return EnsembleModel([vqc_model, svm_model], np.asarray(m.ensemble_weights)), extras
+    weights = np.asarray(m.ensemble_weights)
+    return (members[0] if len(members) == 1 else EnsembleModel(members, weights)), extras
 
 
 def predict_labels(model, features) -> tuple[np.ndarray, np.ndarray]:

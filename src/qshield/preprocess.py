@@ -368,27 +368,21 @@ def train_test_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Da
     if data.n_samples == 0:
         raise DegenerateInputError("cannot split an empty dataset")
     rng = np.random.default_rng(seed)
-    test_idx: list[int] = []
+    test_mask = np.zeros(data.n_samples, dtype=bool)
     for cls in (0, 1):
         members = np.flatnonzero(data.labels == cls)
-        count = len(members)
-        if count == 0:
-            continue
-        if count == 1:
-            continue  # singleton class stays in train
-        n_test = max(1, int(math.floor(test_fraction * count + 0.5)))
-        if n_test >= count:
+        if len(members) < 2:
+            continue  # an absent or singleton class stays in train
+        n_test = max(1, int(math.floor(test_fraction * len(members) + 0.5)))
+        if n_test >= len(members):
             raise InvalidInputError(
                 f"test_fraction {test_fraction} leaves no training rows for class {cls}"
             )
-        picked = rng.permutation(members)[:n_test]
-        test_idx.extend(int(i) for i in picked)
-    if not test_idx or len(test_idx) == data.n_samples:
+        test_mask[rng.permutation(members)[:n_test]] = True
+    if not test_mask.any() or test_mask.all():
         raise InvalidInputError(
             f"test_fraction {test_fraction} produces an empty train or test part"
         )
-    test_mask = np.zeros(data.n_samples, dtype=bool)
-    test_mask[test_idx] = True
     return data.take_rows(~test_mask), data.take_rows(test_mask)
 
 

@@ -338,7 +338,12 @@ def adjoint_grad(circuit: Circuit, phi: np.ndarray, weights: np.ndarray, qubit: 
     d/dtheta = 2 Re sum_b <lam_b|(-i sigma / 2)|phi_b> = Re sum_b <lam_b|R(pi)|phi_b>,
     since R(pi) = -i sigma; then both phi and lam step back through the
     gate's inverse.  A gate with per-row angles gets the sum over its rows.
+    Raises ValueError, before any gate is applied, on an angled gate that is
+    not one of these rotations (CPHASE).
     """
+    for i, gate in enumerate(circuit.gates):
+        if gate.angle is not None and gate.kind not in ("RX", "RY", "RZ"):
+            raise ValueError(f"adjoint_grad: gate {i} is {gate.kind}, not RX, RY or RZ")
     n = circuit.n_qubits
     lam = weights[:, None] * (1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)) * phi
     k = sum(gate.angle is not None for gate in circuit.gates)

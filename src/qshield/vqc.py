@@ -264,9 +264,12 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
         return _bce((1.0 + z) / 2.0, y)
 
     full_batch = config.batch_size is None or config.batch_size >= m
+    step = m if full_batch else config.batch_size
     history = [] if full_batch else [full_loss(params)]
     for epoch in range(1, config.epochs + 1):
-        for batch in _batches(m, config.batch_size, rng):
+        order = np.arange(m) if full_batch else rng.permutation(m)
+        for start in range(0, m, step):
+            batch = order[start : start + step]
             grad, loss = _bce_grad(replace(arch, params=params), states[batch], y[batch])
             # an overflowing step is reported below as a NumericalError, not a warning
             with np.errstate(over="ignore"):
@@ -292,15 +295,6 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
     meta = {**asdict(config), "final_loss": history[-1]}
     model = replace(arch, params=params, rng_seed=config.seed, optimizer_meta=meta)
     return model, history
-
-
-def _batches(m: int, batch_size: int | None, rng: np.random.Generator):
-    if batch_size is None or batch_size >= m:
-        yield np.arange(m)
-        return
-    order = rng.permutation(m)
-    for start in range(0, m, batch_size):
-        yield order[start : start + batch_size]
 
 
 def _bce_grad(model: VqcModel, states: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

@@ -118,6 +118,14 @@ def _null_pca_center(p):
     p["pca_center"] = None
 
 
+def _null_support_vectors(p):
+    p["support_vectors"] = None
+
+
+def _null_svm_feature_map(p):
+    p["feature_map"] = None
+
+
 def _negative_kept_column(p):
     p["kept_columns"][0] = -1
 
@@ -222,6 +230,10 @@ MALFORMED_MODELS = {
     "infinite_param": (_infinite_param, "vqc", "vqc.params"),
     "short_means": (_short_means, "preprocess", "means"),
     "null_pca_center": (_null_pca_center, "preprocess", "pca_center"),
+    "null_support_vectors": (
+        _null_support_vectors, "qsvm", "qsvm.support_vectors must not be null"
+    ),
+    "null_svm_feature_map": (_null_svm_feature_map, "qsvm", "qsvm.feature_map must not be null"),
     "negative_kept_column": (_negative_kept_column, "preprocess", "preprocess.kept_columns"),
     "basis_missing_component": (_basis_missing_component, "preprocess", "pca_basis"),
     "huge_kept_column": (_huge_kept_column, "preprocess", "preprocess.kept_columns"),
@@ -278,6 +290,14 @@ WRONG_TYPE_CONFIGS = {
     "repetitions_bool": ({"model": {"repetitions": True}}, "model.repetitions"),
     "batch_size_bool": ({"training": {"batch_size": True}}, "training.batch_size"),
     "seed_negative": ({"seed": -1}, "seed"),
+    "correlation_threshold_zero": (
+        {"preprocess": {"correlation_threshold": 0}}, "correlation_threshold"
+    ),
+    "outlier_z_cap_zero": ({"preprocess": {"outlier_z_cap": 0}}, "outlier_z_cap"),
+    "pca_components_zero": ({"preprocess": {"pca_components": 0}}, "pca_components"),
+    "learning_rate_zero": ({"training": {"learning_rate": 0}}, "learning_rate"),
+    "batch_size_zero": ({"training": {"batch_size": 0}}, "batch_size"),
+    "encoding_basis": ({"model": {"encoding": "basis"}}, "encoding"),
     "epochs_zero": ({"training": {"epochs": 0}}, "epochs"),
     "vqc_ensemble_weights_text": ({"model": {"ensemble_weights": "ab"}}, "model.ensemble_weights"),
     "vqc_ensemble_weights_negative": ({"model": {"ensemble_weights": [1, -1]}}, "ensemble_weights"),

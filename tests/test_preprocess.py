@@ -599,6 +599,16 @@ class TestSplit:
         assert 1 not in test.labels
         assert (train.labels == 1).sum() == 1
 
+    def test_singleton_class_split_matches_recorded_rows(self):
+        # feature x is the row index; the rows are recorded values, so a change to the
+        # permutation draw, or a singleton class that draws at all, shows here
+        labels = np.array([0, 0, 0, 1, 0, 0, 0, 0, 0])
+        train, test = train_test_split(Dataset(["x"], np.arange(9.0)[:, None], labels), 0.3, seed=4)
+        assert train.features[:, 0].tolist() == [0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        assert test.features[:, 0].tolist() == [1.0, 2.0]
+        assert train.labels.tolist() == [0, 1, 0, 0, 0, 0, 0]
+        assert test.labels.tolist() == [0, 0]
+
     def test_fraction_bounds(self):
         data = self.make(5, 5)
         for bad in (0.0, 1.0, -0.1):

@@ -415,6 +415,14 @@ class TestSvmPrediction:
         with pytest.raises(ConfigError):
             stripped.predict_proba(self.features[:1])
 
+    def test_no_support_vectors_scores_the_bias_on_every_row(self):
+        empty = SvmModel(
+            dual_coeffs=np.zeros(0), bias=-0.7, support_indices=np.zeros(0, dtype=int),
+            support_vectors=None, C=1.0, feature_map=None,
+        )
+        expect = np.full(len(self.features), 1.0 / (1.0 + math.exp(0.7)))
+        np.testing.assert_allclose(empty.predict_proba(self.features), expect, rtol=0, atol=1e-15)
+
     def test_support_vector_width_must_match_input(self):
         with pytest.raises(ShapeError):
             self.model.predict_proba(np.zeros((2, 1)))

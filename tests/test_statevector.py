@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from helpers import random_circuit, reference_two_qubit_gate
 
-from qshield import explain, vqc
+from qshield import explain, statevector, vqc
 from qshield.errors import QubitCapError, ShapeError
 from qshield.statevector import (
     Circuit,
@@ -17,6 +17,7 @@ from qshield.statevector import (
     QuantumState,
     _apply_gate_to_array,
     _rotation_matrix,
+    adjoint_grad,
     apply_gate,
     cnot,
     cphase,
@@ -130,6 +131,22 @@ class TestStatesAndGates:
             GateOp("RX", 0)
         with pytest.raises(ValueError):
             GateOp("XX", 0)
+        with pytest.raises(ValueError, match="CNOT needs a second qubit"):
+            GateOp("CNOT", 0)
+        with pytest.raises(ValueError, match="RX does not take a control qubit"):
+            GateOp("RX", 0, control=1, angle=0.1)
+        with pytest.raises(ValueError, match="qubit indices must be non-negative"):
+            ry(-1, 0.1)
+
+    def test_adjoint_grad_refuses_cphase_before_any_gate(self, monkeypatch):
+        circuit = Circuit(2, (h(0), h(1), cphase(0, 1, 0.3)))
+        phi = evolve(new_zero_state(2).amplitudes[None, :], circuit)
+        applied = []
+        for kernel in ("_apply_gate_to_array", "_apply_1q_matrix"):
+            monkeypatch.setattr(statevector, kernel, lambda *args: applied.append(args))
+        with pytest.raises(ValueError, match="adjoint_grad: gate 2 is CPHASE, not RX, RY or RZ"):
+            adjoint_grad(circuit, phi, np.ones(1), 0)
+        assert applied == []
 
     def test_per_row_ry_matrices_stack_the_scalar_ones(self):
         # the feature map's per-row RY matrices equal the ansatz's scalar ones

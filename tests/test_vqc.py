@@ -310,6 +310,21 @@ class TestTraining:
         assert len(history) == 6
         assert np.isfinite(history).all()
 
+    def test_minibatch_adam_matches_recorded_values(self):
+        # 19 rows in batches of 5 (5, 5, 5, 4), a shuffle per epoch: the loss history
+        # and the final parameters are recorded values, so any change to which rows
+        # make a batch, or to the shuffle's draws, shows here
+        data, _ = teacher_vqc_dataset(seed=157, n_qubits=2, n_layers=1, n_samples=19)
+        config = TrainConfig(epochs=3, learning_rate=0.05, batch_size=5, seed=8)
+        model, history = train_vqc(data, VqcModel.fresh(2, 1), config)
+        assert repr(history) == (
+            "[1.4717415745057871, 1.15812387952284, 0.902210074256171, 0.7034699050930077]"
+        )
+        assert repr(model.params.tolist()) == (
+            "[-1.087165253697278, 3.061650700215168, -1.1390733986622765, "
+            "2.345707087423603, 2.912378344055619, -0.6843343451016323]"
+        )
+
     def test_gd_optimizer_runs(self):
         data, _ = teacher_vqc_dataset(seed=139, n_qubits=2, n_layers=1, n_samples=16)
         arch = VqcModel.fresh(2, 1)
