@@ -106,7 +106,7 @@ def predict_cmd(args: argparse.Namespace) -> None:
     model = load_model(args.model, CLASSIFIERS)
     data = _load_and_transform(config, args.data, args.preprocess_model)
     probabilities, labels = predict_labels(model, data.features)
-    _publish(args.out, write_predictions_csv, probabilities, labels)
+    _publish((args.out, write_predictions_csv, probabilities, labels))
     print(f"{len(labels)} predictions written to {args.out}")
 
 
@@ -126,7 +126,7 @@ def explain_cmd(args: argparse.Namespace) -> None:
     text = format_attribution(report, data.feature_names)
     if args.out:
         names = data.feature_names
-        _publish(args.out, lambda tmp: write_attribution_csv(report, tmp, feature_names=names))
+        _publish((args.out, lambda tmp: write_attribution_csv(report, tmp, feature_names=names)))
         text += f"attribution written to {args.out}\n"
     print(text, end="")
 
@@ -153,7 +153,7 @@ def kernel_cmd(args: argparse.Namespace) -> None:
     data = _load_and_transform(config, args.data, args.preprocess_model)
     gram = kernel_matrix(data, feature_map_spec(config))
     gram.validate()
-    _publish(args.out, write_kernel_csv, gram)
+    _publish((args.out, write_kernel_csv, gram))
     print(f"{gram.size}x{gram.size} kernel written to {args.out}")
 
 

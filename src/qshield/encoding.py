@@ -112,8 +112,7 @@ def feature_map_states(features, spec: FeatureMapSpec) -> np.ndarray:
     """Real state U_phi(x)|0...0> per row of a (rows, features) matrix, in row blocks."""
     arr = as_feature_matrix(features)
     states = np.eye(1, 2**spec.n_qubits).repeat(len(arr), axis=0)  # the real |0...0> per row
-    # an empty matrix still runs one (empty) block, for feature_map_circuit's width check
-    for rows in row_chunks(len(arr), states.shape[1]) or [slice(0, 0)]:
+    for rows in row_chunks(len(arr), states.shape[1]):
         states[rows] = evolve(states[rows], feature_map_circuit(arr[rows], spec))
     return states
 

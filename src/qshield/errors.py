@@ -61,10 +61,6 @@ class ModelFormatError(DataError):
     """Model file unreadable: bad JSON, unknown version, or wrong type."""
 
 
-class ConvergenceError(NumericalError):
-    """Iterative routine failed to converge within its budget."""
-
-
 class PipelineStageError(QShieldError):
     """Failure inside a named pipeline stage; wraps the causal error."""
 

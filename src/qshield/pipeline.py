@@ -272,24 +272,33 @@ def _write_text(text: str, path) -> None:
         fh.write(text)
 
 
-def _publish(path, write, *args) -> None:
-    """Run ``write(*args, tmp)`` on ``.<name>.tmp`` beside ``path``, then rename it onto ``path``.
+def _publish(*artifacts) -> None:
+    """Publish ``(path, write, *args)`` artifacts as one set: each ``write(*args, tmp)``
+    makes ``.<name>.tmp`` beside its path, and only once all are written are the old
+    files at the paths removed and the new ones renamed onto them.
 
-    A writer that fails midway leaves neither file behind, so an artifact is
-    complete or absent; its OSError, or the rename's, becomes a ConfigError (exit 1),
-    and so does a path that names no file (such as ``""``, ``.`` or ``out/``).
+    So a failure never leaves files of two runs: a failing writer leaves the previous
+    set whole, and a failed removal or rename leaves files of one run, the rest absent.
+    No ``.tmp`` file stays.  An OSError becomes a ConfigError (exit 1), and so does a
+    path that names no file (such as ``""``, ``.`` or ``out/``).
     """
-    if os.path.basename(path) in ("", ".", ".."):
-        raise ConfigError(f"cannot write {path}: the path names no file")
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.tmp")
+    staged: list[tuple[Path, Path]] = []
     try:
-        write(*args, tmp)
-        os.replace(tmp, target)
+        for path, write, *args in artifacts:
+            if os.path.basename(path) in ("", ".", ".."):
+                raise ConfigError(f"cannot write {path}: the path names no file")
+            target = Path(path)
+            staged.append((target, target.with_name(f".{target.name}.tmp")))
+            write(*args, staged[-1][1])
+        for path, _ in staged:
+            path.unlink(missing_ok=True)
+        for path, tmp in staged:
+            os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        for _, tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _read_json(path, what: str, error: type[QShieldError]):
@@ -536,11 +545,13 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
                 "bootstrap": asdict(stats),
                 **extras,
             }
-            _publish(out / "model.json", save_model, model)
-            _publish(out / "preprocess.json", save_model, pre_model)
-            _publish(out / "predictions.csv", write_predictions_csv, probabilities, labels)
-            _publish(out / "report.json", _write_json, report)
-            _publish(out / "report.txt", _write_text, format_metrics_table(metric_report, stats))
+            _publish(
+                (out / "model.json", save_model, model),
+                (out / "preprocess.json", save_model, pre_model),
+                (out / "predictions.csv", write_predictions_csv, probabilities, labels),
+                (out / "report.json", _write_json, report),
+                (out / "report.txt", _write_text, format_metrics_table(metric_report, stats)),
+            )
     return report
 
 
@@ -548,9 +559,10 @@ def preprocess_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     """Standalone preprocessing: writes processed.csv and preprocess.json."""
     with _output_dir(out_dir) as out:
         (n_samples, n_features), pre_model, processed = _load_and_preprocess(config, data_path)
-        # first, so that write_csv refusing a feature named "label" leaves no artifact
-        _publish(out / "processed.csv", write_csv, processed)
-        _publish(out / "preprocess.json", save_model, pre_model)
+        _publish(
+            (out / "processed.csv", write_csv, processed),
+            (out / "preprocess.json", save_model, pre_model),
+        )
     return {
         "n_samples_in": n_samples,
         "n_samples_out": int(processed.n_samples),
@@ -569,6 +581,8 @@ def train_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
         _, pre_model, processed = _load_and_preprocess(config, data_path)
         with _stage("train"):
             model, extras = _train_model(config, processed)
-        _publish(out / "model.json", save_model, model)
-        _publish(out / "preprocess.json", save_model, pre_model)
+        _publish(
+            (out / "model.json", save_model, model),
+            (out / "preprocess.json", save_model, pre_model),
+        )
     return {"n_samples": int(processed.n_samples), **extras}

@@ -300,10 +300,8 @@ def fit_pca(data: Dataset, n_components: int) -> PreprocessModel:
     order = np.argsort(evals)[::-1]
     evals = evals[order][:n_components]
     basis = evecs[:, order][:, :n_components].copy()
-    for col in range(basis.shape[1]):
-        pivot = np.argmax(np.abs(basis[:, col]))
-        if basis[pivot, col] < 0:
-            basis[:, col] = -basis[:, col]
+    pivots = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
+    basis[:, pivots < 0] *= -1.0
     return PreprocessModel(
         pca_basis=basis,
         explained_variance=evals,
@@ -334,17 +332,13 @@ def prune_correlated(data: Dataset, threshold: float = 0.95) -> tuple[Dataset, l
     d = data.n_features
     if d < 2 or data.n_samples < 2:
         return data.take_columns(list(range(d))), []
-    corr = np.corrcoef(data.features, rowvar=False)
+    corr = np.abs(np.corrcoef(data.features, rowvar=False))
     keep = np.ones(d, dtype=bool)
-    dropped: list[int] = []
     for i in range(d):
-        if not keep[i]:
-            continue
-        for j in range(i + 1, d):
-            if keep[j] and abs(corr[i, j]) >= threshold - CORR_EPS:
-                keep[j] = False
-                dropped.append(j)
-    return data.take_columns(np.flatnonzero(keep)), sorted(dropped)
+        if keep[i]:
+            # ~(>=), not <, so a NaN correlation keeps its column
+            keep[i + 1:] &= ~(corr[i, i + 1:] >= threshold - CORR_EPS)
+    return data.take_columns(np.flatnonzero(keep)), np.flatnonzero(~keep).tolist()
 
 
 def remove_outliers(data: Dataset, z_cap: float = 5.0) -> tuple[Dataset, list[int]]:
@@ -354,8 +348,7 @@ def remove_outliers(data: Dataset, z_cap: float = 5.0) -> tuple[Dataset, list[in
     bad = (np.abs(data.features) > z_cap).any(axis=1)
     if bad.all() and data.n_samples > 0:
         raise DegenerateOutputError("outlier removal would discard every row")
-    removed = np.flatnonzero(bad)
-    return data.take_rows(~bad), [int(i) for i in removed]
+    return data.take_rows(~bad), np.flatnonzero(bad).tolist()
 
 
 def train_test_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -206,9 +206,10 @@ CHUNK_AMPLITUDES = 1 << 20
 
 def row_chunks(n_rows: int, row_size: int, gate_sweep: bool = True) -> list[slice]:
     """Slices of at least one row and at most BLOCK_AMPLITUDES (CHUNK_AMPLITUDES unless
-    ``gate_sweep``, either read at call time) values of ``row_size`` per row."""
+    ``gate_sweep``, either read at call time) values of ``row_size`` per row; zero rows
+    give one empty slice, so a block's checks run on an empty matrix too."""
     step = max(1, (BLOCK_AMPLITUDES if gate_sweep else CHUNK_AMPLITUDES) // row_size)
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
+    return [slice(start, start + step) for start in range(0, max(n_rows, 1), step)]
 
 
 def _split(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:

@@ -112,20 +112,10 @@ class VqcModel:
         n_layers: int,
         repetitions: int = 2,
         encoding: str = "angle",
-        rng_seed: int = 0,
-        entangling: bool = True,
     ) -> "VqcModel":
         """Architecture shell with zeroed parameters; training draws the real init."""
-        spec = FeatureMapSpec(n_qubits, repetitions, entangling=entangling)
-        return cls(
-            n_qubits=n_qubits,
-            n_layers=n_layers,
-            params=None,
-            feature_map=spec,
-            rng_seed=rng_seed,
-            encoding=encoding,
-            entangling=entangling,
-        )
+        spec = FeatureMapSpec(n_qubits, repetitions)
+        return cls(n_qubits, n_layers, params=None, feature_map=spec, encoding=encoding)
 
     def predict_proba(self, features) -> np.ndarray:
         """Malicious-class probability per row of a (rows, features) matrix, in row blocks."""
@@ -191,13 +181,6 @@ def shift_jacobian(model: VqcModel, states: np.ndarray) -> np.ndarray:
 def param_shift_grad(model: VqcModel, x) -> np.ndarray:
     """Exact gradient of <Z> for one sample w.r.t. each ansatz parameter."""
     return shift_jacobian(model, encode_rows(model, as_feature_array(x)[np.newaxis]))[0]
-
-
-def bce_loss(model: VqcModel, dataset) -> float:
-    """Mean binary cross-entropy over a dataset, probabilities clamped."""
-    if dataset.n_samples == 0:
-        raise DegenerateInputError("dataset is empty")
-    return _bce(model.predict_proba(dataset.features), dataset.labels.astype(float))
 
 
 def _bce(probs: np.ndarray, labels: np.ndarray) -> float:

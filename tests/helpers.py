@@ -10,7 +10,9 @@ replaced (``shift_bce_grad``, ``shift_attribution``), a cyclic Jacobi
 eigensolver standing in for LAPACK's ``eigh``, the list-of-rows CSV
 reader that the streaming ``load_csv`` replaced (``reference_load_csv``),
 the preprocessing fit that kept each stage's input alive through the
-next stage (``reference_fit_preprocess``), and the SMO solver over
+next stage (``reference_fit_preprocess``), the greedy pair loop and the
+per-column PCA sign loop that whole-row numpy comparisons replaced
+(``reference_prune_correlated``, ``reference_pca_signs``), the SMO solver over
 unsigned alphas with a label case in every mask that the signed-dual
 solver replaced (``reference_train_qsvm``), and the bootstrap that spawned
 every resample's seed at once (``reference_bootstrap_ci``).  Tests compare the
@@ -35,16 +37,17 @@ from qshield.encoding import FeatureMapSpec
 from qshield.evalstats import StatReport, _check_binary, _percentile
 from qshield.errors import (
     ConfigError,
-    ConvergenceError,
     DegenerateInputError,
     DegenerateOutputError,
     IngestionError,
     InvalidInputError,
+    NumericalError,
     ShapeError,
 )
 from qshield.explain import AttributionReport
 from qshield.qkernel import BOUND_SNAP, KernelMatrix, SvmModel
 from qshield.preprocess import (
+    CORR_EPS,
     Dataset,
     PreprocessConfig,
     PreprocessModel,
@@ -360,7 +363,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 1
                 vec_p, vec_q = vecs[:, p].copy(), vecs[:, q].copy()
                 vecs[:, p] = c * vec_p - s * vec_q
                 vecs[:, q] = s * vec_p + c * vec_q
-    raise ConvergenceError(
+    raise NumericalError(
         f"Jacobi sweeps exhausted ({max_sweeps}) without reaching tolerance {tol}"
     )
 
@@ -457,6 +460,34 @@ def reference_fit_preprocess(
         )
         processed = apply_pca(pca, pruned)
     return model, processed
+
+
+def reference_prune_correlated(data: Dataset, threshold: float) -> tuple[list[int], list[int]]:
+    """(kept, dropped) columns by greedy Pearson pruning, one pair at a time: scanning
+    left to right, each kept column drops every later kept column with |r| >= threshold."""
+    d = data.n_features
+    corr = np.corrcoef(data.features, rowvar=False)
+    keep = [True] * d
+    dropped = []
+    for i in range(d):
+        if not keep[i]:
+            continue
+        for j in range(i + 1, d):
+            if keep[j] and abs(corr[i, j]) >= threshold - CORR_EPS:
+                keep[j] = False
+                dropped.append(j)
+    return [j for j in range(d) if keep[j]], sorted(dropped)
+
+
+def reference_pca_signs(basis: np.ndarray) -> np.ndarray:
+    """A copy of ``basis`` with each column negated where its largest-magnitude entry is
+    negative, one column at a time."""
+    basis = basis.copy()
+    for col in range(basis.shape[1]):
+        pivot = np.argmax(np.abs(basis[:, col]))
+        if basis[pivot, col] < 0:
+            basis[:, col] = -basis[:, col]
+    return basis
 
 
 def reference_train_qsvm(

@@ -24,6 +24,7 @@ from helpers import (
 
 from qshield import statevector, vqc
 from qshield.encoding import FeatureMapSpec, feature_map_states
+from qshield.errors import ShapeError
 from qshield.pipeline import EnsembleModel
 from qshield.qkernel import kernel_matrix, train_qsvm
 from qshield.vqc import TrainConfig, VqcModel, encode_rows, shift_jacobian, train_vqc
@@ -91,16 +92,20 @@ def test_jacobian_matches_per_parameter_shifts(name):
         np.testing.assert_allclose(row, shift_gradient(model, x), atol=TOL, rtol=0)
 
 
+def small_svm(rng: np.random.Generator, spec: FeatureMapSpec):
+    train = rng.uniform(-math.pi, math.pi, (10, spec.n_qubits))
+    gram = kernel_matrix(train, spec)
+    return train_qsvm(
+        gram, separable_kernel_labels(gram.entries, rng), C=10.0,
+        vectors=train, feature_map=spec,
+    )
+
+
 def test_prediction_across_chunk_boundary(monkeypatch):
     rng = np.random.default_rng(11)
     vqc, rows = vqc_case("3q-angle", rng, n_rows=7)
     spec = FeatureMapSpec(3, 2)
-    train = rng.uniform(-math.pi, math.pi, (10, 3))
-    gram = kernel_matrix(train, spec)
-    svm = train_qsvm(
-        gram, separable_kernel_labels(gram.entries, rng), C=10.0,
-        vectors=train, feature_map=spec,
-    )
+    svm = small_svm(rng, spec)
     ensemble = EnsembleModel([vqc, svm], np.array([0.3, 0.7]))
     states = feature_map_states(rows, spec)
 
@@ -120,6 +125,28 @@ def test_prediction_across_chunk_boundary(monkeypatch):
     np.testing.assert_allclose(
         ensemble.predict_proba(rows), 0.3 * vqc_oracle + 0.7 * svm_oracle, atol=TOL, rtol=0
     )
+
+
+def test_zero_rows_run_one_empty_block():
+    for gate_sweep in (True, False):
+        assert [s.indices(0) for s in statevector.row_chunks(0, 2**3, gate_sweep)] == [(0, 0, 1)]
+    rng = np.random.default_rng(19)
+    angle, _ = vqc_case("3q-angle", rng)
+    amplitude, _ = vqc_case("2q-amplitude", rng)
+    svm = small_svm(rng, FeatureMapSpec(3, 2))
+    assert len(svm.support_indices) > 0
+    ensemble = EnsembleModel([angle, svm], np.array([0.5, 0.5]))
+    for model, width in ((angle, 3), (amplitude, 4), (svm, 3), (ensemble, 3)):
+        assert model.predict_proba(np.zeros((0, width))).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["3q-angle", "2q-amplitude"])
+def test_zero_rows_too_wide_for_the_encoding_rejected(name):
+    # the empty block still encodes, so a width the encoding cannot take fails as it would
+    # with rows
+    model, rows = vqc_case(name, np.random.default_rng(23), n_rows=0)
+    with pytest.raises(ShapeError):
+        model.predict_proba(np.zeros((0, rows.shape[1] + 1)))
 
 
 def adjoint_case(name: str, n_rows: int = 6):

@@ -25,8 +25,15 @@ from helpers import (
 import qshield
 from qshield import cli
 from qshield.cli import main
-from qshield.pipeline import FORMAT_VERSION, PipelineConfig, preprocess_experiment
-from qshield.preprocess import Dataset, write_csv
+from qshield.pipeline import (
+    FORMAT_VERSION,
+    PipelineConfig,
+    load_model,
+    predict_labels,
+    preprocess_experiment,
+    write_predictions_csv,
+)
+from qshield.preprocess import Dataset, load_csv, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -930,6 +937,21 @@ class TestPredict:
         for row in rows[1:]:
             assert 0.0 <= float(row[1]) <= 1.0
             assert row[2] in ("0", "1")
+
+    def test_without_preprocess_model_scores_the_columns_as_they_stand(
+        self, workspace, tmp_path
+    ):
+        out = tmp_path / "preds.csv"
+        code = main([
+            "predict", "--model", str(workspace["model"]), "--data", str(workspace["data"]),
+            "--config", str(workspace["config"]), "--out", str(out),
+        ])
+        assert code == 0
+        raw = load_csv(workspace["data"], "label", "1").features
+        write_predictions_csv(
+            *predict_labels(load_model(workspace["model"]), raw), tmp_path / "expected.csv"
+        )
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
     def test_malformed_model_exits_2(

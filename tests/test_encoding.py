@@ -9,6 +9,7 @@ from qshield.encoding import (
     FeatureMapSpec,
     amplitude_encode,
     apply_feature_map,
+    as_feature_array,
     encode_amplitude_rows,
     feature_map_circuit as batched_feature_map_circuit,
     feature_map_states,
@@ -83,6 +84,18 @@ class TestAmplitudeEncode:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInputError):
             amplitude_encode([])
+
+    def test_rows_wider_than_the_register_rejected(self):
+        with pytest.raises(ShapeError):
+            encode_amplitude_rows(np.ones((3, 5)), 2)
+
+    def test_features_beyond_the_qubit_cap_rejected(self):
+        with pytest.raises(ShapeError, match="more than 20 qubits"):
+            amplitude_encode(np.ones(2**20 + 1))
+
+    def test_matrix_given_as_a_vector_rejected(self):
+        with pytest.raises(ShapeError):
+            as_feature_array(np.ones((2, 3)))
 
     def test_batch_is_real(self):
         rows = np.array([[3.0, 4.0, 0.0], [-1.0, 1.0, 1.0]])

@@ -40,6 +40,10 @@ class TestConfusion:
         with pytest.raises(InvalidInputError):
             confusion([], [])
 
+    def test_matrix_rejected(self):
+        with pytest.raises(ShapeError):
+            confusion([[1, 0]], [1, 0])
+
 
 class TestMetrics:
     def test_textbook_case(self):

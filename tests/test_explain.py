@@ -252,6 +252,12 @@ class TestOutput:
         with pytest.raises(ShapeError):
             format_attribution(report, ["a", "b"])
 
+    def test_csv_name_count_mismatch(self, tmp_path):
+        report = AttributionReport((0, 1), (0.1, 0.2), (0.1, 0.2), "SCORE", 0.5)
+        with pytest.raises(ShapeError):
+            write_attribution_csv(report, tmp_path / "attr.csv", ["a"])
+        assert not (tmp_path / "attr.csv").exists()
+
     def test_csv_round_trip(self, tmp_path):
         report = AttributionReport(
             feature_indices=(0, 1, 2),

@@ -359,6 +359,17 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="cannot read"):
             load_model(tmp_path / "nope.json")
 
+    def test_non_object_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1]")
+        with pytest.raises(ModelFormatError, match="does not contain an object"):
+            load_model(path)
+
+    def test_unknown_class_not_saved(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot serialize model of type object"):
+            save_model(object(), tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
 
 STANDARDIZATION = {"means": np.zeros(3), "std_devs": np.ones(3), "kept_columns": np.arange(3)}
 # model classes check their own fields, so a model built in Python that no file
@@ -594,3 +605,44 @@ def test_writer_failing_midway_leaves_no_artifact(case, tmp_path, monkeypatch):
     left = sorted(p.name for p in out.iterdir())
     assert artifact not in left
     assert not [name for name in left if name.endswith(".tmp")]
+
+
+# every writer a --out-dir command passes to _publish, patched where the command looks it up
+ARTIFACT_WRITERS = ("save_model", "write_csv", "write_predictions_csv", "_write_json", "_write_text")
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_WRITERS))
+def test_failed_rerun_never_mixes_two_runs(case, tmp_path, monkeypatch):
+    # a rerun into a used directory whose second artifact fails to write: the
+    # directory may hold the first run's set or the rerun's, never parts of both
+    experiment = FAILING_WRITERS[case][0]
+    first_csv, second_csv = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_teacher_csv(first_csv)
+    write_teacher_csv(second_csv, seed=202)
+    first_config, second_config = fast_config(), replace(fast_config(), seed=8)
+    out = tmp_path / "out"
+    experiment(first_config, first_csv, out)
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    experiment(second_config, second_csv, tmp_path / "fresh")
+    second = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+    assert first.keys() == second.keys()
+    assert all(first[name] != second[name] for name in first)
+
+    started: list = []  # the .tmp path of each artifact begun, in order
+
+    def failing_second(real):
+        def write(*args):
+            if args[-1] not in started:
+                started.append(args[-1])
+            if len(started) == 2:
+                raise OSError(28, "No space left on device")
+            return real(*args)
+        return write
+
+    for name in ARTIFACT_WRITERS:
+        monkeypatch.setattr(pipeline, name, failing_second(getattr(pipeline, name)))
+    with pytest.raises((ConfigError, PipelineStageError), match="No space left on device"):
+        experiment(second_config, second_csv, out)
+    assert len(started) == 2
+    left = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert left.items() <= first.items() or left.items() <= second.items()

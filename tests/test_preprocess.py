@@ -8,7 +8,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import jacobi_eigh, reference_fit_preprocess, reference_load_csv, traced_peak
+from helpers import (
+    jacobi_eigh,
+    reference_fit_preprocess,
+    reference_load_csv,
+    reference_pca_signs,
+    reference_prune_correlated,
+    traced_peak,
+)
 
 from qshield import preprocess
 from qshield.errors import (
@@ -44,6 +51,18 @@ def toy_dataset(rng, n=20, d=4):
         rng.normal(size=(n, d)),
         rng.integers(0, 2, n),
     )
+
+
+def planted_columns(seed, n=40, d=12):
+    """Normal columns plus planted ones: column 3 copies column 0, 7 is an affine
+    negation of 3, 9 is 5 plus noise, and 10 is constant (a NaN correlation)."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, d))
+    feats[:, 3] = feats[:, 0]
+    feats[:, 7] = 1.0 - 2.0 * feats[:, 3]
+    feats[:, 9] = feats[:, 5] + 0.3 * rng.normal(size=n)
+    feats[:, 10] = 4.0
+    return Dataset([f"f{j}" for j in range(d)], feats, np.zeros(n, dtype=int))
 
 
 def data_with_covariance_spectrum(rng, spectrum, n):
@@ -447,6 +466,20 @@ class TestPca:
         np.testing.assert_allclose(model.explained_variance, evals[order], rtol=0, atol=1e-10)
         np.testing.assert_allclose(model.pca_basis, basis, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sign_flips_match_the_per_column_loop(self, seed):
+        data = planted_columns(seed)
+        data = data.take_columns([j for j in range(data.n_features) if j != 10])
+        model = fit_pca(data, data.n_features)
+        # the eigenvectors as fit_pca computes them, then the one-column-at-a-time flips
+        centered = data.features - data.features.mean(axis=0)
+        evals, evecs = np.linalg.eigh(centered.T @ centered / (data.n_samples - 1))
+        raw = evecs[:, np.argsort(evals)[::-1]]
+        basis = reference_pca_signs(raw)
+        flipped = (basis != raw).any(axis=0)
+        assert flipped.any() and not flipped.all()
+        assert model.pca_basis.tobytes() == basis.tobytes()
+
     def test_sign_convention(self):
         rng = np.random.default_rng(27)
         model = fit_pca(toy_dataset(rng, n=40, d=4), 3)
@@ -469,6 +502,16 @@ class TestPca:
         rng = np.random.default_rng(39)
         with pytest.raises(InvalidInputError):
             fit_pca(toy_dataset(rng, n=10, d=3), 0)
+
+    def test_single_row_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            fit_pca(toy_dataset(np.random.default_rng(41), n=1, d=3), 2)
+
+    def test_apply_to_wrong_width_rejected(self):
+        rng = np.random.default_rng(42)
+        model = fit_pca(toy_dataset(rng, n=10, d=3), 2)
+        with pytest.raises(ShapeError):
+            apply_pca(model, toy_dataset(rng, n=5, d=4))
 
     def test_apply_without_fit(self):
         from qshield.preprocess import PreprocessModel
@@ -523,6 +566,26 @@ class TestPrune:
         assert pruned.feature_names == ["first"]
         assert dropped == [1]
 
+    # a threshold, or (near_r) an offset from the 5-9 pair's |r|: within CORR_EPS or not
+    @pytest.mark.parametrize("threshold, near_r", [
+        (0.3, False), (0.95, False), (1.0, False), (-5e-13, True), (5e-13, True), (2e-12, True),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_greedy_pair_loop(self, seed, threshold, near_r):
+        data = planted_columns(seed)
+        with np.errstate(invalid="ignore", divide="ignore"):  # the constant column's NaN
+            r = abs(np.corrcoef(data.features, rowvar=False)[5, 9])
+            threshold += r if near_r else 0.0
+            kept, dropped_ref = reference_prune_correlated(data, threshold)
+            pruned, dropped = prune_correlated(data, threshold)
+        assert 3 in dropped and 10 in kept  # the copy goes; a NaN correlation keeps its column
+        if near_r:
+            assert (9 in dropped) == (threshold <= r + preprocess.CORR_EPS)
+        assert dropped == dropped_ref
+        assert all(type(j) is int for j in dropped)
+        assert pruned.feature_names == [f"f{j}" for j in kept]
+        assert pruned.features.tobytes() == data.features[:, kept].tobytes()
+
     def test_threshold_validation(self):
         rng = np.random.default_rng(57)
         data = toy_dataset(rng, n=10, d=2)
@@ -539,6 +602,7 @@ class TestOutliers:
         cleaned, removed = remove_outliers(data, 5.0)
         assert cleaned.n_samples == 4
         assert removed == [3]
+        assert type(removed[0]) is int
 
     def test_boundary_value_survives(self):
         feats = np.zeros((2, 1))
@@ -608,6 +672,12 @@ class TestSplit:
         assert test.features[:, 0].tolist() == [1.0, 2.0]
         assert train.labels.tolist() == [0, 1, 0, 0, 0, 0, 0]
         assert test.labels.tolist() == [0, 0]
+
+    def test_empty_and_single_row_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            train_test_split(self.make(0, 0), 0.3, seed=0)
+        with pytest.raises(InvalidInputError):  # a singleton class leaves test empty
+            train_test_split(self.make(1, 0), 0.3, seed=0)
 
     def test_fraction_bounds(self):
         data = self.make(5, 5)
@@ -731,6 +801,10 @@ class TestFullChain:
         np.testing.assert_allclose(
             processed.features.std(axis=0, ddof=1), 1.0, atol=1e-10
         )
+
+    def test_apply_without_standardization_rejected(self):
+        with pytest.raises(ConfigError):
+            apply_preprocess(PreprocessModel(), self.composite_dataset())
 
     def test_apply_replays_fit_transform(self):
         # on the surviving training rows, replay must equal the fitted output

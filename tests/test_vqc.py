@@ -23,7 +23,6 @@ from qshield.vqc import (
     TrainConfig,
     VqcModel,
     ansatz_expectations,
-    bce_loss,
     build_ansatz,
     encode_rows,
     param_shift_grad,
@@ -70,6 +69,20 @@ class TestAnsatz:
     def test_wrong_param_count(self):
         with pytest.raises(ShapeError):
             make_model(2, 1, np.zeros(7))
+
+    def test_zero_layers_rejected(self):
+        with pytest.raises(ConfigError, match="n_layers"):
+            VqcModel(2, 0, None, FeatureMapSpec(2))
+
+    def test_feature_map_of_another_width_rejected(self):
+        with pytest.raises(ConfigError, match="feature map is 3-qubit"):
+            VqcModel(2, 1, None, FeatureMapSpec(3))
+
+    def test_reassigned_params_of_wrong_length_rejected(self):
+        model = make_model(2, 1, np.zeros(6))
+        model.params = np.zeros(5)
+        with pytest.raises(ShapeError):
+            build_ansatz(model)
 
     def test_depth_cap(self):
         with pytest.raises(ConfigError):
@@ -207,28 +220,27 @@ class TestParamShift:
         assert abs(grad[2]) < 1e-12
 
 
+def training_loss(model, data) -> float:
+    """The mean BCE that training records: the loss from the gradient sweep."""
+    return vqc._bce_grad(model, encode_rows(model, data.features), data.labels.astype(float))[1]
+
+
 class TestLoss:
     def test_half_probability_gives_log_two(self):
         model = make_model(1, 1, [math.pi / 2, 0.0, 0.0], repetitions=1)
         data = Dataset(["x"], np.zeros((4, 1)), np.array([0, 1, 0, 1]))
-        assert bce_loss(model, data) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert training_loss(model, data) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_quarter_probability_on_positive(self):
         theta = math.acos(-0.5)  # z = -1/2 so p = 1/4
         model = make_model(1, 1, [theta, 0.0, 0.0], repetitions=1)
         data = Dataset(["x"], np.zeros((1, 1)), np.array([1]))
-        assert bce_loss(model, data) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert training_loss(model, data) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_confident_correct_prediction_clamps(self):
         model = make_model(1, 1, [0.0, 0.0, 0.0], repetitions=1)
         data = Dataset(["x"], np.zeros((1, 1)), np.array([1]))
-        assert bce_loss(model, data) < 1e-6
-
-    def test_empty_dataset_rejected(self):
-        model = make_model(1, 1, np.zeros(3))
-        data = Dataset(["x"], np.zeros((0, 1)), np.zeros(0, dtype=int))
-        with pytest.raises(DegenerateInputError):
-            bce_loss(model, data)
+        assert training_loss(model, data) < 1e-6
 
 
 class TestTraining:
@@ -330,6 +342,11 @@ class TestTraining:
         arch = VqcModel.fresh(2, 1)
         model, history = train_vqc(data, arch, TrainConfig(epochs=8, learning_rate=0.3, optimizer="gd", seed=5))
         assert history[-1] <= history[0]
+
+    def test_empty_training_set_rejected(self):
+        data = Dataset(["x"], np.zeros((0, 1)), np.zeros(0, dtype=int))
+        with pytest.raises(DegenerateInputError):
+            train_vqc(data, VqcModel.fresh(1, 1), TrainConfig(epochs=1))
 
     def test_non_binary_labels_rejected(self):
         with pytest.raises(InvalidInputError):
