@@ -36,11 +36,14 @@ def _load_config(path: str | None, seed: int | None) -> PipelineConfig:
     return config
 
 
-def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path: str | None):
+def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path: str | None,
+                        require_labels: bool = False):
+    """The ``--data`` rows, preprocessed; only ``evaluate`` needs the label column."""
     from .pipeline import load_model
     from .preprocess import apply_preprocess, load_csv
 
-    loaded = [load_csv(data_path, config.data.label_column, config.data.positive_label)]
+    label, positive = config.data.label_column, config.data.positive_label
+    loaded = [load_csv(data_path, label, positive, require_labels)]
     if not preprocess_path:
         return loaded.pop()
     pre = load_model(preprocess_path, expected_type="preprocess")
@@ -138,7 +141,7 @@ def evaluate_cmd(args: argparse.Namespace) -> None:
 
     config = _load_config(args.config, args.seed)
     model = load_model(args.model, CLASSIFIERS)
-    data = _load_and_transform(config, args.data, args.preprocess_model)
+    data = _load_and_transform(config, args.data, args.preprocess_model, require_labels=True)
     _, labels = predict_labels(model, data.features)
     metric_report, stats = evaluate_predictions(labels, data.labels, config)
     print(format_metrics_table(metric_report, stats), end="")
@@ -152,7 +155,6 @@ def kernel_cmd(args: argparse.Namespace) -> None:
     config = _load_config(args.config, None)
     data = _load_and_transform(config, args.data, args.preprocess_model)
     gram = kernel_matrix(data, feature_map_spec(config))
-    gram.validate()
     _publish((args.out, write_kernel_csv, gram))
     print(f"{gram.size}x{gram.size} kernel written to {args.out}")
 

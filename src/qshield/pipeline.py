@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import math
 import os
 import sys
 import types
@@ -71,8 +70,8 @@ class ModelConfig:
         VqcModel.fresh(self.n_qubits, self.n_layers, self.repetitions, self.encoding)
         if not self.svm_c >= BOUND_SNAP:
             raise ConfigError(f"model.svm_c must be at least {BOUND_SNAP}, got {self.svm_c!r}")
-        if not 0 < self.svm_tol < math.inf:
-            raise ConfigError(f"svm_tol must be finite and positive, got {self.svm_tol!r}")
+        if not 0 < self.svm_tol < 2:  # train_qsvm's range: at tol >= 2 it fits nothing
+            raise ConfigError(f"svm_tol must lie in (0, 2), got {self.svm_tol!r}")
         if self.svm_max_passes < 1:
             raise ConfigError(f"svm_max_passes must be at least 1, got {self.svm_max_passes!r}")
         weights = self.ensemble_weights

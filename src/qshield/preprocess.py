@@ -85,14 +85,17 @@ class Dataset:
         return Dataset(names, self.features[:, index], self.labels)
 
 
-def load_csv(path, label_column: str, positive_label: str) -> Dataset:
+def load_csv(path, label_column: str, positive_label: str, require_labels: bool = True) -> Dataset:
     """Read a header-first CSV; the label column maps positive_label to 1.
+
+    With ``require_labels`` false, a header without the label column is
+    taken too: every column is a feature and the labels are zeros.
 
     One pass over one open file: numpy's C reader parses the body in blocks
     of about ``BLOCK_CHARS`` characters (``_plain_block``), and the csv
     reader takes the first block it refuses and the rest of the file, giving
     the same dataset or raising the documented error.  Rows go into one flat
-    buffer of doubles, label last, so ingest holds 8 B per cell rather than
+    buffer of doubles, any label last, so ingest holds 8 B per cell rather than
     the text.  A leading UTF-8 byte-order mark is dropped.  Blank rows are
     skipped; errors name the data row (counting non-blank rows) and the
     physical line.
@@ -105,12 +108,13 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
             header = next(filter(None, reader), None)
             if header is None:
                 raise IngestionError(f"{path}: file is empty")
-            if label_column not in header:
+            if label_column not in header and require_labels:
                 raise IngestionError(
                     f"{path}: label column {label_column!r} not found in header {header}"
                 )
-            label_idx, width = header.index(label_column), len(header)
-            feature_names = header[:label_idx] + header[label_idx + 1:]
+            label_idx = header.index(label_column) if label_column in header else None
+            width = len(header)
+            feature_names = [name for i, name in enumerate(header) if i != label_idx]
             lines_read = reader.line_num
             while block := fh.readlines(BLOCK_CHARS):
                 table = _plain_block(block, label_idx, width, positive_label)
@@ -125,7 +129,7 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
                         f"{path}: row {row_num} (line {lines_read + reader.line_num}): "
                         f"expected {width} fields, got {len(row)}"
                     )
-                label = row.pop(label_idx).strip() == positive_label
+                label = [] if label_idx is None else [row.pop(label_idx).strip() == positive_label]
                 try:
                     values.extend(map(float, row))
                 except ValueError:
@@ -133,7 +137,7 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
                     del values[(row_num - 1) * width:]
                     where = f"{path}: row {row_num} (line {lines_read + reader.line_num})"
                     values.extend(_parse_cells(row, feature_names, where))
-                values.append(label)
+                values.extend(label)
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
@@ -141,12 +145,14 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     if not values:
         raise DegenerateInputError(f"{path}: no data rows")
     table = np.frombuffer(values).reshape(-1, width)
+    if label_idx is None:
+        return Dataset(feature_names, table, np.zeros(len(table), dtype=int))
     return Dataset(feature_names, table[:, :-1], table[:, -1].astype(int))
 
 
-def _plain_block(lines: list[str], label_idx: int, width: int,
+def _plain_block(lines: list[str], label_idx: int | None, width: int,
                  positive_label: str) -> np.ndarray | None:
-    """The lines parsed by ``np.loadtxt`` into one float matrix, label column last.
+    """The lines parsed by ``np.loadtxt`` into one float matrix, any label column last.
 
     None for lines the C reader cannot match exactly: a quote or NUL in a
     label cell (a quote in a feature cell fails the float parse), a line
@@ -165,14 +171,15 @@ def _plain_block(lines: list[str], label_idx: int, width: int,
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
             table = np.loadtxt(
-                lines, delimiter=",", comments=None, ndmin=2, converters={label_idx: label}
+                lines, delimiter=",", comments=None, ndmin=2,
+                converters={} if label_idx is None else {label_idx: label},
             )
     except (ValueError, UserWarning):
         return None
     # loadtxt fixes the width from the first row, which may not be the header's
     if table.shape[1] != width:
         return None
-    if label_idx == width - 1:
+    if label_idx in (None, width - 1):
         return table
     return table.take([*range(label_idx), *range(label_idx + 1, width), label_idx], axis=1)
 

@@ -6,9 +6,11 @@ states are real, so with them as the rows of S the whole Gram matrix is
 (S S^T)^2 (elementwise), one symmetric matrix product; SVM scoring takes
 the same product between the rows to score and the support vectors.
 K = G o G with G = S S^T positive semidefinite, so K is too (Schur
-product theorem): a fit needs no eigenvalue check.  The SVM solver works
-in the signed duals beta = y o alpha, each in a per-row box (Bottou & Lin
-2007; LIBSVM), so a working-set mask is one comparison per row.
+product theorem).  Its symmetry, unit diagonal, [0, 1] entries and PSD are
+proven by construction and held by tests, not re-checked at run time.  The
+SVM solver works in the signed duals beta = y o alpha, each in a per-row
+box (Bottou & Lin 2007; LIBSVM), so a working-set mask is one comparison
+per row.
 """
 from __future__ import annotations
 
@@ -21,12 +23,10 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     InvalidInputError,
-    NumericalError,
     ShapeError,
 )
 from .statevector import row_chunks
 
-PSD_SLACK = 1e-8
 BOUND_SNAP = 1e-12
 
 
@@ -45,22 +45,6 @@ class KernelMatrix:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    def validate(self, atol: float = 1e-10) -> None:
-        """Check symmetry, unit diagonal, entry range, and PSD slack."""
-        k = self.entries
-        if not np.allclose(k, k.T, atol=atol, rtol=0.0):
-            raise NumericalError("kernel matrix is not symmetric")
-        if not np.allclose(np.diag(k), 1.0, atol=atol, rtol=0.0):
-            raise NumericalError("kernel diagonal deviates from 1")
-        if k.min() < -atol or k.max() > 1.0 + atol:
-            raise NumericalError("kernel entries outside [0, 1]")
-        min_eig = float(np.linalg.eigvalsh((k + k.T) / 2.0).min())
-        if min_eig < -PSD_SLACK:
-            raise NumericalError(
-                f"kernel matrix is not positive semidefinite "
-                f"(min eigenvalue {min_eig:.3e})"
-            )
 
 
 def kernel_matrix(data, spec: FeatureMapSpec) -> KernelMatrix:
@@ -89,7 +73,9 @@ class SvmModel:
     def __post_init__(self) -> None:
         coeffs, indices, vectors = self.dual_coeffs, self.support_indices, self.support_vectors
         lengths = [len(coeffs), len(indices), len(coeffs if vectors is None else vectors)]
-        rows = vectors is None or not len(vectors) or np.ndim(vectors) == 2
+        if not any(lengths):
+            raise ShapeError("an SVM needs at least one support vector; support_vectors is empty")
+        rows = vectors is None or np.ndim(vectors) == 2
         if np.ndim(coeffs) != 1 or np.ndim(indices) != 1 or len(set(lengths)) > 1 or not rows:
             raise ShapeError(f"dual_coeffs, support_indices and support_vectors (feature "
                              f"rows) have lengths {lengths}")
@@ -101,8 +87,6 @@ class SvmModel:
         them in chunks whose states and overlaps each fit CHUNK_AMPLITUDES.
         """
         features = as_feature_matrix(features)
-        if len(self.support_indices) == 0:
-            return np.full(len(features), _logistic(self.bias))
         if self.support_vectors is None or self.feature_map is None:
             raise ConfigError("model lacks stored support vectors or feature map")
         if self.support_vectors.shape[1] != features.shape[1]:
@@ -153,6 +137,8 @@ def train_qsvm(
         raise InvalidInputError("labels must be -1 or +1")
     if y.min() == y.max():
         raise InvalidInputError("training labels contain a single class")
+    if not 0 < tol < 2:  # at beta = 0 the KKT violation is exactly 2: a larger tol fits nothing
+        raise ConfigError(f"tol (model.svm_tol) must lie in (0, 2), got {tol!r}")
     if not C >= BOUND_SNAP:
         raise ConfigError(f"C must be at least {BOUND_SNAP} (smaller steps snap to 0), got {C!r}")
     if vectors is not None:

@@ -368,8 +368,13 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 1
     )
 
 
-def reference_load_csv(path, label_column: str, positive_label: str) -> Dataset:
-    """Read a header-first CSV; the label column maps positive_label to 1."""
+def reference_load_csv(
+    path, label_column: str, positive_label: str, require_labels: bool = True
+) -> Dataset:
+    """Read a header-first CSV; the label column maps positive_label to 1.
+
+    Without ``require_labels`` a header lacking the label column is all features,
+    and every label is 0."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -378,11 +383,11 @@ def reference_load_csv(path, label_column: str, positive_label: str) -> Dataset:
     if not rows:
         raise IngestionError(f"{path}: file is empty")
     header = rows[0]
-    if label_column not in header:
+    if label_column not in header and require_labels:
         raise IngestionError(
             f"{path}: label column {label_column!r} not found in header {header}"
         )
-    label_idx = header.index(label_column)
+    label_idx = header.index(label_column) if label_column in header else None
     feature_names = [name for i, name in enumerate(header) if i != label_idx]
     if len(rows) == 1:
         raise DegenerateInputError(f"{path}: no data rows")
@@ -407,7 +412,7 @@ def reference_load_csv(path, label_column: str, positive_label: str) -> Dataset:
                     f"{header[col]!r}: cannot parse {cell.strip()!r} as a number"
                 ) from None
         features.append(sample)
-        labels.append(1 if row[label_idx].strip() == positive_label else 0)
+        labels.append(int(label_idx is not None and row[label_idx].strip() == positive_label))
     return Dataset(feature_names, np.array(features, dtype=float), np.array(labels))
 
 

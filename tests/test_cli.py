@@ -129,6 +129,10 @@ def _null_support_vectors(p):
     p["support_vectors"] = None
 
 
+def _empty_support_set(p):
+    p["dual_coeffs"], p["support_indices"], p["support_vectors"] = [], [], []
+
+
 def _null_svm_feature_map(p):
     p["feature_map"] = None
 
@@ -240,6 +244,7 @@ MALFORMED_MODELS = {
     "null_support_vectors": (
         _null_support_vectors, "qsvm", "qsvm.support_vectors must not be null"
     ),
+    "empty_support_set": (_empty_support_set, "qsvm", "support_vectors is empty"),
     "null_svm_feature_map": (_null_svm_feature_map, "qsvm", "qsvm.feature_map must not be null"),
     "negative_kept_column": (_negative_kept_column, "preprocess", "preprocess.kept_columns"),
     "basis_missing_component": (_basis_missing_component, "preprocess", "pca_basis"),
@@ -310,6 +315,7 @@ WRONG_TYPE_CONFIGS = {
     "vqc_ensemble_weights_negative": ({"model": {"ensemble_weights": [1, -1]}}, "ensemble_weights"),
     "seed_flag_negative": ({}, "seed"),
     "svm_tol_negative": ({"model": {"svm_tol": -1}}, "svm_tol"),
+    "svm_tol_two": ({"model": {"type": "qsvm", "n_qubits": 2, "svm_tol": 2}}, "svm_tol"),
     "svm_max_passes_zero": ({"model": {"svm_max_passes": 0}}, "svm_max_passes"),
     "svm_c_below_bound_snap": (
         {"model": {"type": "qsvm", "n_qubits": 2, "svm_c": 1e-13}}, "model.svm_c"
@@ -1190,25 +1196,117 @@ class TestKernel:
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
         np.testing.assert_allclose(gram, gram.T, atol=0)
 
-    def test_gram_is_validated_before_it_is_written(self, workspace, tmp_path, monkeypatch):
-        # a fit trusts the Schur product theorem, but the kernel command still
-        # checks the Gram it publishes, eigenvalues included
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+    def test_kernel_command_runs_no_eigensolver(self, workspace, tmp_path, monkeypatch):
+        # the Gram is symmetric, unit-diagonal and PSD by construction, so the
+        # command publishes it without an O(n^3) check (tests/test_kernel_fuzz.py holds it)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel command called an eigensolver")
 
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return eigvalsh(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        out = tmp_path / "gram.csv"
         code = main([
             "kernel", "--data", str(workspace["data"]),
             "--preprocess-model", str(workspace["preprocess"]),
-            "--config", str(workspace["config"]), "--out", str(tmp_path / "gram.csv"),
+            "--config", str(workspace["config"]), "--out", str(out),
         ])
         assert code == 0
         n = workspace["n_samples"]
-        assert calls == [(n, n)]
+        assert np.loadtxt(out, delimiter=",").shape == (n, n)
+
+
+def _write_benchmark_csv(path, rows: int, seed: int, stream: int) -> None:
+    """The recipe of the ensemble-score benchmark: 20 N(0, 1) columns, f5 near f4."""
+    rng = np.random.default_rng([seed, stream])
+    x = rng.standard_normal((rows, 20))
+    x[:, 5] = x[:, 4] + 0.01 * rng.standard_normal(rows)
+    labels = (x[:, 0] + 0.7 * x[:, 1] + 0.3 * rng.standard_normal(rows) > 0).astype(int)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join([f"f{j}" for j in range(20)] + ["label"]) + "\n")
+        for values, label in zip(x.tolist(), labels.tolist()):
+            fh.write(",".join(map(repr, values)) + f",{label}\n")
+
+
+@pytest.fixture(scope="module")
+def scoring_files(tmp_path_factory):
+    """An ensemble trained as in the ensemble-score benchmark, its score.csv, and
+    that file with the label column cut (unlabelled.csv)."""
+    root = tmp_path_factory.mktemp("unlabelled")
+    config = root / "config.json"
+    config.write_text(json.dumps({
+        "seed": 0, "training": {"epochs": 2},
+        "model": {"type": "ensemble", "n_qubits": 4, "n_layers": 2, "repetitions": 2,
+                  "svm_c": 0.1},
+    }))
+    _write_benchmark_csv(root / "data.csv", 80, 0, 0)
+    _write_benchmark_csv(root / "score.csv", 20, 0, 1)
+    with open(root / "score.csv", newline="") as src, \
+            open(root / "unlabelled.csv", "w", newline="") as dst:
+        csv.writer(dst).writerows(row[:-1] for row in csv.reader(src))
+    assert main([
+        "train", "--data", str(root / "data.csv"), "--config", str(config),
+        "--out-dir", str(root / "model"),
+    ]) == 0
+    return {
+        "labelled": root / "score.csv",
+        "unlabelled": root / "unlabelled.csv",
+        "config": config,
+        "model": root / "model" / "model.json",
+        "preprocess": root / "model" / "preprocess.json",
+    }
+
+
+class TestUnlabelledData:
+    """predict, explain and kernel read no labels, so they score a CSV without the
+    label column exactly as the same rows with it; evaluate needs the labels."""
+
+    def run_on_both(self, files, tmp_path, capsys, command, *args):
+        """(stdout, bytes of the --out file) of the command on each file."""
+        capsys.readouterr()
+        outputs = []
+        for kind in ("labelled", "unlabelled"):
+            out = tmp_path / f"{kind}.csv"
+            code = main([
+                command, *args, "--preprocess-model", str(files["preprocess"]),
+                "--data", str(files[kind]), "--config", str(files["config"]),
+                "--out", str(out),
+            ])
+            assert code == 0
+            outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), out.read_bytes()))
+        return outputs
+
+    def test_predict_writes_identical_predictions(self, scoring_files, tmp_path, capsys):
+        model = ["--model", str(scoring_files["model"])]
+        labelled, unlabelled = self.run_on_both(scoring_files, tmp_path, capsys, "predict", *model)
+        assert labelled == unlabelled
+
+    def test_explain_gives_the_same_attribution(self, scoring_files, tmp_path, capsys):
+        # an ensemble takes the SCORE method only
+        args = ["--model", str(scoring_files["model"]), "--method", "score", "--row", "3"]
+        labelled, unlabelled = self.run_on_both(scoring_files, tmp_path, capsys, "explain", *args)
+        assert labelled == unlabelled
+
+    def test_kernel_writes_the_same_gram(self, scoring_files, tmp_path, capsys):
+        labelled, unlabelled = self.run_on_both(scoring_files, tmp_path, capsys, "kernel")
+        assert labelled == unlabelled
+
+    @pytest.mark.parametrize("command", ["evaluate", "run", "train", "preprocess"])
+    def test_commands_reading_labels_still_need_the_column(
+        self, command, scoring_files, tmp_path, capsys
+    ):
+        files = scoring_files
+        args = {
+            "evaluate": ["--model", str(files["model"]),
+                         "--preprocess-model", str(files["preprocess"])],
+        }.get(command, ["--out-dir", str(tmp_path / "out")])
+        capsys.readouterr()
+        code = main([
+            command, *args, "--data", str(files["unlabelled"]), "--config", str(files["config"]),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        (error_line,) = captured.err.splitlines()
+        assert "label column 'label' not found in header" in error_line
 
 
 @pytest.mark.parametrize("command", ["predict", "kernel", "explain"])

@@ -2,7 +2,9 @@
 (helpers.reference_load_csv) on generated CSV text, whichever of its two
 parsers (numpy's C reader, block by block, and the csv reader from the first
 block the C reader refuses) takes each line.  Each file is read in blocks of
-1 and 100 characters as well as the default, so blocks end at every line.
+1 and 100 characters as well as the default, so blocks end at every line,
+with the label column required and not (as the scoring commands read it);
+a quarter of the files have no label column.
 
 Both must return the same names, labels and bitwise-equal features, or raise
 the same exception class.  The messages must match too, with two intended
@@ -62,10 +64,12 @@ def csv_files(draw):
     """(records, endings): rows of rendered cells, [] for a blank line, and each
     record's line ending.  Half the files hold finite numbers in full rows only,
     and half hold no quoted cell, so numpy's C reader may take them."""
-    n_features = draw(st.integers(0, 3))
+    labelled = draw(st.integers(0, 3)) > 0
+    n_features = draw(st.integers(0 if labelled else 1, 3))
     header = [f"f{i}" for i in range(n_features)]
-    label_at = draw(st.integers(0, n_features))
-    header.insert(label_at, "y" if draw(st.integers(0, 9)) == 0 else "label")
+    label_at = draw(st.integers(0, n_features)) if labelled else None
+    if labelled:
+        header.insert(label_at, "y" if draw(st.integers(0, 9)) == 0 else "label")
     if draw(st.booleans()):
         values, widths = FINITE, st.just(len(header))
     else:
@@ -135,30 +139,40 @@ def _with_physical_line(message: str, data_lines: list[int]) -> str:
 @hypothesis.example(
     ([["f0", "f1", "label"], ["0" * (FIELD_LIMIT // 2) + "1"] * 2 + ["1"]], ["\n", "\n"])
 )
+# unlabelled files: plain, a quoted cell, a ragged row and a bad cell
+@hypothesis.example(([["f0", "f1"], ["1", "2"], [], ["3", "4"]], ["\n"] * 4))
+@hypothesis.example(([["f0"], ['"1"'], ["2"]], ["\n"] * 3))
+@hypothesis.example(([["f0", "f1"], ["1", "2"], ["3"]], ["\r\n"] * 3))
+@hypothesis.example(([["f0", "f1"], ["1", "2"], ["3", "x"]], ["\n"] * 3))
 def test_load_csv_matches_reference(file):
     records, endings = file
     text, lines = _render(records, endings)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        try:
-            expected = reference_load_csv(path, "label", "1")
-        except csv.Error as exc:
-            # only the pinned examples hold an oversized field, each the file's one fault
-            expected = IngestionError(f"{path}: line {lines[_oversized_record(records)]}: {exc}")
-        except QShieldError as exc:
-            expected = type(exc)(_with_physical_line(str(exc), lines[1:]))
-        for block_chars in BLOCK_SIZES:
-            # patched here: hypothesis refuses the function-scoped monkeypatch fixture
-            with mock.patch.object(preprocess, "BLOCK_CHARS", block_chars):
-                if isinstance(expected, QShieldError):
-                    with pytest.raises(QShieldError) as caught:
-                        load_csv(path, "label", "1")
-                    assert type(caught.value) is type(expected)
-                    assert str(caught.value) == str(expected)
-                    continue
-                actual = load_csv(path, "label", "1")
-            assert actual.feature_names == expected.feature_names
-            assert actual.labels.tolist() == expected.labels.tolist()
-            assert actual.features.shape == expected.features.shape
-            assert actual.features.tobytes() == expected.features.tobytes()
+        for require_labels in (True, False):
+            _check_against_reference(path, records, lines, require_labels)
+
+
+def _check_against_reference(path, records, lines, require_labels):
+    try:
+        expected = reference_load_csv(path, "label", "1", require_labels)
+    except csv.Error as exc:
+        # only the pinned examples hold an oversized field, each the file's one fault
+        expected = IngestionError(f"{path}: line {lines[_oversized_record(records)]}: {exc}")
+    except QShieldError as exc:
+        expected = type(exc)(_with_physical_line(str(exc), lines[1:]))
+    for block_chars in BLOCK_SIZES:
+        # patched here: hypothesis refuses the function-scoped monkeypatch fixture
+        with mock.patch.object(preprocess, "BLOCK_CHARS", block_chars):
+            if isinstance(expected, QShieldError):
+                with pytest.raises(QShieldError) as caught:
+                    load_csv(path, "label", "1", require_labels)
+                assert type(caught.value) is type(expected)
+                assert str(caught.value) == str(expected)
+                continue
+            actual = load_csv(path, "label", "1", require_labels)
+        assert actual.feature_names == expected.feature_names
+        assert actual.labels.tolist() == expected.labels.tolist()
+        assert actual.features.shape == expected.features.shape
+        assert actual.features.tobytes() == expected.features.tobytes()

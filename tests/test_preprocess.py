@@ -162,6 +162,23 @@ class TestCsv:
         with pytest.raises(IngestionError, match="label column"):
             load_csv(path, label_column="label", positive_label="1")
 
+    @pytest.mark.parametrize("text", ["f0,f1\n1.0,2.0\n\n3.0,4.0\n", 'f0,f1\n"1.0",2.0\n3.0,4.0\n'])
+    def test_missing_label_column_taken_when_labels_are_not_required(self, tmp_path, text):
+        # the C reader takes the first file, the csv reader the quoted one
+        data = load_csv(self.write(tmp_path, text), "label", "1", require_labels=False)
+        assert data.feature_names == ["f0", "f1"]
+        assert data.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert data.labels.tolist() == [0, 0]
+
+    def test_unlabelled_errors_name_row_line_and_column(self, tmp_path):
+        path = self.write(tmp_path, "f0,f1\n1,2\n\n3,x\n")
+        with pytest.raises(IngestionError, match=r"row 2 \(line 4\).*'f1'.*'x'"):
+            load_csv(path, "label", "1", require_labels=False)
+
+    def test_label_column_read_when_labels_are_not_required(self, tmp_path):
+        path = self.write(tmp_path, "f0,label\n1.0,1\n2.0,0\n")
+        assert load_csv(path, "label", "1", require_labels=False).labels.tolist() == [1, 0]
+
     def test_header_only(self, tmp_path):
         path = self.write(tmp_path, "f0,label\n")
         with pytest.raises(DegenerateInputError):

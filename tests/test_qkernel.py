@@ -19,7 +19,6 @@ from qshield.errors import (
     ConfigError,
     DegenerateInputError,
     InvalidInputError,
-    NumericalError,
     ShapeError,
 )
 from qshield.pipeline import predict_labels
@@ -110,9 +109,6 @@ class TestKernelMatrix:
     def test_unit_diagonal(self):
         np.testing.assert_allclose(np.diag(self.gram.entries), 1.0, atol=1e-12)
 
-    def test_validate_accepts_real_gram(self):
-        self.gram.validate()
-
     def test_entries_match_pairwise_calls(self):
         for i in range(4):
             for j in range(4):
@@ -142,24 +138,6 @@ class TestKernelMatrix:
         with pytest.raises(ShapeError):
             KernelMatrix(np.zeros((2, 3)))
 
-    def test_validate_flags_asymmetry(self):
-        bad = self.gram.entries.copy()
-        bad[0, 1] += 1e-6
-        with pytest.raises(NumericalError):
-            KernelMatrix(bad).validate()
-
-    def test_validate_flags_bad_diagonal(self):
-        bad = self.gram.entries.copy()
-        bad[2, 2] = 0.5
-        with pytest.raises(NumericalError):
-            KernelMatrix(bad).validate()
-
-    def test_validate_flags_out_of_range(self):
-        bad = np.eye(3)
-        bad[0, 1] = bad[1, 0] = 1.5
-        with pytest.raises(NumericalError):
-            KernelMatrix(bad).validate()
-
     @pytest.mark.parametrize("n, reps, entangling", [(1, 1, True), (3, 2, True), (5, 3, False)])
     def test_entries_match_complex_overlaps(self, n, reps, entangling):
         # the real product (S S^T)^2 against |S* S^T|^2 over states evolved in complex128
@@ -179,17 +157,6 @@ class TestKernelMatrix:
         rng = np.random.default_rng(23)
         gram = kernel_matrix(rng.uniform(-math.pi, math.pi, (1500, 4)), FeatureMapSpec(4, 2))
         assert np.linalg.eigvalsh(gram.entries).min() >= -1e-10
-
-    def test_validate_flags_indefinite(self):
-        # symmetric, unit diagonal, entries in range, yet min eig < 0
-        bad = np.array([
-            [1.0, 0.9, 0.0],
-            [0.9, 1.0, 0.9],
-            [0.0, 0.9, 1.0],
-        ])
-        assert np.linalg.eigvalsh(bad).min() < -0.2
-        with pytest.raises(NumericalError):
-            KernelMatrix(bad).validate()
 
 
 class TestSvmTraining:
@@ -342,6 +309,19 @@ class TestSvmTraining:
         assert model.converged
         assert list(model.support_indices) == [0, 1]
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 2.0, 2.5, math.inf, math.nan])
+    def test_tol_outside_zero_to_two_rejected(self, tol):
+        # at beta = 0 the KKT violation of two classes is exactly 2, so a
+        # tol of 2 or more would stop before the first update and fit nothing
+        gram = KernelMatrix(np.eye(2))
+        with pytest.raises(ConfigError, match=r"svm_tol\) must lie in \(0, 2\)"):
+            train_qsvm(gram, [1.0, -1.0], C=1.0, tol=tol)
+
+    def test_tol_just_below_two_fits_support_vectors(self):
+        model = train_qsvm(KernelMatrix(np.eye(2)), [1.0, -1.0], C=1.0, tol=2 - 1e-9)
+        assert model.n_updates == 1
+        assert list(model.support_indices) == [0, 1]
+
     def test_one_dimensional_vectors_rejected(self):
         # a 1-D vector per row would fit, then fail at scoring time
         gram = KernelMatrix(np.eye(2))
@@ -415,13 +395,15 @@ class TestSvmPrediction:
         with pytest.raises(ConfigError):
             stripped.predict_proba(self.features[:1])
 
-    def test_no_support_vectors_scores_the_bias_on_every_row(self):
-        empty = SvmModel(
-            dual_coeffs=np.zeros(0), bias=-0.7, support_indices=np.zeros(0, dtype=int),
-            support_vectors=None, C=1.0, feature_map=None,
-        )
-        expect = np.full(len(self.features), 1.0 / (1.0 + math.exp(0.7)))
-        np.testing.assert_allclose(empty.predict_proba(self.features), expect, rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("vectors", [np.zeros((0, 2)), None])
+    def test_empty_support_set_rejected(self, vectors):
+        # such a model would score every row as the bias, whatever its width
+        with pytest.raises(ShapeError, match="support_vectors is empty") as caught:
+            SvmModel(
+                dual_coeffs=np.zeros(0), bias=0.3, support_indices=np.zeros(0, dtype=int),
+                support_vectors=vectors, C=1.0, feature_map=self.spec,
+            )
+        assert "lengths" not in str(caught.value)
 
     def test_support_vector_width_must_match_input(self):
         with pytest.raises(ShapeError):
