@@ -43,12 +43,11 @@ def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path:
     from .preprocess import apply_preprocess, load_csv
 
     label, positive = config.data.label_column, config.data.positive_label
-    loaded = [load_csv(data_path, label, positive, require_labels)]
     if not preprocess_path:
-        return loaded.pop()
-    pre = load_model(preprocess_path, expected_type="preprocess")
-    # pop() hands over the only reference, so apply_preprocess can free the raw matrix
-    return apply_preprocess(pre, loaded.pop())
+        return load_csv(data_path, label, positive, require_labels)
+    pre = load_model(preprocess_path, expected_type="preprocess")  # refused before the CSV is read
+    # the call holds the raw rows' only reference, so apply_preprocess can free the raw matrix
+    return apply_preprocess(pre, load_csv(data_path, label, positive, require_labels))
 
 
 def _note_svm_exhaustion(config: PipelineConfig, extras: dict) -> None:

@@ -466,15 +466,11 @@ def _train_model(config: PipelineConfig, train: Dataset):
         extras["loss_history"] = [float(v) for v in history]
     if m.type in ("qsvm", "ensemble"):
         spec = feature_map_spec(config)
-        svm_model = train_qsvm(
-            kernel_matrix(train, spec),
-            2 * train.labels - 1,
-            m.svm_c,
-            tol=m.svm_tol,
-            max_passes=m.svm_max_passes,
-            vectors=train.features,
-            feature_map=spec,
-        )
+        fit = train_qsvm(kernel_matrix(train, spec), 2 * train.labels - 1, m.svm_c,
+                         tol=m.svm_tol, max_passes=m.svm_max_passes)
+        # the solver sees only the kernel; the model scores new rows against these
+        svm_model = replace(fit, support_vectors=train.features[fit.support_indices],
+                            feature_map=spec)
         members.append(svm_model)
         extras["svm"] = {
             "converged": bool(svm_model.converged),

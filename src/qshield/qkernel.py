@@ -25,9 +25,11 @@ from .errors import (
     InvalidInputError,
     ShapeError,
 )
-from .statevector import row_chunks
 
 BOUND_SNAP = 1e-12
+# SVM scoring takes its overlaps with the support vectors in chunks of at most
+# CHUNK_AMPLITUDES values: one large matrix product beats many small ones.
+CHUNK_AMPLITUDES = 1 << 20
 
 
 @dataclass
@@ -96,7 +98,9 @@ class SvmModel:
             )
         support = feature_map_states(self.support_vectors, self.feature_map)
         decision = np.empty(len(features))
-        for rows in row_chunks(len(features), max(support.shape), gate_sweep=False):
+        step = max(1, CHUNK_AMPLITUDES // max(support.shape))
+        for start in range(0, len(features), step):
+            rows = slice(start, start + step)
             overlaps = feature_map_states(features[rows], self.feature_map) @ support.T
             decision[rows] = overlaps**2 @ self.dual_coeffs + self.bias
         return _logistic(decision)
@@ -113,8 +117,6 @@ def train_qsvm(
     C: float,
     tol: float = 1e-3,
     max_passes: int = 10000,
-    vectors: np.ndarray | None = None,
-    feature_map: FeatureMapSpec | None = None,
     record_objective: bool = False,
 ) -> SvmModel:
     """Solve the soft-margin dual by maximal-violating-pair updates.
@@ -124,8 +126,7 @@ def train_qsvm(
     so each mask is one comparison per row.  Each pass moves the pair that
     most violates the KKT conditions on the score g = y - f, until that
     violation drops to ``tol``.  The kernel must be symmetric: the score
-    update reads its rows in place of its columns.  ``vectors`` (the 2-D
-    training rows) and ``feature_map`` let the model score new inputs.
+    update reads its rows in place of its columns.
     """
     y = np.asarray(labels, dtype=float)
     if y.ndim != 1 or len(y) != kernel.size:
@@ -141,13 +142,6 @@ def train_qsvm(
         raise ConfigError(f"tol (model.svm_tol) must lie in (0, 2), got {tol!r}")
     if not C >= BOUND_SNAP:
         raise ConfigError(f"C must be at least {BOUND_SNAP} (smaller steps snap to 0), got {C!r}")
-    if vectors is not None:
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim != 2 or vectors.shape[0] != kernel.size:
-            raise ShapeError(
-                f"expected a ({kernel.size}, features) matrix of training vectors, "
-                f"got shape {vectors.shape}"
-            )
 
     k = kernel.entries
     cy = C * y
@@ -195,9 +189,9 @@ def train_qsvm(
         dual_coeffs=beta[support],
         bias=bias,
         support_indices=np.flatnonzero(support),
-        support_vectors=vectors[support] if vectors is not None else None,
+        support_vectors=None,
         C=float(C),
-        feature_map=feature_map,
+        feature_map=None,
         converged=converged,
         n_updates=updates,
         objective_history=tuple(objective) if record_objective else None,
@@ -208,5 +202,5 @@ def write_kernel_csv(kernel: KernelMatrix, path) -> None:
     """Full-precision comma-separated dump, one row per line, no header."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in kernel.entries:
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")

@@ -198,17 +198,14 @@ def _rotation_matrix(kind: str, angle) -> np.ndarray:
 
 # Gate sweeps (encoding, ansatz, adjoint) run over row blocks of at most
 # BLOCK_AMPLITUDES amplitudes, so a block and a gate's temporaries stay in cache.
-# SVM scoring takes its overlaps with the support vectors in chunks of at most
-# CHUNK_AMPLITUDES values: one large matrix product beats many small ones.
 BLOCK_AMPLITUDES = 1 << 15
-CHUNK_AMPLITUDES = 1 << 20
 
 
-def row_chunks(n_rows: int, row_size: int, gate_sweep: bool = True) -> list[slice]:
-    """Slices of at least one row and at most BLOCK_AMPLITUDES (CHUNK_AMPLITUDES unless
-    ``gate_sweep``, either read at call time) values of ``row_size`` per row; zero rows
-    give one empty slice, so a block's checks run on an empty matrix too."""
-    step = max(1, (BLOCK_AMPLITUDES if gate_sweep else CHUNK_AMPLITUDES) // row_size)
+def row_chunks(n_rows: int, row_size: int) -> list[slice]:
+    """Slices of at least one row and at most BLOCK_AMPLITUDES (read at call time) values
+    of ``row_size`` per row; zero rows give one empty slice, so a block's checks run on an
+    empty matrix too."""
+    step = max(1, BLOCK_AMPLITUDES // row_size)
     return [slice(start, start + step) for start in range(0, max(n_rows, 1), step)]
 
 

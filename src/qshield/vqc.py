@@ -250,9 +250,10 @@ def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, l
     step = m if full_batch else config.batch_size
     history = [] if full_batch else [full_loss(params)]
     for epoch in range(1, config.epochs + 1):
-        order = np.arange(m) if full_batch else rng.permutation(m)
+        # a full batch reads plain slices, so no epoch copies the states
+        order = None if full_batch else rng.permutation(m)
         for start in range(0, m, step):
-            batch = order[start : start + step]
+            batch = slice(start, start + step) if order is None else order[start : start + step]
             grad, loss = _bce_grad(replace(arch, params=params), states[batch], y[batch])
             # an overflowing step is reported below as a NumericalError, not a warning
             with np.errstate(over="ignore"):

@@ -16,7 +16,8 @@ per-column PCA sign loop that whole-row numpy comparisons replaced
 unsigned alphas with a label case in every mask that the signed-dual
 solver replaced (``reference_train_qsvm``), and the bootstrap that spawned
 every resample's seed at once (``reference_bootstrap_ci``).  Tests compare the
-production code against them.  The hypothesis strategies that the fuzz tests
+production code against them.  ``with_support_rows`` gives a dual SVM fit the
+rows it scores against.  The hypothesis strategies that the fuzz tests
 share are here too (``json_values``, ``json_defects``); they import hypothesis
 when called, so the other tests run without it.
 """
@@ -236,6 +237,13 @@ def inverse_circuit_kernel(a, b, spec: FeatureMapSpec) -> float:
     state = run_circuit(new_zero_state(spec.n_qubits), feature_map_circuit(b, spec))
     run_circuit(state, feature_map_circuit(a, spec).inverse())
     return float(probabilities(state)[0])
+
+
+def with_support_rows(fit: SvmModel, rows, spec: FeatureMapSpec) -> SvmModel:
+    """A ``train_qsvm`` fit with the training rows at its support indices and the
+    feature map attached, as ``pipeline._train_model`` attaches them."""
+    return replace(fit, support_vectors=np.asarray(rows, dtype=float)[fit.support_indices],
+                   feature_map=spec)
 
 
 def svm_decision_oracle(model, rows) -> np.ndarray:

@@ -20,12 +20,14 @@ from helpers import (
     svm_decision_oracle,
     teacher_vqc_dataset,
     traced_peak,
+    with_support_rows,
 )
 
-from qshield import statevector, vqc
+from qshield import qkernel, statevector, vqc
 from qshield.encoding import FeatureMapSpec, feature_map_states
 from qshield.errors import ShapeError
 from qshield.pipeline import EnsembleModel
+from qshield.preprocess import Dataset
 from qshield.qkernel import kernel_matrix, train_qsvm
 from qshield.vqc import TrainConfig, VqcModel, encode_rows, shift_jacobian, train_vqc
 
@@ -95,9 +97,8 @@ def test_jacobian_matches_per_parameter_shifts(name):
 def small_svm(rng: np.random.Generator, spec: FeatureMapSpec):
     train = rng.uniform(-math.pi, math.pi, (10, spec.n_qubits))
     gram = kernel_matrix(train, spec)
-    return train_qsvm(
-        gram, separable_kernel_labels(gram.entries, rng), C=10.0,
-        vectors=train, feature_map=spec,
+    return with_support_rows(
+        train_qsvm(gram, separable_kernel_labels(gram.entries, rng), C=10.0), train, spec
     )
 
 
@@ -109,27 +110,38 @@ def test_prediction_across_chunk_boundary(monkeypatch):
     ensemble = EnsembleModel([vqc, svm], np.array([0.3, 0.7]))
     states = feature_map_states(rows, spec)
 
-    # two 3-qubit rows per gate-sweep block and per SVM chunk (its seven support
-    # vectors give a row fewer overlaps than amplitudes): seven rows take 2, 2, 2 and 1
+    # two 3-qubit rows per gate-sweep block and per SVM chunk (its support vectors,
+    # at most eight, give no more overlaps than amplitudes): seven rows take 2, 2, 2 and 1
+    assert len(svm.support_indices) <= 2**3
     monkeypatch.setattr(statevector, "BLOCK_AMPLITUDES", 2 * 2**3)
-    monkeypatch.setattr(statevector, "CHUNK_AMPLITUDES", 2 * 2**3)
-    for gate_sweep in (True, False):
-        assert [s.indices(7) for s in statevector.row_chunks(7, 2**3, gate_sweep)] == [
-            (0, 2, 1), (2, 4, 1), (4, 6, 1), (6, 7, 1)
-        ]
+    monkeypatch.setattr(qkernel, "CHUNK_AMPLITUDES", 2 * 2**3)
+    assert [s.indices(7) for s in statevector.row_chunks(7, 2**3)] == [
+        (0, 2, 1), (2, 4, 1), (4, 6, 1), (6, 7, 1)
+    ]
     assert np.array_equal(feature_map_states(rows, spec), states)
     vqc_oracle = np.array([gate_level_probability(vqc, x) for x in rows])
     svm_oracle = 1.0 / (1.0 + np.exp(-svm_decision_oracle(svm, rows)))
     np.testing.assert_allclose(vqc.predict_proba(rows), vqc_oracle, atol=TOL, rtol=0)
+    # SVM scoring encodes the support vectors once, then the rows chunk by chunk
+    encoded = []
+    monkeypatch.setattr(qkernel, "feature_map_states",
+                        lambda x, s: encoded.append(len(x)) or feature_map_states(x, s))
     np.testing.assert_allclose(svm.predict_proba(rows), svm_oracle, atol=TOL, rtol=0)
+    assert encoded == [len(svm.support_indices), 2, 2, 2, 1]
     np.testing.assert_allclose(
         ensemble.predict_proba(rows), 0.3 * vqc_oracle + 0.7 * svm_oracle, atol=TOL, rtol=0
     )
 
 
+def test_row_chunks_has_one_rule():
+    # the gate-sweep cap is the only one; SVM scoring sizes its chunks in qkernel
+    with pytest.raises(TypeError):
+        statevector.row_chunks(7, 8, True)
+    assert not hasattr(statevector, "CHUNK_AMPLITUDES")
+
+
 def test_zero_rows_run_one_empty_block():
-    for gate_sweep in (True, False):
-        assert [s.indices(0) for s in statevector.row_chunks(0, 2**3, gate_sweep)] == [(0, 0, 1)]
+    assert [s.indices(0) for s in statevector.row_chunks(0, 2**3)] == [(0, 0, 1)]
     rng = np.random.default_rng(19)
     angle, _ = vqc_case("3q-angle", rng)
     amplitude, _ = vqc_case("2q-amplitude", rng)
@@ -186,6 +198,19 @@ def test_gradient_memory_is_a_few_blocks():
     states = encode_rows(model, rng.uniform(-1.0, 1.0, (8000, 4)))
     _, peak = traced_peak(vqc._bce_grad, model, states, rng.uniform(0.0, 1.0, 8000))
     assert peak <= 8 * 16 * statevector.BLOCK_AMPLITUDES  # eight blocks of complex128
+
+
+def test_full_batch_training_holds_one_copy_of_the_states():
+    # 10,000 real 6-qubit states (5.1 MB) outweigh the sweep's eight-block allowance
+    # (4.2 MB), so a second copy of them, or of a batch as large, would not fit
+    rng = np.random.default_rng(31)
+    data = Dataset([f"x{j}" for j in range(6)], rng.uniform(-1.0, 1.0, (10_000, 6)),
+                   rng.integers(0, 2, 10_000))
+    arch = VqcModel.fresh(6, 1, 1)
+    states_bytes = encode_rows(arch, data.features).nbytes
+    assert states_bytes > 8 * 16 * statevector.BLOCK_AMPLITUDES
+    _, peak = traced_peak(train_vqc, data, arch, TrainConfig(epochs=1, seed=3))
+    assert peak <= states_bytes + 8 * 16 * statevector.BLOCK_AMPLITUDES
 
 
 @pytest.mark.parametrize("batch_size", [None, 5], ids=["full-batch", "mini-batch"])

@@ -1327,6 +1327,29 @@ def test_out_in_missing_directory_exits_1(command, workspace, tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate", "explain", "kernel"])
+def test_wrong_chain_refused_before_the_csv_is_read(
+    command, workspace, tmp_path, capsys, monkeypatch
+):
+    # a classifier file given as the chain is refused without parsing --data at all
+    def unread(*args, **kwargs):
+        raise AssertionError("load_csv ran before the chain was checked")
+
+    monkeypatch.setattr("qshield.preprocess.load_csv", unread)
+    model = ["--model", str(workspace["model"])] if command != "kernel" else []
+    out = ["--out", str(tmp_path / "x.csv")] if command in ("predict", "kernel") else []
+    capsys.readouterr()
+    code = main([
+        command, *model, "--preprocess-model", str(workspace["model"]),
+        "--data", str(workspace["data"]), "--config", str(workspace["config"]), *out,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    (error_line,) = captured.err.splitlines()
+    assert error_line.startswith(f"error: model type mismatch in {workspace['model']}")
+    assert not (tmp_path / "x.csv").exists()
+
+
 # --out command, the writer it runs (patched where it is defined, since each command
 # imports its writer when it runs), where the writer takes its path
 FAILING_OUT_WRITERS = {

@@ -18,6 +18,7 @@ from helpers import (
     json_values,
     spliced,
     teacher_vqc_dataset,
+    with_support_rows,
 )
 
 from qshield.cli import main
@@ -42,9 +43,9 @@ def _saved_payloads() -> tuple[dict, np.ndarray]:
     preprocessed row for the models to score."""
     preprocess, processed = fit_preprocess(DATA, PreprocessConfig(pca_components=2))
     spec = FeatureMapSpec(2, 1)
-    svm = train_qsvm(
-        kernel_matrix(processed, spec), 2 * processed.labels - 1, 1.0,
-        vectors=processed.features, feature_map=spec,
+    svm = with_support_rows(
+        train_qsvm(kernel_matrix(processed, spec), 2 * processed.labels - 1, 1.0),
+        processed.features, spec,
     )
     vqc = VqcModel.fresh(2, 1, 1, "angle")
     models = {

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import holding_out_dir, teacher_vqc_dataset, traced_peak
+from helpers import holding_out_dir, teacher_vqc_dataset, traced_peak, with_support_rows
 
 from qshield import pipeline
 from qshield.encoding import FeatureMapSpec
@@ -217,10 +217,7 @@ class TestPersistence:
         data, _ = teacher_vqc_dataset(seed=223, n_qubits=2, n_layers=1, n_samples=10)
         spec = FeatureMapSpec(2, 1)
         gram = kernel_matrix(data, spec)
-        model = train_qsvm(
-            gram, 2 * data.labels - 1, C=5.0,
-            vectors=data.features, feature_map=spec,
-        )
+        model = with_support_rows(train_qsvm(gram, 2 * data.labels - 1, C=5.0), data.features, spec)
         return model, data
 
     def test_vqc_round_trip(self, tmp_path):
@@ -379,6 +376,14 @@ INCONSISTENT_MODELS = {
         "dual_coeffs": np.ones(3), "bias": 0.0, "support_indices": np.arange(2),
         "support_vectors": None, "C": 1.0, "feature_map": None,
     }, "have lengths [3, 2, 3]"),
+    "svm_3_vectors_2_coeffs": (SvmModel, {
+        "dual_coeffs": np.ones(2), "bias": 0.0, "support_indices": np.arange(2),
+        "support_vectors": np.zeros((3, 2)), "C": 1.0, "feature_map": None,
+    }, "have lengths [2, 2, 3]"),
+    "svm_1d_support_vectors": (SvmModel, {
+        "dual_coeffs": np.ones(2), "bias": 0.0, "support_indices": np.arange(2),
+        "support_vectors": np.zeros(2), "C": 1.0, "feature_map": None,
+    }, "support_vectors (feature rows) have lengths [2, 2, 2]"),
     "short_means": (
         PreprocessModel, {**STANDARDIZATION, "means": np.zeros(2)}, "got shapes (2,), (3,), (3,)"
     ),
@@ -479,6 +484,18 @@ class TestRunExperiment:
         config = fast_config(type=model_type, svm_c=10.0)
         summary = train_experiment(config, data_path, tmp_path / "out")
         assert summary["svm"]["n_support"] > 0
+
+    def test_qsvm_saves_the_training_rows_at_its_support_indices(self, tmp_path):
+        # the solver returns duals only; _train_model attaches the rows they index
+        data_path = tmp_path / "data.csv"
+        write_teacher_csv(data_path)
+        config = fast_config(type="qsvm", svm_c=10.0)
+        train_experiment(config, data_path, tmp_path / "out")
+        _, _, processed = pipeline._load_and_preprocess(config, data_path)
+        saved = load_model(tmp_path / "out" / "model.json", expected_type="qsvm")
+        assert 0 < len(saved.support_indices) < processed.n_samples
+        assert np.array_equal(saved.support_vectors, processed.features[saved.support_indices])
+        assert saved.feature_map == pipeline.feature_map_spec(config)
 
     def test_ensemble_pipeline(self, tmp_path):
         data_path = tmp_path / "data.csv"

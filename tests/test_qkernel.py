@@ -12,6 +12,7 @@ from helpers import (
     separable_kernel_labels,
     svm_decision_oracle,
     traced_peak,
+    with_support_rows,
 )
 
 from qshield.encoding import FeatureMapSpec, apply_feature_map, feature_map_circuit
@@ -25,13 +26,14 @@ from qshield.pipeline import predict_labels
 from qshield.preprocess import Dataset
 from qshield.qkernel import (
     BOUND_SNAP,
+    CHUNK_AMPLITUDES,
     KernelMatrix,
     SvmModel,
     kernel_matrix,
     train_qsvm,
     write_kernel_csv,
 )
-from qshield.statevector import CHUNK_AMPLITUDES, evolve, inner_product, new_zero_state
+from qshield.statevector import evolve, inner_product, new_zero_state
 
 
 def kernel_entry(a, b, spec: FeatureMapSpec) -> float:
@@ -166,7 +168,7 @@ class TestSvmTraining:
         vectors = np.array([[0.0], [math.pi]])
         gram = kernel_matrix(vectors, spec)
         labels = np.array([1.0, -1.0])
-        model = train_qsvm(gram, labels, C=10.0, vectors=vectors, feature_map=spec)
+        model = train_qsvm(gram, labels, C=10.0)
         alpha = full_alpha(model, labels, 2)
         np.testing.assert_allclose(alpha, [1.0, 1.0], atol=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-9)
@@ -180,7 +182,7 @@ class TestSvmTraining:
         gram = kernel_matrix(vectors, spec)
         k = gram.entries[0, 1]
         labels = np.array([1.0, -1.0])
-        model = train_qsvm(gram, labels, C=100.0, vectors=vectors, feature_map=spec)
+        model = with_support_rows(train_qsvm(gram, labels, C=100.0), vectors, spec)
         alpha = full_alpha(model, labels, 2)
         np.testing.assert_allclose(alpha, 1.0 / (1.0 - k), atol=1e-9)
         # both points sit exactly on the margin
@@ -295,10 +297,18 @@ class TestSvmTraining:
         with pytest.raises(ConfigError):
             train_qsvm(gram, [1.0, -1.0], C=0.0)
 
-    def test_vector_count_mismatch_rejected(self):
-        gram = KernelMatrix(np.eye(2))
-        with pytest.raises(ShapeError):
-            train_qsvm(gram, [1.0, -1.0], C=1.0, vectors=np.zeros((3, 2)))
+    @pytest.mark.parametrize("option", ["vectors", "feature_map"])
+    def test_solver_takes_no_rows_or_feature_map(self, option):
+        # the dual solver's only data input is the kernel; the caller attaches the rows
+        with pytest.raises(TypeError):
+            train_qsvm(KernelMatrix(np.eye(2)), [1.0, -1.0], C=1.0, **{option: None})
+
+    def test_fit_holds_the_dual_solution_only(self):
+        model = train_qsvm(KernelMatrix(np.eye(2)), [1.0, -1.0], C=1.0)
+        assert model.support_vectors is None and model.feature_map is None
+        assert list(model.support_indices) == [0, 1]
+        with pytest.raises(ConfigError, match="lacks stored support vectors"):
+            model.predict_proba(np.zeros((1, 2)))
 
     def test_c_below_bound_snap_rejected(self):
         # every step of a smaller C would snap back to 0 and leave no support vector
@@ -321,12 +331,6 @@ class TestSvmTraining:
         model = train_qsvm(KernelMatrix(np.eye(2)), [1.0, -1.0], C=1.0, tol=2 - 1e-9)
         assert model.n_updates == 1
         assert list(model.support_indices) == [0, 1]
-
-    def test_one_dimensional_vectors_rejected(self):
-        # a 1-D vector per row would fit, then fail at scoring time
-        gram = KernelMatrix(np.eye(2))
-        with pytest.raises(ShapeError):
-            train_qsvm(gram, [1.0, -1.0], C=1.0, vectors=np.zeros(2))
 
     def test_matches_the_unsigned_alpha_solver(self):
         # the signed duals beta = y * alpha reproduce the alpha-form SMO bit for bit
@@ -363,9 +367,8 @@ class TestSvmPrediction:
         self.features = rng.uniform(-math.pi, math.pi, (12, 2))
         self.gram = kernel_matrix(self.features, self.spec)
         self.labels = separable_kernel_labels(self.gram.entries, rng)
-        self.model = train_qsvm(
-            self.gram, self.labels, C=50.0,
-            vectors=self.features, feature_map=self.spec,
+        self.model = with_support_rows(
+            train_qsvm(self.gram, self.labels, C=50.0), self.features, self.spec
         )
 
     def test_training_rows_classified_by_decision_sign(self):
@@ -445,3 +448,12 @@ class TestKernelCsv:
         write_kernel_csv(gram, path)
         back = np.loadtxt(path, delimiter=",")
         assert np.array_equal(back, gram.entries)
+
+    def test_cells_are_the_float_repr(self, tmp_path):
+        # the shortest repr that reads back exactly, 5e-324 the smallest subnormal
+        entries = np.array([[1.0, 0.1, 0.0, 5e-324]] * 4)
+        path = tmp_path / "kernel.csv"
+        write_kernel_csv(KernelMatrix(entries), path)
+        expect = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in entries)
+        assert path.read_text(encoding="utf-8") == expect
+        assert expect.startswith("1.0,0.1,0.0,5e-324\n")
