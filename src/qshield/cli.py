@@ -222,6 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         args.handler(args)
+        return 0
     except SystemExit as exc:
         # argparse exits only once it has printed --help; its usage errors raise ConfigError
         return exc.code
@@ -229,13 +230,14 @@ def main(argv: list[str] | None = None) -> int:
         print("aborted", file=sys.stderr)
         return 1
     except QShieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        line, code = f"error: {exc}", exc.exit_code
     except Exception as exc:
         # last resort: a bug outside any pipeline stage still ends in one error line
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        line, code = f"error: internal error: {type(exc).__name__}: {exc}", 3
+    # a bad value or CSV header is quoted whole: keep the head, which names the key or column
+    cut = f"{line[:960]} ... [{len(line) - 960} characters cut]"
+    print(line if len(line) <= 1000 else cut, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ return one encoded state per row as a ``(rows, 2**n)`` amplitude array.
 Both write real states (RY and CNOT are real gates), so the batch is
 float64.  The single-sample forms are one-row views of them.
 """
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass

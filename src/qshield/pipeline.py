@@ -5,7 +5,6 @@ floats, so identical (data, config, seed) runs produce byte-identical
 files.  Stage seeds derive from the single experiment seed: split uses
 seed, training seed + 1, bootstrap seed + 2.
 """
-from __future__ import annotations
 
 import fcntl
 import json
@@ -115,31 +114,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        hints = typing.get_type_hints(cls)
-        kwargs: dict = {}
-        for key, value in raw.items():
-            if key not in hints:
-                raise ConfigError(f"unknown config key {key!r}")
-            kwargs[key] = _checked(value, hints[key], key)
-        return cls(**kwargs)
+        return _build_section(cls, raw, "")
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
         return cls.from_dict(_read_json(path, "config", ConfigError))
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["model"]["ensemble_weights"] = list(self.model.ensemble_weights)
-        # the experiment seed is the single source; drop the derived copy so
-        # the emitted dict is accepted by from_dict again
-        out["training"].pop("seed", None)
-        return out
+        return _payload(self)
 
 
-# never read from JSON: the derived training seed and the SVM's objective trace
-_NOT_READ = {"seed", "objective_history"}
 _KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
           dict: "an object"}
 
@@ -189,19 +173,38 @@ def _check_keys(value: dict, keys, where: str, required: bool) -> None:
 
 
 def _build_section(cls, value, name: str, model_file: bool = False):
-    """``cls`` from a JSON object; a model file's sections must set every field."""
-    section = "section" if model_file else "config section"
+    """``cls`` from the JSON object at ``name`` ("" for a config); a model file sets every field."""
+    where = f"{'section' if model_file else 'config section'} {name!r}" if name else "config"
     if not isinstance(value, dict):
-        raise ConfigError(f"{section} {name!r} must be an object, got {value!r}")
-    hints = {k: h for k, h in typing.get_type_hints(cls).items() if k not in _NOT_READ}
-    _check_keys(value, hints, f"{section} {name!r}", required=model_file)
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    saved = _saved_fields(cls)
+    _check_keys(value, saved, where, required=model_file)
     try:
-        kwargs = {k: _checked(v, hints[k], f"{name}.{k}", model_file) for k, v in value.items()}
+        kwargs = {k: _checked(v, saved[k], f"{name}.{k}".lstrip("."), model_file)
+                  for k, v in value.items()}
         return cls(**kwargs)
     except QShieldError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section} {name!r}: {exc}") from exc
+        raise ConfigError(f"bad {where}: {exc}") from exc
+
+
+def _saved_fields(cls) -> dict:
+    """Type by name (its JSON key) of each dataclass field not marked ``saved: False``."""
+    return {f.name: f.type for f in fields(cls) if f.metadata.get("saved", True)}
+
+
+def _payload(obj) -> dict:
+    """A dataclass's saved fields as JSON: sections as objects, arrays and tuples as lists."""
+    out = {}
+    for name in _saved_fields(type(obj)):
+        value = getattr(obj, name)
+        if is_dataclass(value):
+            value = _payload(value)
+        elif isinstance(value, (np.ndarray, np.generic, tuple)):
+            value = list(value) if isinstance(value, tuple) else value.tolist()
+        out[name] = value
+    return out
 
 
 @dataclass
@@ -228,30 +231,18 @@ class EnsembleModel:
         return sum(w * m.predict_proba(features) for w, m in zip(self.weights, self.members))
 
 
-# A model file holds its dataclass's fields by name, minus _NOT_READ (the SVM's
-# objective trace); each class checks its own fields when it is built.
+# a model file holds its dataclass's saved fields; each class checks its own when built
 _MODEL_CLASSES = {"vqc": VqcModel, "qsvm": SvmModel, "preprocess": PreprocessModel,
                   "ensemble": EnsembleModel}
 
 
-def _saved_fields(cls) -> list[str]:
-    """Names of the saved fields of a model dataclass, each its key in the file."""
-    return [f.name for f in fields(cls) if f.name not in _NOT_READ]
-
-
 def _model_payload(model) -> dict:
-    if isinstance(model, EnsembleModel):
-        members = [_model_payload(m) for m in model.members]
-        return {"model_type": "ensemble", "members": members, "weights": model.weights.tolist()}
     model_type = next((t for t, c in _MODEL_CLASSES.items() if type(model) is c), None)
     if model_type is None:
         raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
-    payload = {"model_type": model_type}
-    for name in _saved_fields(type(model)):
-        value = getattr(model, name)
-        if is_dataclass(value):
-            value = asdict(value)
-        payload[name] = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    payload = {"model_type": model_type, **_payload(model)}
+    if model_type == "ensemble":
+        payload["members"] = [_model_payload(m) for m in model.members]
     return payload
 
 

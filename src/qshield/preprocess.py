@@ -12,7 +12,6 @@ eigensolver (``np.linalg.eigh``).
 Fitted models replay the whole chain on new data as one affine map plus
 an optional projection.
 """
-from __future__ import annotations
 
 import csv
 import math
@@ -154,8 +153,8 @@ def _plain_block(lines: list[str], label_idx: int | None, width: int,
                  positive_label: str) -> np.ndarray | None:
     """The lines parsed by ``np.loadtxt`` into one float matrix, any label column last.
 
-    None for lines the C reader cannot match exactly: a quote or NUL in a
-    label cell (a quote in a feature cell fails the float parse), a line
+    None for lines the C reader cannot match exactly: a quote in a label
+    cell (a quote in a feature cell fails the float parse), a line
     longer than the csv field limit, a cell numpy's float parser refuses
     (such as ``1_0``), a ragged row or no data rows.
     """
@@ -163,8 +162,8 @@ def _plain_block(lines: list[str], label_idx: int | None, width: int,
         return None
 
     def label(cell: str) -> bool:
-        if '"' in cell or "\0" in cell:  # csv unquotes; before 3.11 it refuses a NUL
-            raise ValueError("quote or NUL in a label cell")
+        if '"' in cell:  # csv unquotes it
+            raise ValueError("quote in a label cell")
         return cell.strip() == positive_label
 
     try:
@@ -416,8 +415,7 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
 
     ``data`` is never modified.  Each stage's result replaces its input, and
     ``data`` is dropped once standardized: a caller passing its only reference
-    frees the raw matrix there on CPython >= 3.11, whose frames take over call
-    arguments (a 3.10 caller's frame holds it until the fit returns).
+    frees the raw matrix there, as CPython's frames take over call arguments.
     """
     first = fit_standardize(data)
     work = apply_standardize(first, data)

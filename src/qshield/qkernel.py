@@ -12,9 +12,8 @@ SVM solver works in the signed duals beta = y o alpha, each in a per-row
 box (Bottou & Lin 2007; LIBSVM), so a working-set mask is one comparison
 per row.
 """
-from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,15 +69,17 @@ class SvmModel:
     feature_map: FeatureMapSpec | None
     converged: bool = True
     n_updates: int = 0
-    objective_history: tuple[float, ...] | None = None
+    # a trace for tests of the solver, not part of a model file
+    objective_history: tuple[float, ...] | None = field(default=None, metadata={"saved": False})
 
     def __post_init__(self) -> None:
         coeffs, indices, vectors = self.dual_coeffs, self.support_indices, self.support_vectors
         lengths = [len(coeffs), len(indices), len(coeffs if vectors is None else vectors)]
         if not any(lengths):
             raise ShapeError("an SVM needs at least one support vector; support_vectors is empty")
-        rows = vectors is None or np.ndim(vectors) == 2
-        if np.ndim(coeffs) != 1 or np.ndim(indices) != 1 or len(set(lengths)) > 1 or not rows:
+        if vectors is not None and np.ndim(vectors) != 2:
+            raise ShapeError(f"support_vectors must be 2-D rows, got shape {np.shape(vectors)}")
+        if np.ndim(coeffs) != 1 or np.ndim(indices) != 1 or len(set(lengths)) > 1:
             raise ShapeError(f"dual_coeffs, support_indices and support_vectors (feature "
                              f"rows) have lengths {lengths}")
 

@@ -11,7 +11,6 @@ whatever the angle count.  The parameter-shift rule, which is what
 would run on hardware, stays as the exact public reference in
 :func:`shift_jacobian` and :func:`param_shift_grad`.
 """
-from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -199,7 +198,8 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
+    # derived from the experiment seed, so neither a config nor a report holds it
+    seed: int = field(default=0, metadata={"saved": False})
 
     def __post_init__(self) -> None:
         if not isinstance(self.epochs, int) or self.epochs < 1:

@@ -101,6 +101,14 @@ def _narrow_support_vectors(p):
     p["support_vectors"] = [row[:-1] for row in p["support_vectors"]]
 
 
+def _flat_support_vectors(p):
+    p["support_vectors"] = [0.5, 1.5, 2.5]
+
+
+def _objective_history_key(p):
+    p["objective_history"] = [0.0, 0.5]
+
+
 def _nan_bias(p):
     p["bias"] = float("nan")
 
@@ -231,6 +239,10 @@ def _mean_of_5000_digits(p):
 MALFORMED_MODELS = {
     "short_dual_coeffs": (_drop_last_coeff, "qsvm", "dual_coeffs"),
     "narrow_support_vectors": (_narrow_support_vectors, "qsvm", "support vectors"),
+    "flat_support_vectors": (
+        _flat_support_vectors, "qsvm", "support_vectors must be 2-D rows, got shape (3,)"
+    ),
+    "objective_history_key": (_objective_history_key, "qsvm", "['objective_history']"),
     "nan_bias": (_nan_bias, "qsvm", "qsvm.bias"),
     "huge_support_index": (_huge_support_index, "qsvm", "qsvm.support_indices"),
     "int64_overflow_support_index": (
@@ -1072,11 +1084,6 @@ class TestPredict:
         ])
         assert code == 2
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="CPython 3.10 frames keep call arguments alive, so the raw matrix "
-        "lives until apply_preprocess returns",
-    )
     def test_scoring_frees_the_raw_matrix_once_standardized(self, tmp_path):
         # predict, evaluate, explain and kernel load and transform their CSV here:
         # with the raw matrix released once standardized, the PCA step holds the
@@ -1499,3 +1506,49 @@ def test_ensemble_with_a_preprocess_member_exits_2(case, workspace, tmp_path, ca
         "ensemble.members[1] is a preprocess model, not a classifier\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ensemble.json"]
+
+
+def _huge_qubit_config(workspace, svm_model, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"n_qubits": [0] * 200_000}}))
+    return ["run", "--data", str(workspace["data"]), "--config", str(config),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def _wide_unlabelled_csv(workspace, svm_model, tmp_path):
+    data = tmp_path / "wide.csv"
+    data.write_text(",".join(f"c{j}" for j in range(100_000)) + "\n" + "0," * 99_999 + "0\n")
+    return ["preprocess", "--data", str(data), "--out-dir", str(tmp_path / "out")]
+
+
+def _long_bias_model(workspace, svm_model, tmp_path):
+    payload = json.loads(svm_model.read_text())
+    payload["bias"] = [0.5] * 100_000
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    return ["predict", "--model", str(model), "--preprocess-model", str(workspace["preprocess"]),
+            "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+            "--out", str(tmp_path / "p.csv")]
+
+
+# an error message may quote a huge bad input whole: case -> (arguments, exit code, the
+# name the printed line must keep)
+HUGE_INPUTS = {
+    "config_list_as_n_qubits": (_huge_qubit_config, 1, "model.n_qubits"),
+    "csv_without_label_column": (_wide_unlabelled_csv, 2, "label"),
+    "model_list_as_bias": (_long_bias_model, 2, "qsvm.bias"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_INPUTS))
+def test_error_line_quoting_a_huge_input_is_cut(case, workspace, svm_model, tmp_path, capsys):
+    make_args, exit_code, named = HUGE_INPUTS[case]
+    args = make_args(workspace, svm_model, tmp_path)
+    capsys.readouterr()
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.out == ""
+    (error_line,) = captured.err.splitlines()
+    assert error_line.startswith("error: ") and len(error_line) <= 1000
+    assert named in error_line and error_line.endswith("characters cut]")

@@ -3,7 +3,6 @@ import fcntl
 import json
 import math
 import re
-import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -74,8 +73,36 @@ class TestConfig:
         assert rebuilt == config
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        message = "unknown key(s) ['modle'] in config"
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
             PipelineConfig.from_dict({"modle": {}})
+
+    def test_top_level_errors_take_the_section_form(self):
+        message = "unknown key(s) ['modle', 'zz'] in config"
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            PipelineConfig.from_dict({"zz": 1, "modle": {}})
+        with pytest.raises(ConfigError, match=re.escape("config must be an object, got [1, 2]")):
+            PipelineConfig.from_dict([1, 2])
+
+    def test_every_section_off_its_defaults_round_trips(self):
+        config = PipelineConfig.from_dict({
+            "seed": 3,
+            "data": {"label_column": "class", "positive_label": "bad"},
+            "preprocess": {"correlation_threshold": 0.9, "outlier_z_cap": 4.0,
+                           "pca_components": 3, "apply_pca": False},
+            "model": {"type": "ensemble", "n_qubits": 3, "n_layers": 1, "repetitions": 1,
+                      "encoding": "amplitude", "svm_c": 2, "svm_tol": 0.01,
+                      "svm_max_passes": 50, "ensemble_weights": [1, 0.5]},
+            "training": {"epochs": 4, "learning_rate": 0.2, "batch_size": 8,
+                         "optimizer": "gd", "beta1": 0.8, "beta2": 0.99, "eps": 1e-7},
+            "evaluation": {"test_fraction": 0.4, "bootstrap_iterations": 200},
+        })
+        defaults = PipelineConfig()
+        for section in fields(PipelineConfig):
+            assert getattr(config, section.name) != getattr(defaults, section.name), section.name
+        rebuilt = PipelineConfig.from_dict(config.to_dict())
+        assert rebuilt == config
+        assert json.dumps(rebuilt.to_dict()) == json.dumps(config.to_dict())
 
     def test_unknown_section_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -299,6 +326,18 @@ class TestPersistence:
         for kind in ("vqc", "qsvm"):
             assert sorted(saved[kind]["feature_map"]) == ["entangling", "n_qubits", "repetitions"]
 
+    def test_objective_trace_is_not_saved(self, tmp_path):
+        model, data = self.trained_svm()
+        spec = FeatureMapSpec(2, 1)
+        fit = train_qsvm(kernel_matrix(data, spec), 2 * data.labels - 1, C=5.0,
+                         record_objective=True)
+        traced = with_support_rows(fit, data.features, spec)
+        assert traced.objective_history
+        save_model(traced, tmp_path / "traced.json")
+        save_model(model, tmp_path / "plain.json")
+        assert "objective_history" not in json.loads((tmp_path / "traced.json").read_text())
+        assert (tmp_path / "traced.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
     @pytest.mark.parametrize("kind", ["vqc", "qsvm", "preprocess", "ensemble"])
     def test_load_then_save_is_byte_identical(self, kind, tmp_path):
         model, data = self.trained_vqc()
@@ -368,6 +407,18 @@ class TestPersistence:
         assert not (tmp_path / "model.json").exists()
 
 
+# the codec reads each field's type from dataclasses.fields, which holds the annotation
+# itself, not its text, only where the module does not postpone annotations
+CODEC_CLASSES = [PipelineConfig, pipeline.DataConfig, PreprocessConfig, pipeline.ModelConfig,
+                 TrainConfig, pipeline.EvalConfig, VqcModel, SvmModel, PreprocessModel,
+                 FeatureMapSpec]
+
+
+@pytest.mark.parametrize("cls", CODEC_CLASSES, ids=lambda cls: cls.__name__)
+def test_codec_field_types_are_types_not_text(cls):
+    assert [f.name for f in fields(cls) if isinstance(f.type, str)] == []
+
+
 STANDARDIZATION = {"means": np.zeros(3), "std_devs": np.ones(3), "kept_columns": np.arange(3)}
 # model classes check their own fields, so a model built in Python that no file
 # could hold fails as it is built: case -> (class, fields, text the error contains)
@@ -383,7 +434,7 @@ INCONSISTENT_MODELS = {
     "svm_1d_support_vectors": (SvmModel, {
         "dual_coeffs": np.ones(2), "bias": 0.0, "support_indices": np.arange(2),
         "support_vectors": np.zeros(2), "C": 1.0, "feature_map": None,
-    }, "support_vectors (feature rows) have lengths [2, 2, 2]"),
+    }, "support_vectors must be 2-D rows, got shape (2,)"),
     "short_means": (
         PreprocessModel, {**STANDARDIZATION, "means": np.zeros(2)}, "got shapes (2,), (3,), (3,)"
     ),
@@ -577,11 +628,6 @@ class TestPreprocessExperiment:
         model = load_model(out / "preprocess.json", expected_type="preprocess")
         assert model.kept_columns is not None
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="CPython 3.10 frames keep call arguments alive, so the raw matrix "
-        "lives until fit_preprocess returns",
-    )
     def test_raw_matrix_freed_once_standardized(self, tmp_path):
         # the raw matrix is released when its first standardized copy exists,
         # so the peak is one working matrix and one temporary, not the raw

@@ -255,6 +255,16 @@ class TestCsv:
             load_csv(self.write(tmp_path, text), "label", "1")
         assert [table is None for _, table in blocks] == [True]
 
+    def test_nul_in_a_label_cell_takes_the_c_reader(self, tmp_path, monkeypatch):
+        # the csv reader and the label converter both read "1\0" as a cell that is not "1"
+        path = self.write(tmp_path, "f0,label\n1.5,1\0\n2.5,1\n")
+        expected = reference_load_csv(path, "label", "1")
+        blocks = self.spy_on_blocks(monkeypatch)
+        data = load_csv(path, "label", "1")
+        assert [table is None for _, table in blocks] == [False]
+        assert data.labels.tolist() == expected.labels.tolist() == [0, 1]
+        assert data.features.tobytes() == expected.features.tobytes()
+
     def test_late_refusal_parses_each_line_once(self, tmp_path, monkeypatch):
         # only the last row holds a cell numpy's parser refuses, so the csv
         # reader reads the header and the last block, nothing the C reader took
