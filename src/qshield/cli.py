@@ -50,15 +50,19 @@ def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path:
     return apply_preprocess(pre, load_csv(data_path, label, positive, require_labels))
 
 
-def _note_svm_exhaustion(config: PipelineConfig, extras: dict) -> None:
-    """One stderr note when SMO stopped at its update cap; the artifacts say converged false."""
+def _print_notes(config: PipelineConfig, extras: dict) -> None:
+    """A stderr note each for SMO stopped at its update cap and for a sign-blind VQC."""
+    m = config.model
     if not extras.get("svm", {}).get("converged", True):
-        m = config.model
         print(
             f"note: the SVM used all {m.svm_max_passes} pair updates (model.svm_max_passes) "
             f"without reaching model.svm_tol {m.svm_tol}; saved with converged false",
             file=sys.stderr,
         )
+    if m.encoding == "amplitude" and m.type in ("vqc", "ensemble"):
+        print("note: an amplitude-encoded VQC (model.encoding) scores every row x and -x alike,"
+              " so it cannot fit a class boundary that depends on the sign of a row",
+              file=sys.stderr)
 
 
 def run_cmd(args: argparse.Namespace) -> None:
@@ -67,7 +71,7 @@ def run_cmd(args: argparse.Namespace) -> None:
 
     config = _load_config(args.config, args.seed)
     report = run_experiment(config, args.data, args.out_dir)
-    _note_svm_exhaustion(config, report)
+    _print_notes(config, report)
     with open(os.path.join(args.out_dir, "report.txt"), encoding="utf-8") as fh:
         print(fh.read(), end="")
     print(f"artifacts written to {args.out_dir}")
@@ -95,7 +99,7 @@ def train_cmd(args: argparse.Namespace) -> None:
     if args.model_type:
         config = replace(config, model=replace(config.model, type=args.model_type))
     summary = train_experiment(config, args.data, args.out_dir)
-    _note_svm_exhaustion(config, summary)
+    _print_notes(config, summary)
     print(f"trained {config.model.type} model on {summary['n_samples']} rows")
     print(f"artifacts written to {args.out_dir}")
 

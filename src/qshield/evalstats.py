@@ -133,10 +133,19 @@ def bootstrap_ci(correct, iterations: int = 1000, seed: int = 0) -> StatReport:
     )
 
 
+def _sample(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D float array; ShapeError off 1-D, InvalidInputError on a NaN or inf."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ShapeError(f"{name} must be 1-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} holds a NaN or infinite value")
+    return arr
+
+
 def cohens_d(sample_a, sample_b) -> float | None:
     """(mean(a) - mean(b)) / pooled sample std; None when both are constant."""
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
+    a, b = _sample(sample_a, "sample_a"), _sample(sample_b, "sample_b")
     if a.size < 2 or b.size < 2:
         raise InvalidInputError("cohens_d needs at least 2 values per sample")
     var_a = a.var(ddof=1)
@@ -201,10 +210,13 @@ def student_t_two_sided_p(t_stat: float, dof: int) -> float:
     """P(|T| >= |t|) for Student's t with ``dof`` degrees of freedom."""
     if dof < 1:
         raise InvalidInputError(f"degrees of freedom must be >= 1, got {dof}")
-    if math.isinf(t_stat):
-        return 0.0
-    x = dof / (dof + t_stat * t_stat)
-    return regularized_incomplete_beta(dof / 2.0, 0.5, x)
+    if math.isnan(t_stat):
+        raise InvalidInputError("t_stat is NaN")
+    t2 = t_stat * t_stat
+    if t2 < dof:
+        # I_x(a, b) = 1 - I_{1-x}(b, a), with 1 - x formed directly, not by a subtraction
+        return 1.0 - regularized_incomplete_beta(0.5, dof / 2.0, t2 / (dof + t2))
+    return regularized_incomplete_beta(dof / 2.0, 0.5, dof / (dof + t2))  # 0 at t = inf
 
 
 def paired_t_test(sample_a, sample_b) -> tuple[float, float]:
@@ -213,9 +225,8 @@ def paired_t_test(sample_a, sample_b) -> tuple[float, float]:
     Zero-variance differences: all-zero gives (0, 1), nonzero mean gives
     (+/-inf, 0).
     """
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
+    a, b = _sample(sample_a, "sample_a"), _sample(sample_b, "sample_b")
+    if a.shape != b.shape:
         raise ShapeError(f"paired samples must match, got {a.shape} and {b.shape}")
     if a.size < 2:
         raise InvalidInputError("paired t-test needs at least 2 pairs")

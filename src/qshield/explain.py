@@ -24,7 +24,6 @@ class AttributionReport:
     """Per-feature scores; ``weighted_scores`` is max(score, 0) * x_j for
     GRAD and a copy of ``scores`` for SCORE."""
 
-    feature_indices: tuple[int, ...]
     scores: tuple[float, ...]
     weighted_scores: tuple[float, ...]
     method: str
@@ -49,7 +48,6 @@ def grad_attribution(model: VqcModel, x) -> AttributionReport:
     scores = [float(v) for v in grad[: reps * arr.size].reshape(reps, arr.size).sum(axis=0)]
     weighted = [s * float(arr[j]) if s > 0 else 0.0 for j, s in enumerate(scores)]
     return AttributionReport(
-        feature_indices=tuple(range(arr.size)),
         scores=tuple(scores),
         weighted_scores=tuple(weighted),
         method="GRAD",
@@ -82,7 +80,6 @@ def score_attribution(model, x, baseline=None) -> AttributionReport:
     base_p = float(probs[0])
     scores = [base_p - float(p) for p in probs[1:]]
     return AttributionReport(
-        feature_indices=tuple(range(arr.size)),
         scores=tuple(scores),
         weighted_scores=tuple(scores),
         method="SCORE",
@@ -101,7 +98,7 @@ def rank_features(report: AttributionReport, top_k: int) -> list[tuple[int, floa
 
 def format_attribution(report: AttributionReport, feature_names=None) -> str:
     """Human-readable ranking table."""
-    names = feature_names or [f"x{i}" for i in report.feature_indices]
+    names = feature_names or [f"x{i}" for i in range(len(report.scores))]
     if len(names) != len(report.scores):
         raise ShapeError(f"{len(names)} names for {len(report.scores)} scores")
     ranked = rank_features(report, len(report.scores))
@@ -119,14 +116,14 @@ def format_attribution(report: AttributionReport, feature_names=None) -> str:
 
 def write_attribution_csv(report: AttributionReport, path, feature_names=None) -> None:
     """CSV with columns feature_name, raw_score, weighted_score, rank."""
-    names = feature_names or [f"x{i}" for i in report.feature_indices]
+    names = feature_names or [f"x{i}" for i in range(len(report.scores))]
     if len(names) != len(report.scores):
         raise ShapeError(f"{len(names)} names for {len(report.scores)} scores")
     ranks = {idx: rank for rank, (idx, _) in enumerate(rank_features(report, len(report.scores)), start=1)}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature_name", "raw_score", "weighted_score", "rank"])
-        for i in report.feature_indices:
+        for i, name in enumerate(names):
             writer.writerow(
-                [names[i], repr(report.scores[i]), repr(report.weighted_scores[i]), ranks[i]]
+                [name, repr(report.scores[i]), repr(report.weighted_scores[i]), ranks[i]]
             )

@@ -135,9 +135,6 @@ class Circuit:
                         f"{self.n_qubits}-qubit circuit"
                     )
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
     def inverse(self) -> "Circuit":
         """Gate-wise inverse: reversed order, negated angles."""
         return Circuit(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)))
@@ -159,9 +156,6 @@ class QuantumState:
                 f"qubits, got shape {amps.shape}"
             )
         self.amplitudes = amps
-
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.n_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -307,18 +301,6 @@ def qft_circuit(n_qubits: int) -> Circuit:
     for j in range(n_qubits // 2):
         gates.append(swap(j, n_qubits - 1 - j))
     return Circuit(n_qubits, tuple(gates))
-
-
-def probabilities(state: QuantumState) -> np.ndarray:
-    """Measurement probabilities |amplitude|^2 per basis state."""
-    return np.abs(state.amplitudes) ** 2
-
-
-def expectation_z(state: QuantumState, qubit: int) -> float:
-    """<Z_qubit> = P(qubit reads 0) - P(qubit reads 1); IndexError off the register."""
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexError(f"Z readout on qubit {qubit} but state has {state.n_qubits} qubits")
-    return float(z_expectations(state.amplitudes, qubit, state.n_qubits))
 
 
 def z_expectations(amps: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:

@@ -65,15 +65,14 @@ from qshield.statevector import (
     QuantumState,
     cnot,
     cphase,
-    expectation_z,
     h,
     new_zero_state,
-    probabilities,
     run_circuit,
     rx,
     ry,
     rz,
     swap,
+    z_expectations,
 )
 from qshield.vqc import (
     PARAM_SHIFT,
@@ -236,7 +235,7 @@ def inverse_circuit_kernel(a, b, spec: FeatureMapSpec) -> float:
     """K(a, b) as P(0...0) after U_phi(b) then U_phi(a)^dagger."""
     state = run_circuit(new_zero_state(spec.n_qubits), feature_map_circuit(b, spec))
     run_circuit(state, feature_map_circuit(a, spec).inverse())
-    return float(probabilities(state)[0])
+    return float(abs(state.amplitudes[0]) ** 2)
 
 
 def with_support_rows(fit: SvmModel, rows, spec: FeatureMapSpec) -> SvmModel:
@@ -267,7 +266,7 @@ def gate_level_probability(model: VqcModel, x) -> float:
     else:
         state = run_circuit(new_zero_state(n), feature_map_circuit(x, model.feature_map))
     run_circuit(state, build_ansatz(model))
-    return (1.0 + expectation_z(state, model.readout_qubit)) / 2.0
+    return (1.0 + float(z_expectations(state.amplitudes, model.readout_qubit, n))) / 2.0
 
 
 def shift_gradient(model: VqcModel, x) -> np.ndarray:
@@ -309,7 +308,6 @@ def shift_attribution(model: VqcModel, x) -> AttributionReport:
     scores = [float(v) for v in (0.5 * (probs[1::2] - probs[2::2])).reshape(d, reps).sum(axis=1)]
     weighted = [s * float(arr[j]) if s > 0 else 0.0 for j, s in enumerate(scores)]
     return AttributionReport(
-        feature_indices=tuple(range(arr.size)),
         scores=tuple(scores),
         weighted_scores=tuple(weighted),
         method="GRAD",

@@ -846,6 +846,29 @@ class TestRun:
         if command == ["run"]:
             assert json.loads((out_dir / "report.json").read_text())["svm"]["converged"] is False
 
+    @pytest.mark.parametrize("command", [["run"], ["train"]], ids=["run", "train"])
+    @pytest.mark.parametrize("model_type", ["vqc", "ensemble", "qsvm"])
+    def test_amplitude_vqc_is_one_note(self, command, model_type, workspace, tmp_path, capsys):
+        # warned, not refused: the model cannot tell x from -x (ROADMAP item 15)
+        config = json.loads(workspace["config"].read_text())
+        config["model"].update(type=model_type, encoding="amplitude")
+        amplitude = tmp_path / "amplitude.json"
+        amplitude.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        code = main([
+            *command, "--data", str(workspace["data"]),
+            "--config", str(amplitude), "--out-dir", str(out_dir),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert (out_dir / "model.json").exists()
+        if model_type == "qsvm":  # the kernel's feature map is the angle one
+            assert captured.err == ""
+        else:
+            note = "note: an amplitude-encoded VQC (model.encoding) scores every row x and -x"
+            assert captured.err.startswith(note) and captured.err.count("\n") == 1
+
 
 class TestPreprocess:
     def test_writes_artifacts(self, workspace, capsys, tmp_path):

@@ -115,7 +115,7 @@ class TestFeatureMap:
         x = [0.1, 0.2, 0.3]
         circuit = feature_map_circuit(x, spec)
         # per repetition: 3 RY + 3 ring CNOTs
-        assert len(circuit) == 12
+        assert len(circuit.gates) == 12
         kinds = [g.kind for g in circuit.gates]
         assert kinds == ["RY", "RY", "RY", "CNOT", "CNOT", "CNOT"] * 2
         # the batched encoder prepares the state this gate sequence prepares

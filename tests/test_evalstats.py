@@ -190,6 +190,19 @@ class TestEffectSizes:
         with pytest.raises(InvalidInputError):
             cohens_d([1.0], [2.0, 3.0])
 
+    @pytest.mark.parametrize("a, b, name", [
+        ([1.0, math.nan, 2.0], [0.0, 1.0], "sample_a"),
+        ([1.0, 2.0], [0.0, math.inf], "sample_b"),
+    ])
+    def test_non_finite_sample_refused(self, a, b, name):
+        with pytest.raises(InvalidInputError, match=f"{name} holds a NaN or infinite value"):
+            cohens_d(a, b)
+
+    def test_two_dimensional_sample_refused(self):
+        # refused, not pooled over its cells
+        with pytest.raises(ShapeError, match=r"sample_a must be 1-D, got shape \(2, 2\)"):
+            cohens_d([[1.0, 2.0], [1.0, 2.0]], [[1.0, 3.0], [2.0, 2.0]])
+
     def test_kappa_perfect_agreement(self):
         assert cohens_kappa([1, 0, 1, 0], [1, 0, 1, 0]) == pytest.approx(1.0)
 
@@ -263,8 +276,26 @@ class TestStudentT:
                 t_two_sided_p_quadrature(t, dof), abs=1e-9
             )
 
+    @pytest.mark.parametrize("t", [1e-4, 1e-3])
+    def test_large_dof_small_statistic_matches_quadrature(self, t):
+        # t^2 / (dof + t^2) is tiny here, so it must not be formed as 1 - dof / (dof + t^2)
+        assert student_t_two_sided_p(t, 100_000) == pytest.approx(
+            t_two_sided_p_quadrature(t, 100_000), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("t, dof", [(1.0, 1), (2.0, 3), (3.0, 9), (400.0, 100_000)])
+    def test_tail_keeps_the_direct_call(self, t, dof):
+        # t^2 >= dof takes I_x(dof/2, 1/2) at x = dof / (dof + t^2) directly
+        assert student_t_two_sided_p(t, dof) == regularized_incomplete_beta(
+            dof / 2.0, 0.5, dof / (dof + t * t)
+        )
+
     def test_zero_statistic(self):
         assert student_t_two_sided_p(0.0, 7) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_statistic_refused(self):
+        with pytest.raises(InvalidInputError, match="t_stat is NaN"):
+            student_t_two_sided_p(math.nan, 3)
 
     def test_symmetry_in_sign(self):
         assert student_t_two_sided_p(-2.2, 6) == student_t_two_sided_p(2.2, 6)
@@ -310,6 +341,14 @@ class TestPairedTTest:
     def test_minimum_pairs(self):
         with pytest.raises(InvalidInputError):
             paired_t_test([1.0], [2.0])
+
+    @pytest.mark.parametrize("a, b, name", [
+        ([1.0, math.nan, 2.0], [0.0, 0.0, 0.0], "sample_a"),
+        ([1.0, 2.0, 3.0], [0.0, -math.inf, 0.0], "sample_b"),
+    ])
+    def test_non_finite_sample_refused(self, a, b, name):
+        with pytest.raises(InvalidInputError, match=f"{name} holds a NaN or infinite value"):
+            paired_t_test(a, b)
 
 
 class TestFormatting:

@@ -205,7 +205,6 @@ class TestScoreAttribution:
 class TestRanking:
     def report(self, scores):
         return AttributionReport(
-            feature_indices=tuple(range(len(scores))),
             scores=tuple(scores),
             weighted_scores=tuple(scores),
             method="SCORE",
@@ -234,7 +233,6 @@ class TestRanking:
 class TestOutput:
     def test_format_lists_features_in_rank_order(self):
         report = AttributionReport(
-            feature_indices=(0, 1),
             scores=(0.1, -0.8),
             weighted_scores=(0.05, 0.0),
             method="GRAD",
@@ -248,19 +246,18 @@ class TestOutput:
         assert lines[3].split()[1] == "entropy"
 
     def test_format_name_count_mismatch(self):
-        report = AttributionReport((0,), (0.1,), (0.1,), "SCORE", 0.5)
+        report = AttributionReport((0.1,), (0.1,), "SCORE", 0.5)
         with pytest.raises(ShapeError):
             format_attribution(report, ["a", "b"])
 
     def test_csv_name_count_mismatch(self, tmp_path):
-        report = AttributionReport((0, 1), (0.1, 0.2), (0.1, 0.2), "SCORE", 0.5)
+        report = AttributionReport((0.1, 0.2), (0.1, 0.2), "SCORE", 0.5)
         with pytest.raises(ShapeError):
             write_attribution_csv(report, tmp_path / "attr.csv", ["a"])
         assert not (tmp_path / "attr.csv").exists()
 
     def test_csv_round_trip(self, tmp_path):
         report = AttributionReport(
-            feature_indices=(0, 1, 2),
             scores=(0.25, -0.5, 0.1),
             weighted_scores=(0.125, 0.0, 0.02),
             method="GRAD",

@@ -47,12 +47,12 @@ def predict_one(model, x) -> tuple[float, int]:
 class TestAnsatz:
     def test_gate_count_two_qubits_one_layer(self):
         model = make_model(2, 1, np.zeros(6))
-        assert len(build_ansatz(model)) == 8  # 6 rotations + 2 ring CNOTs
+        assert len(build_ansatz(model).gates) == 8  # 6 rotations + 2 ring CNOTs
 
     def test_gate_count_three_qubits_four_layers(self):
         model = make_model(3, 4, np.zeros(36), repetitions=1)
         assert model.n_params == 36
-        assert len(build_ansatz(model)) == 48
+        assert len(build_ansatz(model).gates) == 48
 
     def test_param_order_is_rx_ry_rz(self):
         model = make_model(2, 1, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
@@ -155,6 +155,16 @@ class TestForward:
         model = make_model(2, 1, np.zeros(6), encoding="amplitude")
         p, _ = predict_one(model, [0.0, 1.0])
         assert p == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("encoding", ["amplitude", "angle"])
+    def test_only_the_amplitude_encoding_scores_x_and_minus_x_alike(self, encoding):
+        # the amplitude state of -x is minus that of x, and p is a quadratic form in it,
+        # so this model cannot tell a row from its negation (ROADMAP item 15)
+        rng = np.random.default_rng(150)
+        model = make_model(4, 2, rng.uniform(-math.pi, math.pi, 24), encoding=encoding)
+        X = rng.normal(size=(200, 4))
+        same = np.array_equal(model.predict_proba(-X), model.predict_proba(X))
+        assert same == (encoding == "amplitude")
 
     def test_appended_zero_layer_is_inert_without_ring(self):
         rng = np.random.default_rng(67)
