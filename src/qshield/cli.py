@@ -40,14 +40,14 @@ def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path:
                         require_labels: bool = False):
     """The ``--data`` rows, preprocessed; only ``evaluate`` needs the label column."""
     from .pipeline import load_model
-    from .preprocess import apply_preprocess, load_csv
+    from .preprocess import _apply_preprocess, load_csv
 
     label, positive = config.data.label_column, config.data.positive_label
     if not preprocess_path:
         return load_csv(data_path, label, positive, require_labels)
     pre = load_model(preprocess_path, expected_type="preprocess")  # refused before the CSV is read
-    # the call holds the raw rows' only reference, so apply_preprocess can free the raw matrix
-    return apply_preprocess(pre, load_csv(data_path, label, positive, require_labels))
+    # the loaded rows are this call's own, so the replay may overwrite them
+    return _apply_preprocess(pre, load_csv(data_path, label, positive, require_labels))
 
 
 def _print_notes(config: PipelineConfig, extras: dict) -> None:

@@ -143,18 +143,27 @@ def _sample(values, name: str) -> np.ndarray:
     return arr
 
 
+def _scaled(*arrays) -> list[np.ndarray]:
+    """``arrays`` over the power of two that brings their largest magnitude into [2^-481, 2^480)
+    if it is not there, exactly barring subnormals. Then 2^60 squared deviations sum below the
+    float limit, and none underflows unless 2^537 times smaller than the largest value."""
+    exponent = math.frexp(max(np.abs(arr).max(initial=0.0) for arr in arrays))[1]
+    shift = exponent - min(max(exponent, -480), 480)
+    return [np.ldexp(arr, -shift) for arr in arrays]
+
+
 def cohens_d(sample_a, sample_b) -> float | None:
     """(mean(a) - mean(b)) / pooled sample std; None when both are constant."""
     a, b = _sample(sample_a, "sample_a"), _sample(sample_b, "sample_b")
     if a.size < 2 or b.size < 2:
         raise InvalidInputError("cohens_d needs at least 2 values per sample")
-    var_a = a.var(ddof=1)
-    var_b = b.var(ddof=1)
+    a, b = _scaled(a, b)  # d is scale-free
+    var_a, var_b = a.var(ddof=1), b.var(ddof=1)
     pooled = math.sqrt(
         ((a.size - 1) * var_a + (b.size - 1) * var_b) / (a.size + b.size - 2)
     )
-    if pooled == 0.0:
-        return None
+    if pooled == 0.0:  # both constant, or a spread that squares to 0 beside the largest value
+        return None if np.ptp(a) == np.ptp(b) == 0 else math.copysign(math.inf, a.mean() - b.mean())
     return float((a.mean() - b.mean()) / pooled)
 
 
@@ -230,7 +239,7 @@ def paired_t_test(sample_a, sample_b) -> tuple[float, float]:
         raise ShapeError(f"paired samples must match, got {a.shape} and {b.shape}")
     if a.size < 2:
         raise InvalidInputError("paired t-test needs at least 2 pairs")
-    diff = a - b
+    (diff,) = _scaled(a / 2 - b / 2)  # t is scale-free; the halves keep a - b finite
     mean = float(diff.mean())
     sd = float(diff.std(ddof=1))
     if sd == 0.0:

@@ -32,7 +32,7 @@ from .preprocess import (
     Dataset,
     PreprocessConfig,
     PreprocessModel,
-    fit_preprocess,
+    _fit_preprocess,
     load_csv,
     train_test_split,
     write_csv,
@@ -432,12 +432,10 @@ def feature_map_spec(config: PipelineConfig) -> FeatureMapSpec:
 def _load_and_preprocess(config: PipelineConfig, data_path):
     """The load and preprocess stages; returns (raw shape, fitted chain, processed data)."""
     with _stage("load"):
-        loaded = [load_csv(data_path, config.data.label_column, config.data.positive_label)]
-    shape = loaded[0].features.shape
-    with _stage("preprocess"):
-        # pop() hands over the only reference, so the fit can free the raw matrix
-        pre_model, processed = fit_preprocess(loaded.pop(), _resolved_preprocess_config(config))
-    return shape, pre_model, processed
+        loaded = load_csv(data_path, config.data.label_column, config.data.positive_label)
+    with _stage("preprocess"):  # overwrites the loaded matrix; only its shape is read after
+        pre_model, processed = _fit_preprocess(loaded, _resolved_preprocess_config(config))
+    return loaded.features.shape, pre_model, processed
 
 
 def _train_model(config: PipelineConfig, train: Dataset):

@@ -36,6 +36,7 @@ BLOCK_CHARS = 1 << 16
 CONST_STD_FLOOR = 1e-12
 # fp guard so exact duplicates register as |r| = 1 at threshold 1.0
 CORR_EPS = 1e-12
+ROW_BLOCK = 256  # rows per block of a copy or reduction that would hold a matrix-sized temporary
 
 
 @dataclass
@@ -80,8 +81,7 @@ class Dataset:
         return Dataset(self.feature_names, self.features[index], self.labels[index])
 
     def take_columns(self, index) -> "Dataset":
-        names = [self.feature_names[i] for i in index]
-        return Dataset(names, self.features[:, index], self.labels)
+        return _gather(self, np.arange(self.n_samples), index)
 
 
 def load_csv(path, label_column: str, positive_label: str, require_labels: bool = True) -> Dataset:
@@ -248,14 +248,28 @@ class PreprocessModel:
                                  f"{np.shape(variance)} explained variances")
 
 
+def _gather(data: Dataset, rows, cols, overwrite: bool = False) -> Dataset:
+    """``data``'s ascending ``rows`` and its ``cols`` in a new C matrix or, with ``overwrite`` on a
+    row-major matrix no narrower, its front: a row lands at or before its source, read first."""
+    x, shape = data.features, (len(rows), len(cols))
+    row_major = x.strides[1] == x.itemsize and x.strides[0] >= x.itemsize * x.shape[1]
+    out = (np.lib.stride_tricks.as_strided(x, shape, (shape[1] * x.itemsize, x.itemsize))
+           if overwrite and row_major and shape[1] <= x.shape[1] else np.empty(shape))
+    for r in range(0, len(rows), ROW_BLOCK):
+        out[r:r + ROW_BLOCK] = x[np.ix_(rows[r:r + ROW_BLOCK], cols)]
+    return Dataset([data.feature_names[c] for c in cols], out, data.labels[rows])
+
+
 def fit_standardize(data: Dataset) -> PreprocessModel:
     """Column means and sample (n-1) standard deviations; constants dropped."""
     if data.n_samples < 2:
         raise DegenerateInputError(
             f"standardization needs at least 2 samples, got {data.n_samples}"
         )
-    means = data.features.mean(axis=0)
-    stds = data.features.std(axis=0, ddof=1)
+    means, total = data.features.mean(axis=0), np.zeros(data.n_features)
+    for r in range(0, data.n_samples, ROW_BLOCK):
+        total += ((data.features[r:r + ROW_BLOCK] - means) ** 2).sum(axis=0)
+    stds = np.sqrt(total / (data.n_samples - 1))
     kept = np.flatnonzero(stds >= CONST_STD_FLOOR)
     return PreprocessModel(
         means=means[kept],
@@ -265,8 +279,8 @@ def fit_standardize(data: Dataset) -> PreprocessModel:
     )
 
 
-def apply_standardize(model: PreprocessModel, data: Dataset) -> Dataset:
-    """(x - mean) / std over the model's kept columns; fitted names must match, in order."""
+def _standardize(model: PreprocessModel, data: Dataset) -> Dataset:
+    """``apply_standardize`` in the memory of ``data.features``."""
     kept = model.kept_columns
     if kept.size and kept.max() >= data.n_features:
         raise ShapeError(
@@ -276,11 +290,25 @@ def apply_standardize(model: PreprocessModel, data: Dataset) -> Dataset:
         pairs = enumerate(zip([*data.feature_names, None], [*model.feature_names, None]))
         col, (got, want) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
         raise ShapeError(f"data column {col + 1} is {got!r}, not the fitted {want!r}")
-    feats = data.features[:, kept]  # a copy, so the arithmetic runs in place
-    feats -= model.means
-    feats /= model.std_devs
-    names = [data.feature_names[c] for c in kept]
-    return Dataset(names, feats, data.labels)
+    out = _gather(data, np.arange(data.n_samples), kept, overwrite=True)
+    out.features -= model.means
+    out.features /= model.std_devs
+    return replace(out)  # checked again, as x / std can overflow
+
+
+def apply_standardize(model: PreprocessModel, data: Dataset) -> Dataset:
+    """(x - mean) / std over the model's kept columns; fitted names must match, in order."""
+    return _standardize(model, replace(data, features=data.features.copy(order="C")))
+
+
+def _centred_products(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of ``x`` and its centred columns' products, summed a row block at a time."""
+    center = x.mean(axis=0)
+    products = np.zeros((x.shape[1], x.shape[1]))
+    for r in range(0, len(x), ROW_BLOCK):
+        centred = x[r:r + ROW_BLOCK] - center
+        products += centred.T @ centred
+    return center, products
 
 
 def fit_pca(data: Dataset, n_components: int) -> PreprocessModel:
@@ -299,10 +327,8 @@ def fit_pca(data: Dataset, n_components: int) -> PreprocessModel:
         raise DegenerateInputError(
             f"covariance needs at least 2 samples, got {data.n_samples}"
         )
-    center = data.features.mean(axis=0)
-    centered = data.features - center
-    cov = centered.T @ centered / (data.n_samples - 1)
-    evals, evecs = np.linalg.eigh(cov)
+    center, products = _centred_products(data.features)
+    evals, evecs = np.linalg.eigh(products / (data.n_samples - 1))
     order = np.argsort(evals)[::-1]
     evals = evals[order][:n_components]
     basis = evecs[:, order][:, :n_components].copy()
@@ -325,9 +351,26 @@ def apply_pca(model: PreprocessModel, data: Dataset) -> Dataset:
         raise ShapeError(
             f"model expects {basis.shape[0]} columns, data has {data.n_features}"
         )
-    projected = (data.features - model.pca_center) @ basis
+    projected = np.empty((data.n_samples, basis.shape[1]))
+    for r in range(0, data.n_samples, ROW_BLOCK):
+        projected[r:r + ROW_BLOCK] = (data.features[r:r + ROW_BLOCK] - model.pca_center) @ basis
     names = [f"pc{i + 1}" for i in range(basis.shape[1])]
     return Dataset(names, projected, data.labels)
+
+
+def _uncorrelated(x: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of the columns that greedy Pearson pruning keeps."""
+    keep = np.ones(x.shape[1], dtype=bool)
+    if x.shape[1] < 2 or len(x) < 2:
+        return keep
+    products = _centred_products(x)[1]
+    scale = np.sqrt(np.diag(products))
+    corr = np.abs(products / scale[:, None] / scale)
+    for i in range(len(keep)):
+        if keep[i]:
+            # ~(>=), not <, so a NaN correlation keeps its column
+            keep[i + 1:] &= ~(corr[i, i + 1:] >= threshold - CORR_EPS)
+    return keep
 
 
 def prune_correlated(data: Dataset, threshold: float = 0.95) -> tuple[Dataset, list[int]]:
@@ -335,25 +378,23 @@ def prune_correlated(data: Dataset, threshold: float = 0.95) -> tuple[Dataset, l
     of any pair with |r| >= threshold."""
     if not 0.0 < threshold <= 1.0:
         raise InvalidInputError(f"threshold must be in (0, 1], got {threshold!r}")
-    d = data.n_features
-    if d < 2 or data.n_samples < 2:
-        return data.take_columns(list(range(d))), []
-    corr = np.abs(np.corrcoef(data.features, rowvar=False))
-    keep = np.ones(d, dtype=bool)
-    for i in range(d):
-        if keep[i]:
-            # ~(>=), not <, so a NaN correlation keeps its column
-            keep[i + 1:] &= ~(corr[i, i + 1:] >= threshold - CORR_EPS)
+    keep = _uncorrelated(data.features, threshold)
     return data.take_columns(np.flatnonzero(keep)), np.flatnonzero(~keep).tolist()
+
+
+def _outlier_rows(x: np.ndarray, z_cap: float) -> np.ndarray:
+    """Mask of the rows with any |value| > z_cap, from row maxima and minima (no |x| copy)."""
+    bad = (x.max(axis=1, initial=-np.inf) > z_cap) | (x.min(axis=1, initial=np.inf) < -z_cap)
+    if bad.all() and len(x) > 0:
+        raise DegenerateOutputError("outlier removal would discard every row")
+    return bad
 
 
 def remove_outliers(data: Dataset, z_cap: float = 5.0) -> tuple[Dataset, list[int]]:
     """Drop rows with any |value| > z_cap; expects standardized input."""
     if not z_cap > 0:
         raise InvalidInputError(f"z_cap must be positive, got {z_cap!r}")
-    bad = (np.abs(data.features) > z_cap).any(axis=1)
-    if bad.all() and data.n_samples > 0:
-        raise DegenerateOutputError("outlier removal would discard every row")
+    bad = _outlier_rows(data.features, z_cap)
     return data.take_rows(~bad), np.flatnonzero(bad).tolist()
 
 
@@ -411,21 +452,23 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
     """Fit the full chain and return (model, processed training data).
 
     The two standardization passes and the column drops are folded into a
-    single affine map over the surviving original columns.
-
-    ``data`` is never modified.  Each stage's result replaces its input, and
-    ``data`` is dropped once standardized: a caller passing its only reference
-    frees the raw matrix there, as CPython's frames take over call arguments.
+    single affine map over the surviving original columns.  ``data`` is
+    never modified: the chain runs in a copy.
     """
+    return _fit_preprocess(replace(data, features=data.features.copy(order="C")), config)
+
+
+def _fit_preprocess(data: Dataset, config: PreprocessConfig):  # overwrites data.features
     first = fit_standardize(data)
-    work = apply_standardize(first, data)
-    del data
-    work, _removed = remove_outliers(work, config.outlier_z_cap)
+    work = _standardize(first, data)
+    rows = np.flatnonzero(~_outlier_rows(work.features, config.outlier_z_cap))
+    work = _gather(work, rows, np.arange(work.n_features), overwrite=True)
     if work.n_samples < 2:
         raise DegenerateInputError("fewer than 2 rows survive outlier removal")
     second = fit_standardize(work)
-    work = apply_standardize(second, work)
-    work, dropped_local = prune_correlated(work, config.correlation_threshold)
+    work = _standardize(second, work)
+    keep_local = np.flatnonzero(_uncorrelated(work.features, config.correlation_threshold))
+    work = _gather(work, np.arange(work.n_samples), keep_local, overwrite=True)
     if work.n_features == 0:
         raise DegenerateOutputError("no feature columns survive preprocessing")
 
@@ -433,7 +476,6 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
     orig_after_second = first.kept_columns[second.kept_columns]
     mean_eff = first.means[second.kept_columns] + second.means * first.std_devs[second.kept_columns]
     std_eff = first.std_devs[second.kept_columns] * second.std_devs
-    keep_local = np.delete(np.arange(len(orig_after_second)), dropped_local)
     model = PreprocessModel(
         means=mean_eff[keep_local],
         std_devs=std_eff[keep_local],
@@ -445,8 +487,7 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
         k = config.pca_components
         if k is None:
             raise ConfigError("pca_components must be set when apply_pca is true")
-        k = min(k, work.n_features)
-        pca = fit_pca(work, k)
+        pca = fit_pca(work, min(k, work.n_features))
         model = replace(
             model,
             pca_basis=pca.pca_basis,
@@ -458,10 +499,12 @@ def fit_preprocess(data: Dataset, config: PreprocessConfig) -> tuple[PreprocessM
 
 
 def apply_preprocess(model: PreprocessModel, data: Dataset) -> Dataset:
-    """Replay a fitted chain on new data; ``data`` is dropped once standardized."""
+    """Replay a fitted chain on new data; ``data`` is never modified."""
+    return _apply_preprocess(model, replace(data, features=data.features.copy(order="C")))
+
+
+def _apply_preprocess(model: PreprocessModel, data: Dataset) -> Dataset:  # overwrites data.features
     if model.kept_columns is None:
         raise ConfigError("model has no fitted standardization")
-    data = apply_standardize(model, data)
-    if model.pca_basis is not None:
-        data = apply_pca(model, data)
-    return data
+    data = _standardize(model, data)
+    return data if model.pca_basis is None else apply_pca(model, data)

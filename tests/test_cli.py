@@ -1109,8 +1109,8 @@ class TestPredict:
 
     def test_scoring_frees_the_raw_matrix_once_standardized(self, tmp_path):
         # predict, evaluate, explain and kernel load and transform their CSV here:
-        # with the raw matrix released once standardized, the PCA step holds the
-        # standardized matrix and its centered copy, not the raw matrix as well
+        # the replay overwrites the loaded matrix, so beyond ingest's own peak it
+        # holds row blocks and the projected rows, not a standardized copy
         rng = np.random.default_rng(31)
         data = Dataset([f"f{j}" for j in range(80)], rng.normal(size=(4000, 80)),
                        rng.integers(0, 2, 4000))
@@ -1121,7 +1121,32 @@ class TestPredict:
             str(tmp_path / "pre" / "preprocess.json"),
         )
         assert scored.features.shape == (4000, 4)
-        assert peak <= 2.3 * data.features.nbytes
+        assert peak <= 1.4 * data.features.nbytes
+
+    def test_model_reading_more_columns_than_the_csv_has(
+        self, workspace, pca_preprocess, tmp_path
+    ):
+        # each column three times, each third of the basis a third as long: the same map,
+        # but wider than the loaded rows, so the replay cannot compact them in place (a
+        # write past the loaded buffer shows as the child's abort when it frees it)
+        pre = json.loads(pca_preprocess.read_text())
+        tripled = {key: value * 3 for key, value in pre.items()
+                   if key in ("means", "std_devs", "kept_columns", "pca_center")}
+        tripled["pca_basis"] = [[v / 3 for v in row] for row in pre["pca_basis"]] * 3
+        (tmp_path / "tripled.json").write_text(json.dumps({**pre, **tripled}))
+        rows = {}
+        for name, path in (("fitted", pca_preprocess), ("tripled", tmp_path / "tripled.json")):
+            assert main_in_child(
+                "predict", "--model", str(workspace["model"]), "--preprocess-model", str(path),
+                "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+                "--out", str(tmp_path / f"{name}.csv"),
+            ).startswith("0 ")
+            with open(tmp_path / f"{name}.csv", newline="") as fh:
+                rows[name] = list(csv.DictReader(fh))
+        assert len(pre["kept_columns"]) == 2 and len(rows["tripled"]) == workspace["n_samples"]
+        for got, want in zip(rows["tripled"], rows["fitted"]):
+            assert got["label"] == want["label"]
+            assert float(got["probability"]) == pytest.approx(float(want["probability"]), abs=1e-12)
 
 
 class TestExplain:

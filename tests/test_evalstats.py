@@ -203,6 +203,17 @@ class TestEffectSizes:
         with pytest.raises(ShapeError, match=r"sample_a must be 1-D, got shape \(2, 2\)"):
             cohens_d([[1.0, 2.0], [1.0, 2.0]], [[1.0, 3.0], [2.0, 2.0]])
 
+    def test_samples_near_the_float_limit(self):
+        # each sample's squared deviations overflow unless the samples are scaled first
+        assert cohens_d([2e154, 5e154], [-5e154, -2e154]) == pytest.approx(
+            7.0 / math.sqrt(4.5), rel=1e-12)
+        assert cohens_d([1e308, -1e308, 0.0], [-1e308, 1e308, 0.0]) == 0.0
+        # scaled only out of [2^-481, 2^480): small spread beside a large value still counts,
+        # and None stays for two constant samples
+        assert cohens_d([1e200, 1e200], [1e-150, 2e-150]) == math.inf
+        assert cohens_d([1e-170, 2e-170], [0.0, 0.0]) == pytest.approx(3.0, rel=1e-12)
+        assert cohens_d([1e300, 1e300], [-1e300, -1e300]) is None
+
     def test_kappa_perfect_agreement(self):
         assert cohens_kappa([1, 0, 1, 0], [1, 0, 1, 0]) == pytest.approx(1.0)
 
@@ -341,6 +352,19 @@ class TestPairedTTest:
     def test_minimum_pairs(self):
         with pytest.raises(InvalidInputError):
             paired_t_test([1.0], [2.0])
+
+    def test_samples_near_the_float_limit(self):
+        # differences (2, 5, 1) * 1e154: t = 8 / sqrt(13), though the squared deviations
+        # overflow unscaled; 1e308 - (-1e308) overflows, yet the differences average 0
+        t, p = paired_t_test([2e154, 5e154, 1e154], [0.0, 0.0, 0.0])
+        assert t == pytest.approx(8.0 / math.sqrt(13.0), rel=1e-12)
+        assert p == pytest.approx(t_two_sided_p_quadrature(8.0 / math.sqrt(13.0), 2), abs=1e-9)
+        assert paired_t_test([1e308, -1e308, 0.0], [-1e308, 1e308, 0.0]) == (0.0, 1.0)
+        # only the differences are scaled, so a tiny one beside a large value keeps its square
+        for large in (1e200, 1e300):
+            t, p = paired_t_test([large, 0.0, 0.0], [large, 1e-150, 0.0])
+            assert t == pytest.approx(-1.0, rel=1e-12)
+            assert p == pytest.approx(t_two_sided_p_quadrature(-1.0, 2), abs=1e-9)
 
     @pytest.mark.parametrize("a, b, name", [
         ([1.0, math.nan, 2.0], [0.0, 0.0, 0.0], "sample_a"),

@@ -641,6 +641,20 @@ class TestPreprocessExperiment:
         )
         assert peak <= 2.3 * data.features.nbytes
 
+    def test_fit_overwrites_the_loaded_matrix(self, tmp_path):
+        # the chain runs in the memory load_csv filled, so beyond ingest's own peak
+        # it holds row blocks and d x d matrices; a chain that standardizes into
+        # a new matrix reads about 2.2x here
+        rng = np.random.default_rng(37)
+        data = Dataset([f"f{j}" for j in range(80)], rng.normal(size=(4000, 80)),
+                       rng.integers(0, 2, 4000))
+        write_csv(data, tmp_path / "data.csv")
+        (shape, _, processed), peak = traced_peak(
+            pipeline._load_and_preprocess, PipelineConfig(), tmp_path / "data.csv"
+        )
+        assert shape == (4000, 80) and processed.n_features == 4
+        assert peak <= 1.4 * data.features.nbytes
+
 
 # (experiment, writer it runs, the artifact that writer makes, what the failure raises)
 FAILING_WRITERS = {

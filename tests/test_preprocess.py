@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import math
+import re
 import warnings
 from dataclasses import fields
 
@@ -718,6 +719,29 @@ class TestSplit:
             train_test_split(data, 0.999, seed=0)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_every_stage_returns_c_order(order):
+    # the fitted chain works in one C matrix; stages that return C order too give
+    # the same bits as the chain, since numpy sums a C and an F matrix differently
+    rng = np.random.default_rng(71)
+    raw = toy_dataset(rng, n=30, d=5)
+    data = Dataset(raw.feature_names, np.asarray(raw.features, order=order), raw.labels)
+    assert data.features.flags.f_contiguous == (order == "F")
+    standardize, pca = fit_standardize(data), fit_pca(data, 2)
+    chain = fit_preprocess(data, PreprocessConfig(outlier_z_cap=2.5, apply_pca=False))[0]
+    outputs = {
+        "apply_standardize": apply_standardize(standardize, data),
+        "take_columns": data.take_columns([3, 0, 1]),
+        "remove_outliers": remove_outliers(data, 1.5)[0],
+        "apply_pca": apply_pca(pca, data),
+        "fit_preprocess": fit_preprocess(data, PreprocessConfig(apply_pca=False))[1],
+        "apply_preprocess": apply_preprocess(chain, data),
+    }
+    for name, out in outputs.items():
+        assert out.features.flags.c_contiguous and out.n_features > 1, name
+    assert 0 < outputs["remove_outliers"].n_samples < data.n_samples
+
+
 def random_fit_case(seed):
     """A seeded (dataset, config) mixing outlier rows, constant and
     near-duplicate columns, PCA on and off, and every threshold and cap."""
@@ -751,6 +775,15 @@ def assert_same_dataset(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
             b.flags.c_contiguous, b.flags.f_contiguous)
+
+
+def assert_same_model(got, want):
+    for f in fields(PreprocessModel):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b
 
 
 class TestFullChain:
@@ -787,6 +820,50 @@ class TestFullChain:
             "outlier removal would discard every row",
             "pca_components must be set when apply_pca is true",
         } <= outcomes
+
+    def test_overwriting_chain_matches_the_copying_one(self, tmp_path):
+        # the commands fit and replay in the matrix load_csv returns (a view that
+        # skips the label column); the public functions copy and leave it alone
+        outcomes = set()
+        for seed in range(1, 200, 3):
+            data, config = random_fit_case(seed)
+            path = tmp_path / f"{seed}.csv"
+            write_csv(data, path)
+            loaded = load_csv(path, "label", "1")
+            before = loaded.features.copy()
+            try:
+                model, processed = fit_preprocess(loaded, config)
+            except QShieldError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    preprocess._fit_preprocess(load_csv(path, "label", "1"), config)
+                outcomes.add(type(exc).__name__)
+                continue
+            got_model, got = preprocess._fit_preprocess(load_csv(path, "label", "1"), config)
+            assert_same_model(got_model, model)
+            assert_same_dataset(got, processed)
+            replayed = preprocess._apply_preprocess(model, load_csv(path, "label", "1"))
+            assert_same_dataset(replayed, apply_preprocess(model, loaded))
+            assert loaded.features.tobytes() == before.tobytes()
+            outcomes.add("pca" if config.apply_pca else "no pca")
+        assert {"pca", "no pca", "DegenerateOutputError"} <= outcomes
+
+    @pytest.mark.parametrize("kept, order", [
+        ([0, 1, 2, 0, 1, 2, 0, 1, 2], "C"), ([2, 1, 0], "C"), ([2, 1, 0], "F"),
+    ])
+    def test_replay_writes_inside_the_loaded_rows(self, kept, order):
+        # a model may list a column twice or out of order: a wider map than the rows,
+        # or rows that are not row-major, get a new matrix, and a reordering of row-major
+        # rows compacts in place; nothing past them changes
+        rng = np.random.default_rng(83)
+        buffer = np.asarray(rng.normal(size=(50, 4)), order=order)
+        rows = Dataset(["a", "b", "c"], buffer[:40, 1:], rng.integers(0, 2, 40))
+        want = (rows.features[:, kept] - 0.5) / 2.0
+        tail = buffer[40:].copy()
+        model = PreprocessModel(means=np.full(len(kept), 0.5), std_devs=np.full(len(kept), 2.0),
+                                kept_columns=np.array(kept), feature_names=["a", "b", "c"])
+        got = preprocess._apply_preprocess(model, rows)
+        assert np.array_equal(got.features, want) and got.features.flags.c_contiguous
+        assert np.array_equal(buffer[40:], tail)
 
     def test_fit_holds_one_working_copy(self):
         # beyond the caller's input: one standardized working matrix and one
