@@ -15,7 +15,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # each command imports the layers it runs, and main builds the parser, so importing
 # this module loads no numpy and no argparse
-from .errors import ConfigError, QShieldError
+from .errors import ConfigError, ModelFormatError, QShieldError
 
 CLASSIFIERS = ("vqc", "qsvm", "ensemble")  # the model types train makes and the scorers take
 
@@ -36,18 +36,29 @@ def _load_config(path: str | None, seed: int | None) -> PipelineConfig:
     return config
 
 
-def _load_and_transform(config: PipelineConfig, data_path: str, preprocess_path: str | None,
-                        require_labels: bool = False):
-    """The ``--data`` rows, preprocessed; only ``evaluate`` needs the label column."""
-    from .pipeline import load_model
+def _load_and_transform(config: PipelineConfig, args: argparse.Namespace,
+                        chain: str | None = None, require_labels: bool = False):
+    """The ``--data`` rows through ``--preprocess-model``; only ``evaluate`` needs the label column.
+
+    ``chain`` is the digest a ``--model`` file from run or train records of the preprocess.json
+    beside it: that model is refused (exit 2) behind any other file, or none, once the chain is
+    read and before the CSV is."""
+    from .pipeline import _chain_digest, load_model
     from .preprocess import _apply_preprocess, load_csv
 
-    label, positive = config.data.label_column, config.data.positive_label
-    if not preprocess_path:
-        return load_csv(data_path, label, positive, require_labels)
-    pre = load_model(preprocess_path, expected_type="preprocess")  # refused before the CSV is read
+    path = args.preprocess_model
+    pre = path and load_model(path, expected_type="preprocess")
+    if chain is not None:
+        if not path:
+            raise ModelFormatError(f"model file {args.model} was trained behind a preprocess.json;"
+                                   " give that file as --preprocess-model")
+        with open(path, "rb") as fh:
+            if _chain_digest(fh.read()) != chain:
+                raise ModelFormatError(f"model file {args.model} was not trained behind "
+                                       f"--preprocess-model {path}: its SHA-256 differs")
+    data = load_csv(args.data, config.data.label_column, config.data.positive_label, require_labels)
     # the loaded rows are this call's own, so the replay may overwrite them
-    return _apply_preprocess(pre, load_csv(data_path, label, positive, require_labels))
+    return _apply_preprocess(pre, data) if path else data
 
 
 def _print_notes(config: PipelineConfig, extras: dict) -> None:
@@ -106,11 +117,11 @@ def train_cmd(args: argparse.Namespace) -> None:
 
 def predict_cmd(args: argparse.Namespace) -> None:
     """Score a CSV; write sample_index, probability, label."""
-    from .pipeline import _publish, load_model, predict_labels, write_predictions_csv
+    from .pipeline import _publish, _read_model, predict_labels, write_predictions_csv
 
     config = _load_config(args.config, None)
-    model = load_model(args.model, CLASSIFIERS)
-    data = _load_and_transform(config, args.data, args.preprocess_model)
+    model, chain = _read_model(args.model, CLASSIFIERS)
+    data = _load_and_transform(config, args, chain)
     probabilities, labels = predict_labels(model, data.features)
     _publish((args.out, write_predictions_csv, probabilities, labels))
     print(f"{len(labels)} predictions written to {args.out}")
@@ -120,19 +131,18 @@ def explain_cmd(args: argparse.Namespace) -> None:
     """Per-feature attribution for one sample."""
     from .explain import format_attribution, grad_attribution, score_attribution
     from .explain import write_attribution_csv
-    from .pipeline import _publish, load_model
+    from .pipeline import _publish, _read_model
 
     config = _load_config(args.config, None)
-    model = load_model(args.model, CLASSIFIERS)
-    data = _load_and_transform(config, args.data, args.preprocess_model)
+    model, chain = _read_model(args.model, CLASSIFIERS)
+    data = _load_and_transform(config, args, chain)
     if not 0 <= args.row < data.n_samples:
         raise ConfigError(f"row {args.row} outside 0..{data.n_samples - 1}")
     attribute = grad_attribution if args.method == "grad" else score_attribution
     report = attribute(model, data.features[args.row])
     text = format_attribution(report, data.feature_names)
     if args.out:
-        names = data.feature_names
-        _publish((args.out, lambda tmp: write_attribution_csv(report, tmp, feature_names=names)))
+        _publish((args.out, write_attribution_csv, report, data.feature_names))
         text += f"attribution written to {args.out}\n"
     print(text, end="")
 
@@ -140,11 +150,11 @@ def explain_cmd(args: argparse.Namespace) -> None:
 def evaluate_cmd(args: argparse.Namespace) -> None:
     """Metrics plus bootstrap interval for a trained model on labeled data."""
     from .evalstats import format_metrics_table
-    from .pipeline import evaluate_predictions, load_model, predict_labels
+    from .pipeline import _read_model, evaluate_predictions, predict_labels
 
     config = _load_config(args.config, args.seed)
-    model = load_model(args.model, CLASSIFIERS)
-    data = _load_and_transform(config, args.data, args.preprocess_model, require_labels=True)
+    model, chain = _read_model(args.model, CLASSIFIERS)
+    data = _load_and_transform(config, args, chain, require_labels=True)
     _, labels = predict_labels(model, data.features)
     metric_report, stats = evaluate_predictions(labels, data.labels, config)
     print(format_metrics_table(metric_report, stats), end="")
@@ -156,7 +166,7 @@ def kernel_cmd(args: argparse.Namespace) -> None:
     from .qkernel import kernel_matrix, write_kernel_csv
 
     config = _load_config(args.config, None)
-    data = _load_and_transform(config, args.data, args.preprocess_model)
+    data = _load_and_transform(config, args)
     gram = kernel_matrix(data, feature_map_spec(config))
     _publish((args.out, write_kernel_csv, gram))
     print(f"{gram.size}x{gram.size} kernel written to {args.out}")

@@ -113,16 +113,18 @@ def bootstrap_ci(correct, iterations: int = 1000, seed: int = 0) -> StatReport:
     Iteration i draws from the i-th child that ``SeedSequence(seed).spawn`` would give,
     built alone, so results are reproducible regardless of evaluation order.
     """
-    outcomes = _check_binary(correct, "correct").astype(float)
+    hits = _check_binary(correct, "correct") == 1
     if iterations < 100:
         raise InvalidInputError(f"need at least 100 bootstrap iterations, got {iterations}")
-    n = len(outcomes)
-    means = np.empty(iterations)
+    n = hits.size
+    counts = np.empty(iterations)
     for i in range(iterations):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        means[i] = outcomes[rng.integers(0, n, n)].mean()
+        # what default_rng(SeedSequence(...)) builds, without its argument dispatch
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+        counts[i] = np.count_nonzero(hits[rng.integers(0, n, n)])
+    means = counts / n  # exact: each count is an integer sum of 0/1 values
     ordered = np.sort(means)
-    mean = float(outcomes.mean())
+    mean = float(np.count_nonzero(hits) / n)
     boot_std = float(means.std(ddof=1))
     return StatReport(
         mean=mean,
@@ -264,7 +266,7 @@ def cohens_kappa(pred_a, pred_b) -> float | None:
     return (observed - expected) / (1.0 - expected)
 
 
-def format_metrics_table(report: MetricsReport, stats: StatReport | None = None) -> str:
+def format_metrics_table(report: MetricsReport, stats: StatReport) -> str:
     """Fixed-width plain-text summary."""
 
     def fmt(value: float | None) -> str:
@@ -282,12 +284,9 @@ def format_metrics_table(report: MetricsReport, stats: StatReport | None = None)
         f"fnr          {fmt(report.fnr):>10}",
         "",
         f"confusion    tp={cm.tp} fp={cm.fp} tn={cm.tn} fn={cm.fn}",
+        "",
+        f"bootstrap mean {fmt(stats.mean):>10}",
+        f"95% CI         [{fmt(stats.ci_low)}, {fmt(stats.ci_high)}]",
+        f"coeff var      {fmt(stats.coeff_variation):>10}",
     ]
-    if stats is not None:
-        lines += [
-            "",
-            f"bootstrap mean {fmt(stats.mean):>10}",
-            f"95% CI         [{fmt(stats.ci_low)}, {fmt(stats.ci_high)}]",
-            f"coeff var      {fmt(stats.coeff_variation):>10}",
-        ]
     return "\n".join(lines) + "\n"

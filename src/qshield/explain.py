@@ -2,9 +2,9 @@
 
 Two methods: GRAD differentiates the encoding angles of an
 angle-encoded variational model by one adjoint sweep through the
-encoding and the ansatz; SCORE occludes one feature at a time against a
-baseline, scores all occluded rows in one batched call, and works with
-any model exposing ``predict_proba``.
+encoding and the ansatz; SCORE sets one feature at a time to zero, scores
+all occluded rows in one batched call, and works with any model exposing
+``predict_proba``.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import as_feature_array, feature_map_circuit
-from .errors import InvalidInputError, ShapeError, UnsupportedMethodError
+from .errors import ShapeError, UnsupportedMethodError
 from .statevector import Circuit, adjoint_grad, evolve, new_zero_state, z_expectations
 from .vqc import VqcModel, build_ansatz
 
@@ -55,26 +55,16 @@ def grad_attribution(model: VqcModel, x) -> AttributionReport:
     )
 
 
-def score_attribution(model, x, baseline=None) -> AttributionReport:
-    """Occlusion: score_j = p(x) - p(x with x_j replaced by the baseline).
+def score_attribution(model, x) -> AttributionReport:
+    """Occlusion: score_j = p(x) - p(x with x_j set to 0).
 
-    ``model`` may be any object with ``predict_proba`` or a plain callable
-    mapping an (m, d) feature matrix to m probabilities.  Row 0 of the
-    scored matrix is the input, row j + 1 has feature j occluded.
+    Row 0 of the matrix ``model.predict_proba`` scores is the input, row
+    j + 1 has feature j occluded.
     """
-    predict = model if callable(model) else model.predict_proba
     arr = as_feature_array(x)
-    if baseline is None:
-        base_vec = np.zeros_like(arr)
-    else:
-        base_vec = as_feature_array(baseline)
-        if base_vec.shape != arr.shape:
-            raise ShapeError(
-                f"baseline shape {base_vec.shape} does not match input {arr.shape}"
-            )
     rows = np.tile(arr, (arr.size + 1, 1))
-    rows[np.arange(arr.size) + 1, np.arange(arr.size)] = base_vec
-    probs = np.asarray(predict(rows), dtype=float)
+    rows[np.arange(arr.size) + 1, np.arange(arr.size)] = 0.0
+    probs = np.asarray(model.predict_proba(rows), dtype=float)
     if probs.shape != (arr.size + 1,):
         raise ShapeError(f"expected {arr.size + 1} probabilities, got shape {probs.shape}")
     base_p = float(probs[0])
@@ -87,43 +77,37 @@ def score_attribution(model, x, baseline=None) -> AttributionReport:
     )
 
 
-def rank_features(report: AttributionReport, top_k: int) -> list[tuple[int, float]]:
-    """Top features by |score| descending; ties break on the lower index."""
-    n = len(report.scores)
-    if not 1 <= top_k <= n:
-        raise InvalidInputError(f"top_k must be in [1, {n}], got {top_k!r}")
-    order = sorted(range(n), key=lambda i: (-abs(report.scores[i]), i))
-    return [(i, report.scores[i]) for i in order[:top_k]]
+def rank_features(report: AttributionReport) -> list[tuple[int, float]]:
+    """Every feature by |score| descending; ties break on the lower index."""
+    order = sorted(range(len(report.scores)), key=lambda i: (-abs(report.scores[i]), i))
+    return [(i, report.scores[i]) for i in order]
 
 
-def format_attribution(report: AttributionReport, feature_names=None) -> str:
+def format_attribution(report: AttributionReport, feature_names: list[str]) -> str:
     """Human-readable ranking table."""
-    names = feature_names or [f"x{i}" for i in range(len(report.scores))]
-    if len(names) != len(report.scores):
-        raise ShapeError(f"{len(names)} names for {len(report.scores)} scores")
-    ranked = rank_features(report, len(report.scores))
+    if len(feature_names) != len(report.scores):
+        raise ShapeError(f"{len(feature_names)} names for {len(report.scores)} scores")
     lines = [
         f"method: {report.method}   base probability: {report.base_probability:.6f}",
         "rank  feature               score        weighted",
     ]
-    for rank, (idx, score) in enumerate(ranked, start=1):
+    for rank, (idx, score) in enumerate(rank_features(report), start=1):
         lines.append(
-            f"{rank:>4}  {names[idx]:<20}  {score:+.6f}    "
+            f"{rank:>4}  {feature_names[idx]:<20}  {score:+.6f}    "
             f"{report.weighted_scores[idx]:+.6f}"
         )
     return "\n".join(lines) + "\n"
 
 
-def write_attribution_csv(report: AttributionReport, path, feature_names=None) -> None:
+def write_attribution_csv(report: AttributionReport, feature_names: list[str], path) -> None:
     """CSV with columns feature_name, raw_score, weighted_score, rank."""
-    names = feature_names or [f"x{i}" for i in range(len(report.scores))]
-    if len(names) != len(report.scores):
-        raise ShapeError(f"{len(names)} names for {len(report.scores)} scores")
-    ranks = {idx: rank for rank, (idx, _) in enumerate(rank_features(report, len(report.scores)), start=1)}
+    if len(feature_names) != len(report.scores):
+        raise ShapeError(f"{len(feature_names)} names for {len(report.scores)} scores")
+    ranks = {idx: rank for rank, (idx, _) in enumerate(rank_features(report), start=1)}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature_name", "raw_score", "weighted_score", "rank"])
-        for i, name in enumerate(names):
+        for i, name in enumerate(feature_names):
             writer.writerow(
                 [name, repr(report.scores[i]), repr(report.weighted_scores[i]), ranks[i]]
             )

@@ -42,6 +42,7 @@ from .vqc import TrainConfig, VqcModel, train_vqc
 
 FORMAT_VERSION = 1
 MODEL_TYPES = ("vqc", "qsvm", "ensemble")
+CHAIN_KEY = "preprocess_sha256"  # run and train: the SHA-256 of the preprocess.json they write
 
 
 @dataclass(frozen=True)
@@ -246,15 +247,33 @@ def _model_payload(model) -> dict:
     return payload
 
 
+def _model_file(model) -> dict:
+    return {"format_version": FORMAT_VERSION, **_model_payload(model)}
+
+
 def save_model(model, path) -> None:
     """Write a versioned JSON model file (repr-precision floats)."""
-    _write_json({"format_version": FORMAT_VERSION, **_model_payload(model)}, path)
+    _write_text(_json_text(_model_file(model)), path)
 
 
-def _write_json(payload, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _chain_digest(chain: bytes) -> str:
+    """What a model file records, under CHAIN_KEY, of the preprocess.json bytes beside it."""
+    import hashlib  # here, not at the top, so preprocess does not load it
+
+    return hashlib.sha256(chain).hexdigest()
+
+
+def _model_and_chain(out: Path, model, pre_model) -> tuple:
+    """model.json and preprocess.json as ``_publish`` artifacts; the model file records the
+    digest of the chain file, so a scorer can refuse any other chain."""
+    chain = _json_text(_model_file(pre_model))
+    model_file = {**_model_file(model), CHAIN_KEY: _chain_digest(chain.encode())}
+    return ((out / "model.json", _write_text, _json_text(model_file)),
+            (out / "preprocess.json", _write_text, chain))
 
 
 def _write_text(text: str, path) -> None:
@@ -356,6 +375,11 @@ def _decode_model(body: dict):
 
 def load_model(path, expected_type: str | tuple[str, ...] | None = None):
     """Read a model file, checking version and (optionally) model type: one or any of several."""
+    return _read_model(path, expected_type)[0]
+
+
+def _read_model(path, expected_type) -> tuple:
+    """``load_model``'s model, and the chain SHA-256 that the file records (None if none)."""
     payload = _read_json(path, "model file", ModelFormatError)
     if not isinstance(payload, dict):
         raise ModelFormatError(f"model file {path} does not contain an object")
@@ -371,8 +395,9 @@ def load_model(path, expected_type: str | tuple[str, ...] | None = None):
             f"model type mismatch in {path}: expected {' or '.join(map(repr, expected))}, "
             f"found {payload.get('model_type')!r}"
         )
+    chain = payload.pop(CHAIN_KEY, None)
     try:
-        return _decode_model(payload)
+        return _decode_model(payload), chain
     except (QShieldError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model file {path} is invalid: {exc}") from exc
 
@@ -530,10 +555,9 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
                 **extras,
             }
             _publish(
-                (out / "model.json", save_model, model),
-                (out / "preprocess.json", save_model, pre_model),
+                *_model_and_chain(out, model, pre_model),
                 (out / "predictions.csv", write_predictions_csv, probabilities, labels),
-                (out / "report.json", _write_json, report),
+                (out / "report.json", _write_text, _json_text(report)),
                 (out / "report.txt", _write_text, format_metrics_table(metric_report, stats)),
             )
     return report
@@ -565,8 +589,5 @@ def train_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
         _, pre_model, processed = _load_and_preprocess(config, data_path)
         with _stage("train"):
             model, extras = _train_model(config, processed)
-        _publish(
-            (out / "model.json", save_model, model),
-            (out / "preprocess.json", save_model, pre_model),
-        )
+        _publish(*_model_and_chain(out, model, pre_model))
     return {"n_samples": int(processed.n_samples), **extras}

@@ -197,17 +197,17 @@ def _parse_cells(cells: list[str], names: list[str], where: str) -> list[float]:
     return parsed
 
 
-def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Full-precision CSV dump with a trailing label column; a float prints as its repr.
+def write_csv(dataset: Dataset, path) -> None:
+    """Full-precision CSV dump with a trailing ``label`` column; a float prints as its repr.
 
-    Rows become Python floats one at a time, so the dump holds one row of them."""
-    if label_column in dataset.feature_names:
-        raise InvalidInputError(f"feature column {label_column!r} is named like the label column")
+    Only the header goes through ``csv.writer``, since a name may need quoting; a row of
+    reprs never does, so it is joined as ``csv.writer`` would write it, one row at a time."""
+    if "label" in dataset.feature_names:
+        raise InvalidInputError("feature column 'label' is named like the label column")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.feature_names + [label_column])
-        rows = zip(dataset.features, dataset.labels.tolist())
-        writer.writerows(row.tolist() + [label] for row, label in rows)
+        csv.writer(fh).writerow(dataset.feature_names + ["label"])
+        for row, label in zip(dataset.features, dataset.labels.tolist()):
+            fh.write(",".join(map(repr, row.tolist() + [label])) + "\r\n")
 
 
 @dataclass

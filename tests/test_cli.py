@@ -1,4 +1,5 @@
 """Command-line interface tests, run in-process through main()."""
+import argparse
 import csv
 import hashlib
 import hmac
@@ -31,6 +32,7 @@ from qshield.pipeline import (
     load_model,
     predict_labels,
     preprocess_experiment,
+    save_model,
     write_predictions_csv,
 )
 from qshield.preprocess import Dataset, load_csv, write_csv
@@ -982,16 +984,17 @@ class TestPredict:
     def test_without_preprocess_model_scores_the_columns_as_they_stand(
         self, workspace, tmp_path
     ):
+        # a model file that records no chain, as one saved by save_model
+        model = tmp_path / "model.json"
+        save_model(load_model(workspace["model"]), model)
         out = tmp_path / "preds.csv"
         code = main([
-            "predict", "--model", str(workspace["model"]), "--data", str(workspace["data"]),
+            "predict", "--model", str(model), "--data", str(workspace["data"]),
             "--config", str(workspace["config"]), "--out", str(out),
         ])
         assert code == 0
         raw = load_csv(workspace["data"], "label", "1").features
-        write_predictions_csv(
-            *predict_labels(load_model(workspace["model"]), raw), tmp_path / "expected.csv"
-        )
+        write_predictions_csv(*predict_labels(load_model(model), raw), tmp_path / "expected.csv")
         assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
@@ -1116,10 +1119,9 @@ class TestPredict:
                        rng.integers(0, 2, 4000))
         write_csv(data, tmp_path / "data.csv")
         preprocess_experiment(PipelineConfig(), tmp_path / "data.csv", tmp_path / "pre")
-        scored, peak = traced_peak(
-            cli._load_and_transform, PipelineConfig(), str(tmp_path / "data.csv"),
-            str(tmp_path / "pre" / "preprocess.json"),
-        )
+        args = argparse.Namespace(data=str(tmp_path / "data.csv"),
+                                  preprocess_model=str(tmp_path / "pre" / "preprocess.json"))
+        scored, peak = traced_peak(cli._load_and_transform, PipelineConfig(), args)
         assert scored.features.shape == (4000, 4)
         assert peak <= 1.4 * data.features.nbytes
 
@@ -1134,10 +1136,12 @@ class TestPredict:
                    if key in ("means", "std_devs", "kept_columns", "pca_center")}
         tripled["pca_basis"] = [[v / 3 for v in row] for row in pre["pca_basis"]] * 3
         (tmp_path / "tripled.json").write_text(json.dumps({**pre, **tripled}))
+        model = tmp_path / "model.json"  # records no chain, so it scores behind either
+        save_model(load_model(workspace["model"]), model)
         rows = {}
         for name, path in (("fitted", pca_preprocess), ("tripled", tmp_path / "tripled.json")):
             assert main_in_child(
-                "predict", "--model", str(workspace["model"]), "--preprocess-model", str(path),
+                "predict", "--model", str(model), "--preprocess-model", str(path),
                 "--data", str(workspace["data"]), "--config", str(workspace["config"]),
                 "--out", str(tmp_path / f"{name}.csv"),
             ).startswith("0 ")
@@ -1234,6 +1238,97 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "accuracy" in out
         assert "95% CI" in out
+
+
+class TestChainBinding:
+    """A model file from run or train records the SHA-256 of its preprocess.json, and the
+    scorers refuse it (exit 2, one error line) behind another chain or none."""
+
+    SCORERS = ("evaluate", "explain", "predict")
+
+    def score(self, command, model, chain, workspace, tmp_path) -> int:
+        out = ["--out", str(tmp_path / f"{command}.csv")] if command != "evaluate" else []
+        chain_args = ["--preprocess-model", str(chain)] if chain else []
+        return main([command, "--model", str(model), *chain_args, "--data", str(workspace["data"]),
+                     "--config", str(workspace["config"]), *out])
+
+    def test_model_records_the_sha256_of_its_chain_bytes(self, workspace):
+        recorded = json.loads(workspace["model"].read_text())["preprocess_sha256"]
+        assert recorded == hashlib.sha256(workspace["preprocess"].read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("command", SCORERS)
+    def test_foreign_chain_refused(self, command, workspace, pca_preprocess, tmp_path, capsys):
+        capsys.readouterr()
+        assert self.score(command, workspace["model"], pca_preprocess, workspace, tmp_path) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line == (f"error: model file {workspace['model']} was not trained behind "
+                        f"--preprocess-model {pca_preprocess}: its SHA-256 differs")
+        assert captured.out == "" and not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize("command", SCORERS)
+    def test_no_chain_refused(self, command, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        assert self.score(command, workspace["model"], None, workspace, tmp_path) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"error: model file {workspace['model']} was trained behind a "
+                        "preprocess.json; give that file as --preprocess-model")
+
+    @pytest.mark.parametrize("command", SCORERS)
+    def test_model_without_the_key_scores_behind_any_chain(
+        self, command, workspace, pca_preprocess, tmp_path
+    ):
+        model = tmp_path / "model.json"
+        save_model(load_model(workspace["model"]), model)
+        assert "preprocess_sha256" not in json.loads(model.read_text())
+        for chain in (None, workspace["preprocess"], pca_preprocess):
+            assert self.score(command, model, chain, workspace, tmp_path) == 0
+
+    def test_wider_model_behind_a_narrower_chain(self, tmp_path, capsys):
+        # a 6-qubit model fitted behind 6 PCA components scored through a 4-component
+        # chain: 4 features fit on 6 qubits, so only the recorded digest tells them apart
+        rng = np.random.default_rng(11)
+        for name, seed in (("six.csv", 0), ("four.csv", 1)):
+            rows = np.random.default_rng(seed).normal(size=(40, 10))
+            write_csv(Dataset([f"f{j}" for j in range(10)], rows, rng.integers(0, 2, 40)),
+                      tmp_path / name)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"type": "vqc", "n_qubits": 6, "n_layers": 1, "repetitions": 1},
+            "training": {"epochs": 1}, "evaluation": {"bootstrap_iterations": 100},
+        }))
+        assert main(["train", "vqc", "--data", str(tmp_path / "six.csv"), "--config", str(config),
+                     "--out-dir", str(tmp_path / "vqc")]) == 0
+        assert main(["preprocess", "--data", str(tmp_path / "four.csv"),
+                     "--out-dir", str(tmp_path / "pre")]) == 0
+        model, own, foreign = (tmp_path / "vqc" / "model.json", tmp_path / "vqc" / "preprocess.json",
+                               tmp_path / "pre" / "preprocess.json")
+        assert len(json.loads(foreign.read_text())["pca_basis"][0]) == 4
+        capsys.readouterr()
+        args = ["predict", "--model", str(model), "--data", str(tmp_path / "four.csv")]
+        assert main([*args, "--preprocess-model", str(foreign), "--out", str(tmp_path / "x.csv")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(model) in line and str(foreign) in line
+        assert main([*args, "--preprocess-model", str(own), "--out", str(tmp_path / "y.csv")]) == 0
+
+    def test_preprocess_into_the_run_directory(self, workspace, tmp_path, capsys):
+        # preprocess may replace the preprocess.json of a run in the same directory; the
+        # run's model.json is then refused beside it
+        out = tmp_path / "out"
+        common = ["--data", str(workspace["data"]), "--config", str(workspace["config"])]
+        assert main(["run", *common, "--out-dir", str(out)]) == 0
+        predict = ["predict", "--model", str(out / "model.json"),
+                   "--preprocess-model", str(out / "preprocess.json"), *common]
+        assert main([*predict, "--out", str(tmp_path / "before.csv")]) == 0
+        pca = tmp_path / "pca.json"
+        pca.write_text(json.dumps({"preprocess": {"pca_components": 2}}))
+        assert main(["preprocess", "--data", str(workspace["data"]), "--config", str(pca),
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main([*predict, "--out", str(tmp_path / "after.csv")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(out / "model.json") in line and str(out / "preprocess.json") in line
+        assert not (tmp_path / "after.csv").exists()
 
 
 class TestKernel:
@@ -1406,11 +1501,11 @@ def test_wrong_chain_refused_before_the_csv_is_read(
 
 
 # --out command, the writer it runs (patched where it is defined, since each command
-# imports its writer when it runs), where the writer takes its path
+# imports its writer when it runs); every writer takes its path last
 FAILING_OUT_WRITERS = {
-    "predict": ("qshield.pipeline.write_predictions_csv", -1),
-    "kernel": ("qshield.qkernel.write_kernel_csv", -1),
-    "explain": ("qshield.explain.write_attribution_csv", 1),
+    "predict": "qshield.pipeline.write_predictions_csv",
+    "kernel": "qshield.qkernel.write_kernel_csv",
+    "explain": "qshield.explain.write_attribution_csv",
 }
 
 
@@ -1419,10 +1514,10 @@ def test_out_writer_failing_midway_leaves_no_file(
     command, workspace, tmp_path, monkeypatch, capsys
 ):
     # like run, train and preprocess, the --out commands publish a file whole or not at all
-    writer, path_at = FAILING_OUT_WRITERS[command]
+    writer = FAILING_OUT_WRITERS[command]
 
-    def write_half(*args, **kwargs):
-        with open(args[path_at], "w", encoding="utf-8") as fh:
+    def write_half(*args):
+        with open(args[-1], "w", encoding="utf-8") as fh:
             fh.write("sample_index,prob")
         raise OSError(28, "No space left on device")
 
@@ -1448,8 +1543,8 @@ def test_out_writer_failing_midway_leaves_no_file(
 
 # --out-dir command, the first writer it runs (patched where it is defined), its artifact
 FAILING_OUT_DIR_WRITERS = {
-    "run": ("qshield.pipeline.save_model", "model.json"),
-    "train": ("qshield.pipeline.save_model", "model.json"),
+    "run": ("qshield.pipeline._write_text", "model.json"),
+    "train": ("qshield.pipeline._write_text", "model.json"),
     "preprocess": ("qshield.pipeline.write_csv", "processed.csv"),
 }
 

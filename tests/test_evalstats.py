@@ -8,6 +8,7 @@ from helpers import reference_bootstrap_ci, t_two_sided_p_quadrature, traced_pea
 from qshield.errors import InvalidInputError, ShapeError
 from qshield.evalstats import (
     ConfusionMatrix,
+    StatReport,
     bootstrap_ci,
     cohens_d,
     cohens_kappa,
@@ -376,15 +377,17 @@ class TestPairedTTest:
 
 
 class TestFormatting:
+    STATS = StatReport(mean=0.7, ci_low=0.4, ci_high=0.9, coeff_variation=0.2)
+
     def test_table_contains_all_metrics(self):
         report = metrics(ConfusionMatrix(tp=4, fp=1, tn=3, fn=2))
-        text = format_metrics_table(report)
+        text = format_metrics_table(report, self.STATS)
         for key in ("accuracy", "precision", "recall", "f1", "fpr", "fnr", "tp=4"):
             assert key in text
 
     def test_undefined_marker(self):
         report = metrics(ConfusionMatrix(tp=0, fp=0, tn=5, fn=1))
-        assert "undefined" in format_metrics_table(report)
+        assert "undefined" in format_metrics_table(report, self.STATS)
 
     def test_stats_block_appended(self):
         report = metrics(ConfusionMatrix(tp=4, fp=1, tn=3, fn=2))

@@ -8,7 +8,7 @@ import pytest
 from helpers import random_vqc, shift_attribution, traced_peak
 
 from qshield.encoding import FeatureMapSpec
-from qshield.errors import InvalidInputError, ShapeError, UnsupportedMethodError
+from qshield.errors import ShapeError, UnsupportedMethodError
 from qshield.explain import (
     AttributionReport,
     format_attribution,
@@ -26,6 +26,13 @@ def identity_model(n_qubits, repetitions=1, entangling=True):
         FeatureMapSpec(n_qubits, repetitions, entangling=entangling),
         entangling=entangling,
     )
+
+
+class Model:
+    """A function of the feature matrix, scored as a model's ``predict_proba``."""
+
+    def __init__(self, predict):
+        self.predict_proba = predict
 
 
 # (qubits, ansatz layers, repetitions, entangling, features supplied, readout qubit)
@@ -126,7 +133,7 @@ class TestGradAttribution:
         report = grad_attribution(identity_model(1), [-4.0])
         assert report.scores[0] < 0
         assert math.copysign(1.0, report.weighted_scores[0]) == 1.0
-        table = format_attribution(report)
+        table = format_attribution(report, ["x0"])
         assert "+0.000000" in table and "-0.000000" not in table
 
     def test_short_input_pads_with_zeros(self):
@@ -151,27 +158,16 @@ class TestScoreAttribution:
         def predict(rows):
             return 0.1 + 0.2 * rows[:, 0] + 0.3 * rows[:, 1]
 
-        report = score_attribution(predict, [1.0, 2.0])
+        report = score_attribution(Model(predict), [1.0, 2.0])
         assert report.base_probability == pytest.approx(0.9, abs=1e-12)
         # zeroing x0 removes 0.2, zeroing x1 removes 0.6
         assert report.scores[0] == pytest.approx(0.2, abs=1e-12)
         assert report.scores[1] == pytest.approx(0.6, abs=1e-12)
         assert report.weighted_scores == report.scores
 
-    def test_custom_baseline(self):
-        def predict(rows):
-            return 0.5 * rows[:, 0]
-
-        report = score_attribution(predict, [1.0], baseline=[0.4])
-        assert report.scores[0] == pytest.approx(0.5 - 0.2, abs=1e-12)
-
     def test_callable_must_return_one_probability_per_row(self):
         with pytest.raises(ShapeError):
-            score_attribution(lambda rows: 0.5, [1.0, 2.0])
-
-    def test_baseline_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            score_attribution(lambda rows: np.full(len(rows), 0.5), [1.0, 2.0], baseline=[0.0])
+            score_attribution(Model(lambda rows: 0.5), [1.0, 2.0])
 
     def test_model_objects_use_predict_proba(self):
         model = identity_model(1)
@@ -212,22 +208,16 @@ class TestRanking:
         )
 
     def test_magnitude_descending(self):
-        ranked = rank_features(self.report([0.1, -0.5, 0.3]), 3)
+        ranked = rank_features(self.report([0.1, -0.5, 0.3]))
         assert [i for i, _ in ranked] == [1, 2, 0]
 
     def test_ties_break_on_lower_index(self):
-        ranked = rank_features(self.report([0.2, -0.2, 0.1]), 2)
-        assert [i for i, _ in ranked] == [0, 1]
+        ranked = rank_features(self.report([0.2, -0.2, 0.1]))
+        assert [i for i, _ in ranked] == [0, 1, 2]
 
-    def test_top_k_truncates(self):
-        ranked = rank_features(self.report([0.4, 0.2, 0.9, 0.1]), 2)
-        assert [i for i, _ in ranked] == [2, 0]
-
-    def test_top_k_bounds(self):
-        rep = self.report([0.1, 0.2])
-        for bad in (0, 3, -1):
-            with pytest.raises(InvalidInputError):
-                rank_features(rep, bad)
+    def test_every_feature_ranked_with_its_score(self):
+        ranked = rank_features(self.report([0.4, 0.2, 0.9, 0.1]))
+        assert ranked == [(2, 0.9), (0, 0.4), (1, 0.2), (3, 0.1)]
 
 
 class TestOutput:
@@ -253,7 +243,7 @@ class TestOutput:
     def test_csv_name_count_mismatch(self, tmp_path):
         report = AttributionReport((0.1, 0.2), (0.1, 0.2), "SCORE", 0.5)
         with pytest.raises(ShapeError):
-            write_attribution_csv(report, tmp_path / "attr.csv", ["a"])
+            write_attribution_csv(report, ["a"], tmp_path / "attr.csv")
         assert not (tmp_path / "attr.csv").exists()
 
     def test_csv_round_trip(self, tmp_path):
@@ -264,7 +254,7 @@ class TestOutput:
             base_probability=0.6,
         )
         path = tmp_path / "attr.csv"
-        write_attribution_csv(report, path, ["a", "b", "c"])
+        write_attribution_csv(report, ["a", "b", "c"], path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["feature_name", "raw_score", "weighted_score", "rank"]

@@ -660,7 +660,7 @@ class TestPreprocessExperiment:
 FAILING_WRITERS = {
     "run": (run_experiment, "write_predictions_csv", "predictions.csv", PipelineStageError),
     "preprocess": (preprocess_experiment, "write_csv", "processed.csv", ConfigError),
-    "train": (train_experiment, "save_model", "model.json", ConfigError),
+    "train": (train_experiment, "_write_text", "model.json", ConfigError),
 }
 
 
@@ -685,7 +685,7 @@ def test_writer_failing_midway_leaves_no_artifact(case, tmp_path, monkeypatch):
 
 
 # every writer a --out-dir command passes to _publish, patched where the command looks it up
-ARTIFACT_WRITERS = ("save_model", "write_csv", "write_predictions_csv", "_write_json", "_write_text")
+ARTIFACT_WRITERS = ("save_model", "write_csv", "write_predictions_csv", "_write_text")
 
 
 @pytest.mark.parametrize("case", sorted(FAILING_WRITERS))
