@@ -47,7 +47,7 @@ def _load_and_transform(config: PipelineConfig, args: argparse.Namespace,
     from .preprocess import _apply_preprocess, load_csv
 
     path = args.preprocess_model
-    pre = path and load_model(path, expected_type="preprocess")
+    pre = path and load_model(path, ("preprocess",))
     if chain is not None:
         if not path:
             raise ModelFormatError(f"model file {args.model} was trained behind a preprocess.json;"

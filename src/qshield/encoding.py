@@ -11,17 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, InvalidInputError, ShapeError
-from .statevector import (
-    MAX_QUBITS,
-    Circuit,
-    QuantumState,
-    _check_qubit_count,
-    cnot_ring,
-    evolve,
-    row_chunks,
-    ry,
-)
+from .errors import DegenerateInputError, InvalidInputError, ShapeError
+from .limits import MAX_QUBITS, check_feature_map
+from .statevector import Circuit, QuantumState, cnot_ring, evolve, row_chunks, ry
 
 NORM_FLOOR = 1e-12
 
@@ -39,9 +31,7 @@ class FeatureMapSpec:
     entangling: bool = True
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.n_qubits)
-        if not isinstance(self.repetitions, int) or self.repetitions < 1:
-            raise ConfigError(f"repetitions must be a positive integer, got {self.repetitions!r}")
+        check_feature_map(self.n_qubits, self.repetitions)
 
 
 def as_feature_matrix(features) -> np.ndarray:

@@ -7,6 +7,7 @@ seed, training seed + 1, bootstrap seed + 2.
 """
 
 import fcntl
+import importlib
 import json
 import os
 import sys
@@ -14,31 +15,16 @@ import types
 import typing
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .encoding import FeatureMapSpec
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    ModelFormatError,
-    NumericalError,
-    PipelineStageError,
-    QShieldError,
-)
-from .evalstats import bootstrap_ci, confusion, format_metrics_table, metrics
-from .preprocess import (
-    Dataset,
-    PreprocessConfig,
-    PreprocessModel,
-    _fit_preprocess,
-    load_csv,
-    train_test_split,
-    write_csv,
-)
-from .qkernel import BOUND_SNAP, SvmModel, kernel_matrix, train_qsvm
-from .vqc import TrainConfig, VqcModel, train_vqc
+from .errors import (ConfigError, DegenerateInputError, ModelFormatError, NumericalError,
+                     PipelineStageError, QShieldError)
+from .limits import BOUND_SNAP, TrainConfig, check_ansatz, check_feature_map
+from .preprocess import (Dataset, PreprocessConfig, _fit_preprocess, load_csv, train_test_split,
+                         write_csv)
 
 FORMAT_VERSION = 1
 MODEL_TYPES = ("vqc", "qsvm", "ensemble")
@@ -66,8 +52,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.type not in MODEL_TYPES:
             raise ConfigError(f"model type must be one of {MODEL_TYPES}, got {self.type!r}")
-        # constructing a throwaway model runs the qubit/depth/encoding checks
-        VqcModel.fresh(self.n_qubits, self.n_layers, self.repetitions, self.encoding)
+        check_feature_map(self.n_qubits, self.repetitions)
+        check_ansatz(self.n_layers, self.encoding, self.repetitions)
         if not self.svm_c >= BOUND_SNAP:
             raise ConfigError(f"model.svm_c must be at least {BOUND_SNAP}, got {self.svm_c!r}")
         if not 0 < self.svm_tol < 2:  # train_qsvm's range: at tol >= 2 it fits nothing
@@ -232,14 +218,28 @@ class EnsembleModel:
         return sum(w * m.predict_proba(features) for w, m in zip(self.weights, self.members))
 
 
-# a model file holds its dataclass's saved fields; each class checks its own when built
-_MODEL_CLASSES = {"vqc": VqcModel, "qsvm": SvmModel, "preprocess": PreprocessModel,
-                  "ensemble": EnsembleModel}
+# a model file holds its dataclass's saved fields; each class checks its own when built.
+# A type's module is imported only when a file or a config names the type.
+_MODEL_CLASSES = {"vqc": "vqc.VqcModel", "qsvm": "qkernel.SvmModel",
+                  "preprocess": "preprocess.PreprocessModel", "ensemble": "pipeline.EnsembleModel"}
+
+
+def _model_class(model_type: str) -> type:
+    module, name = _MODEL_CLASSES[model_type].split(".")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def _import_layers(model_type: str) -> None:
+    """Import the modules that train ``model_type``; run and train do so before the CSV is
+    read, so that the compiler's heap does not sit on top of the loaded matrix."""
+    for member in ("vqc", "qsvm") if model_type == "ensemble" else (model_type,):
+        _model_class(member)
 
 
 def _model_payload(model) -> dict:
-    model_type = next((t for t, c in _MODEL_CLASSES.items() if type(model) is c), None)
-    if model_type is None:
+    model_type = next((t for t, path in _MODEL_CLASSES.items()
+                       if path.partition(".")[2] == type(model).__name__), None)
+    if model_type is None or type(model) is not _model_class(model_type):
         raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
     payload = {"model_type": model_type, **_payload(model)}
     if model_type == "ensemble":
@@ -350,7 +350,7 @@ def _numbers(value, name: str) -> np.ndarray:
 def _decode_model(body: dict):
     """The model a parsed model file (without its format_version) holds."""
     model_type = body.pop("model_type", None)
-    cls = next((c for t, c in _MODEL_CLASSES.items() if t == model_type), None)
+    cls = next((_model_class(t) for t in _MODEL_CLASSES if t == model_type), None)
     if cls is None:
         raise ModelFormatError(f"unknown model type {model_type!r}")
     _check_keys(body, _saved_fields(cls), f"section {model_type!r}", required=True)
@@ -373,12 +373,12 @@ def _decode_model(body: dict):
     return model
 
 
-def load_model(path, expected_type: str | tuple[str, ...] | None = None):
-    """Read a model file, checking version and (optionally) model type: one or any of several."""
-    return _read_model(path, expected_type)[0]
+def load_model(path, expected_types: tuple[str, ...]):
+    """Read a model file, checking its version and that its type is one of ``expected_types``."""
+    return _read_model(path, expected_types)[0]
 
 
-def _read_model(path, expected_type) -> tuple:
+def _read_model(path, expected_types: tuple[str, ...]) -> tuple:
     """``load_model``'s model, and the chain SHA-256 that the file records (None if none)."""
     payload = _read_json(path, "model file", ModelFormatError)
     if not isinstance(payload, dict):
@@ -389,10 +389,9 @@ def _read_model(path, expected_type) -> tuple:
             f"model file {path} has unsupported format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    expected = (expected_type,) if isinstance(expected_type, str) else expected_type
-    if expected is not None and payload.get("model_type") not in expected:
+    if payload.get("model_type") not in expected_types:
         raise ModelFormatError(
-            f"model type mismatch in {path}: expected {' or '.join(map(repr, expected))}, "
+            f"model type mismatch in {path}: expected {' or '.join(map(repr, expected_types))}, "
             f"found {payload.get('model_type')!r}"
         )
     chain = payload.pop(CHAIN_KEY, None)
@@ -449,8 +448,10 @@ def _resolved_preprocess_config(config: PipelineConfig) -> PreprocessConfig:
     return p
 
 
-def feature_map_spec(config: PipelineConfig) -> FeatureMapSpec:
+def feature_map_spec(config: PipelineConfig):
     """The angle feature map the configured kernel SVM encodes with."""
+    from .encoding import FeatureMapSpec
+
     return FeatureMapSpec(config.model.n_qubits, config.model.repetitions)
 
 
@@ -474,11 +475,15 @@ def _train_model(config: PipelineConfig, train: Dataset):
     members: list = []
     extras: dict = {}
     if m.type in ("vqc", "ensemble"):
+        from .vqc import VqcModel, train_vqc
+
         arch = VqcModel.fresh(m.n_qubits, m.n_layers, m.repetitions, m.encoding)
         vqc_model, history = train_vqc(train, arch, replace(config.training, seed=config.seed + 1))
         members.append(vqc_model)
         extras["loss_history"] = [float(v) for v in history]
     if m.type in ("qsvm", "ensemble"):
+        from .qkernel import kernel_matrix, train_qsvm
+
         spec = feature_map_spec(config)
         fit = train_qsvm(kernel_matrix(train, spec), 2 * train.labels - 1, m.svm_c,
                          tol=m.svm_tol, max_passes=m.svm_max_passes)
@@ -515,6 +520,8 @@ def write_predictions_csv(probabilities, labels, path) -> None:
 
 def evaluate_predictions(labels, truth, config: PipelineConfig):
     """(metrics with their confusion matrix, accuracy bootstrap drawn from seed + 2)."""
+    from .evalstats import bootstrap_ci, confusion, metrics
+
     correct = (labels == truth).astype(int)
     stats = bootstrap_ci(correct, config.evaluation.bootstrap_iterations, config.seed + 2)
     return metrics(confusion(labels, truth)), stats
@@ -526,7 +533,10 @@ def run_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     Writes model.json, preprocess.json, predictions.csv, report.json, and
     report.txt into ``out_dir`` and returns the report dictionary.
     """
+    from .evalstats import format_metrics_table
+
     with _output_dir(out_dir) as out:
+        _import_layers(config.model.type)
         (n_samples, n_features), pre_model, processed = _load_and_preprocess(config, data_path)
         with _stage("split"):
             train, test = train_test_split(
@@ -568,7 +578,8 @@ def preprocess_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     with _output_dir(out_dir) as out:
         (n_samples, n_features), pre_model, processed = _load_and_preprocess(config, data_path)
         _publish(
-            (out / "processed.csv", write_csv, processed),
+            (out / "processed.csv", partial(write_csv, label_column=config.data.label_column,
+                                            positive_label=config.data.positive_label), processed),
             (out / "preprocess.json", save_model, pre_model),
         )
     return {
@@ -586,6 +597,7 @@ def train_experiment(config: PipelineConfig, data_path, out_dir) -> dict:
     count and the training extras that ``run`` puts in its report.
     """
     with _output_dir(out_dir) as out:
+        _import_layers(config.model.type)
         _, pre_model, processed = _load_and_preprocess(config, data_path)
         with _stage("train"):
             model, extras = _train_model(config, processed)

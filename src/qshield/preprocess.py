@@ -14,6 +14,7 @@ an optional projection.
 """
 
 import csv
+import io
 import math
 import warnings
 from array import array
@@ -197,17 +198,22 @@ def _parse_cells(cells: list[str], names: list[str], where: str) -> list[float]:
     return parsed
 
 
-def write_csv(dataset: Dataset, path) -> None:
-    """Full-precision CSV dump with a trailing ``label`` column; a float prints as its repr.
+def write_csv(dataset: Dataset, path, label_column: str = "label",
+              positive_label: str = "1") -> None:
+    """Full-precision CSV dump, a float as its repr, that ``load_csv`` with the same label
+    names reads back: class 1 is ``positive_label``, class 0 ``0`` (``1`` if that is taken).
 
-    Only the header goes through ``csv.writer``, since a name may need quoting; a row of
-    reprs never does, so it is joined as ``csv.writer`` would write it, one row at a time."""
-    if "label" in dataset.feature_names:
-        raise InvalidInputError("feature column 'label' is named like the label column")
+    Only the header and the positive label go through ``csv.writer``, since a name may need
+    quoting; a row of reprs never does, so it is joined as ``csv.writer`` would write it."""
+    if label_column in dataset.feature_names:
+        raise InvalidInputError(f"feature column {label_column!r} is named like the label column")
+    quoted = io.StringIO()
+    csv.writer(quoted).writerow(["", positive_label])  # "," + the cell + "\r\n"
+    label_text = ("1" if positive_label == "0" else "0", quoted.getvalue()[1:-2])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(dataset.feature_names + ["label"])
+        csv.writer(fh).writerow(dataset.feature_names + [label_column])
         for row, label in zip(dataset.features, dataset.labels.tolist()):
-            fh.write(",".join(map(repr, row.tolist() + [label])) + "\r\n")
+            fh.write(",".join(map(repr, row.tolist())) + f",{label_text[label]}\r\n")
 
 
 @dataclass

@@ -24,8 +24,8 @@ from .errors import (
     InvalidInputError,
     ShapeError,
 )
+from .limits import BOUND_SNAP
 
-BOUND_SNAP = 1e-12
 # SVM scoring takes its overlaps with the support vectors in chunks of at most
 # CHUNK_AMPLITUDES values: one large matrix product beats many small ones.
 CHUNK_AMPLITUDES = 1 << 20

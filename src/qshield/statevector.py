@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QubitCapError, ShapeError
-
-MAX_QUBITS = 20
+from .errors import ShapeError
+from .limits import check_qubit_count
 
 GATE_KINDS = frozenset({"RX", "RY", "RZ", "H", "CNOT", "CPHASE", "SWAP"})
 _ANGLED_KINDS = frozenset({"RX", "RY", "RZ", "CPHASE"})
@@ -35,13 +34,6 @@ _REAL_KINDS = frozenset({"RY", "H", "CNOT", "SWAP"})
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
-
-
-def _check_qubit_count(n_qubits: int) -> None:
-    if not isinstance(n_qubits, int) or n_qubits < 1 or n_qubits > MAX_QUBITS:
-        raise QubitCapError(
-            f"qubit count must be an integer in [1, {MAX_QUBITS}], got {n_qubits!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ class Circuit:
     gates: tuple[GateOp, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.n_qubits)
+        check_qubit_count(self.n_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
             for q in gate.qubits:
@@ -148,7 +140,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.n_qubits)
+        check_qubit_count(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.n_qubits,):
             raise ShapeError(
@@ -163,7 +155,7 @@ class QuantumState:
 
 def new_zero_state(n_qubits: int) -> QuantumState:
     """The all-zeros computational basis state |0...0>."""
-    _check_qubit_count(n_qubits)
+    check_qubit_count(n_qubits)
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[0] = 1.0
     return QuantumState(n_qubits, amps)
@@ -292,7 +284,7 @@ def qft_circuit(n_qubits: int) -> Circuit:
     Maps basis state |x> to (1/sqrt(N)) * sum_k exp(2 pi i k x / N) |k>
     with N = 2**n_qubits.
     """
-    _check_qubit_count(n_qubits)
+    check_qubit_count(n_qubits)
     gates: list[GateOp] = []
     for j in range(n_qubits - 1, -1, -1):
         gates.append(h(j))

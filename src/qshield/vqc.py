@@ -31,6 +31,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
+from .limits import TrainConfig, check_ansatz
 from .statevector import (
     Circuit,
     adjoint_grad,
@@ -43,11 +44,8 @@ from .statevector import (
     z_expectations,
 )
 
-MAX_DEPTH_BLOCKS = 12
 PARAM_SHIFT = math.pi / 2
 PROB_CLAMP = 1e-9
-
-ENCODINGS = ("angle", "amplitude")
 
 
 @dataclass
@@ -72,20 +70,11 @@ class VqcModel:
     optimizer_meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_layers, int) or self.n_layers < 1:
-            raise ConfigError(f"n_layers must be a positive integer, got {self.n_layers!r}")
-        if self.encoding not in ENCODINGS:
-            raise ConfigError(f"encoding must be one of {ENCODINGS}, got {self.encoding!r}")
+        check_ansatz(self.n_layers, self.encoding, self.feature_map.repetitions)
         if self.feature_map.n_qubits != self.n_qubits:
             raise ConfigError(
                 f"feature map is {self.feature_map.n_qubits}-qubit but the "
                 f"model has {self.n_qubits} qubits"
-            )
-        if self.n_layers + self.feature_map.repetitions > MAX_DEPTH_BLOCKS:
-            raise ConfigError(
-                f"n_layers + repetitions = "
-                f"{self.n_layers + self.feature_map.repetitions} exceeds the "
-                f"depth cap {MAX_DEPTH_BLOCKS}"
             )
         if not isinstance(self.readout_qubit, int) or not 0 <= self.readout_qubit < self.n_qubits:
             raise ConfigError(
@@ -185,38 +174,6 @@ def param_shift_grad(model: VqcModel, x) -> np.ndarray:
 def _bce(probs: np.ndarray, labels: np.ndarray) -> float:
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Gradient-descent settings; ``batch_size=None`` trains full-batch."""
-
-    epochs: int = 20
-    learning_rate: float = 0.01
-    batch_size: int | None = None
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    # derived from the experiment seed, so neither a config nor a report holds it
-    seed: int = field(default=0, metadata={"saved": False})
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be positive, got {self.eps!r}")
-        if self.batch_size is not None and (
-            not isinstance(self.batch_size, int) or self.batch_size < 1
-        ):
-            raise ConfigError(f"batch_size must be a positive integer or None, got {self.batch_size!r}")
-        if self.optimizer not in ("adam", "gd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'gd', got {self.optimizer!r}")
 
 
 def train_vqc(dataset, arch: VqcModel, config: TrainConfig) -> tuple[VqcModel, list[float]]:

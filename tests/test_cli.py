@@ -414,6 +414,70 @@ def main_in_child(*args: str) -> str:
     return child.stdout
 
 
+# what every command that reads a config loads, then the qshield modules each command
+# loads on top of those (the command's own layers and what they import)
+CONFIG_LAYERS = {"cli", "errors", "limits", "pipeline", "preprocess"}
+LAYERS_BY_COMMAND = {
+    "preprocess": set(),
+    "run vqc": {"vqc", "encoding", "statevector", "evalstats"},
+    "run qsvm": {"qkernel", "encoding", "statevector", "evalstats"},
+    "train ensemble": {"vqc", "qkernel", "encoding", "statevector"},
+    "predict": {"vqc", "encoding", "statevector"},
+    "evaluate": {"vqc", "encoding", "statevector", "evalstats"},
+    "explain": {"vqc", "encoding", "statevector", "explain"},
+    "kernel": {"qkernel", "encoding", "statevector"},
+}
+
+# main(argv) in a new interpreter: its exit code, then every qshield module loaded
+MODULES_IN_CHILD = """
+import contextlib, io, sys
+from qshield.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "qshield"))
+"""
+
+# main(argv) in a new interpreter: its exit code, then the qshield modules loaded when
+# the command first reached load_csv
+MODULES_AT_LOAD_CSV = """
+import contextlib, io, sys
+import qshield.pipeline as pipeline
+from qshield.cli import main
+load_csv, seen = pipeline.load_csv, []
+
+def recording(*args, **kwargs):
+    seen.append(sorted(m for m in sys.modules if m.startswith("qshield.")))
+    return load_csv(*args, **kwargs)
+
+pipeline.load_csv = recording
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *seen[0])
+"""
+
+
+def command_args(command: str, workspace, tmp_path) -> list[str]:
+    """The arguments of one ``LAYERS_BY_COMMAND`` case on the shared workspace."""
+    name, _, model_type = command.partition(" ")
+    config = workspace["config"]
+    if model_type == "qsvm":
+        config = tmp_path / "qsvm.json"
+        raw = json.loads(workspace["config"].read_text())
+        config.write_text(json.dumps({**raw, "model": {**raw["model"], "type": "qsvm"}}))
+    data = ["--data", str(workspace["data"]), "--config", str(config)]
+    scored = ["--model", str(workspace["model"]), "--preprocess-model", str(workspace["preprocess"])]
+    return {
+        "preprocess": ["preprocess", *data, "--out-dir", str(tmp_path / "out")],
+        "run": ["run", *data, "--out-dir", str(tmp_path / "out")],
+        "train": ["train", model_type, *data, "--out-dir", str(tmp_path / "out")],
+        "predict": ["predict", *scored, *data, "--out", str(tmp_path / "p.csv")],
+        "evaluate": ["evaluate", *scored, *data],
+        "explain": ["explain", *scored, *data],
+        "kernel": ["kernel", *data, "--preprocess-model", str(workspace["preprocess"]),
+                   "--out", str(tmp_path / "k.csv")],
+    }[name]
+
+
 class TestLazyImports:
     """The CLI module loads no numpy; each command imports the layers it runs."""
 
@@ -438,6 +502,25 @@ class TestLazyImports:
             "--out", str(tmp_path / "p.csv"),
         ) == "0 True False\n"
         assert (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(LAYERS_BY_COMMAND))
+    def test_command_loads_exactly_its_layers(self, command, workspace, tmp_path):
+        args = command_args(command, workspace, tmp_path)
+        child = subprocess.run([sys.executable, "-c", MODULES_IN_CHILD, *args],
+                               env=child_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        expected = sorted(f"qshield.{m}" for m in CONFIG_LAYERS | LAYERS_BY_COMMAND[command])
+        assert child.stdout.split() == ["0", "qshield", *expected]
+
+    @pytest.mark.parametrize("command", ["run vqc", "run qsvm", "train ensemble"])
+    def test_model_layers_load_before_the_csv(self, command, workspace, tmp_path):
+        # compiled after the load, a layer's compiler heap would sit on top of the matrix
+        args = command_args(command, workspace, tmp_path)
+        child = subprocess.run([sys.executable, "-c", MODULES_AT_LOAD_CSV, *args],
+                               env=child_env(), capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        expected = sorted(f"qshield.{m}" for m in CONFIG_LAYERS | LAYERS_BY_COMMAND[command])
+        assert child.stdout.split() == ["0", *expected]
 
 
 # main(argv) in a new interpreter: its exit code, then the top-level packages outside
@@ -884,6 +967,31 @@ class TestPreprocess:
         assert (out_dir / "processed.csv").exists()
         assert (out_dir / "preprocess.json").exists()
 
+    def test_processed_csv_trains_under_the_same_config(self, tmp_path, capsys):
+        # processed.csv names and fills its label column as data.label_column and
+        # data.positive_label say, so the config that wrote it reads it back
+        data = tmp_path / "data.csv"
+        data.write_text("a,class,b\n" + "".join(
+            f"{i % 5},{'malware' if i % 3 else 'benign'},{(7 * i) % 11}\n" for i in range(18)
+        ))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": {"label_column": "class", "positive_label": "malware"},
+            "model": {"n_qubits": 2, "n_layers": 1, "repetitions": 1},
+            "training": {"epochs": 2},
+        }))
+        out_dir = tmp_path / "pre"
+        assert main(["preprocess", "--data", str(data), "--config", str(config),
+                     "--out-dir", str(out_dir)]) == 0
+        rows = (out_dir / "processed.csv").read_text().splitlines()
+        assert rows[0] == "pc1,pc2,class"
+        assert [row.rpartition(",")[2] for row in rows[1:]] == [
+            "malware" if i % 3 else "0" for i in range(18)]
+        code = main(["train", "vqc", "--data", str(out_dir / "processed.csv"),
+                     "--config", str(config), "--out-dir", str(tmp_path / "model")])
+        assert code == 0, capsys.readouterr().err
+        assert "trained vqc model on 18 rows" in capsys.readouterr().out
+
     def test_held_out_dir_exits_1(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "busy"
         with holding_out_dir(out_dir):
@@ -906,16 +1014,17 @@ class TestPreprocess:
         assert f"{data}: line 2: field larger than field limit" in error_line
 
     def test_feature_named_like_label_column_exits_2(self, tmp_path, capsys):
-        # processed.csv appends a "label" column; a kept feature of that name
-        # would make a later run read it as the labels
+        # processed.csv appends the data.label_column column; a kept feature of that
+        # name (here the first PCA component, pc1) would make a later run read it as
+        # the labels
         data = tmp_path / "data.csv"
-        data.write_text("a,label,b,class\n" + "".join(
+        data.write_text("a,label,b,pc1\n" + "".join(
             f"{i},{i * i % 7},{(3 * i) % 5},{'mal' if i % 2 else 'ok'}\n" for i in range(12)
         ))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
-            "data": {"label_column": "class", "positive_label": "mal"},
-            "preprocess": {"apply_pca": False},
+            "data": {"label_column": "pc1", "positive_label": "mal"},
+            "preprocess": {"pca_components": 2},
         }))
         out_dir = tmp_path / "pre"
         code = main([
@@ -925,7 +1034,7 @@ class TestPreprocess:
         (error_line,) = [
             line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")
         ]
-        assert "feature column 'label'" in error_line
+        assert "feature column 'pc1' is named like the label column" in error_line
         assert list(out_dir.iterdir()) == []
 
 
@@ -986,7 +1095,7 @@ class TestPredict:
     ):
         # a model file that records no chain, as one saved by save_model
         model = tmp_path / "model.json"
-        save_model(load_model(workspace["model"]), model)
+        save_model(load_model(workspace["model"], ("vqc",)), model)
         out = tmp_path / "preds.csv"
         code = main([
             "predict", "--model", str(model), "--data", str(workspace["data"]),
@@ -994,7 +1103,8 @@ class TestPredict:
         ])
         assert code == 0
         raw = load_csv(workspace["data"], "label", "1").features
-        write_predictions_csv(*predict_labels(load_model(model), raw), tmp_path / "expected.csv")
+        write_predictions_csv(*predict_labels(load_model(model, ("vqc",)), raw),
+                              tmp_path / "expected.csv")
         assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
@@ -1137,7 +1247,7 @@ class TestPredict:
         tripled["pca_basis"] = [[v / 3 for v in row] for row in pre["pca_basis"]] * 3
         (tmp_path / "tripled.json").write_text(json.dumps({**pre, **tripled}))
         model = tmp_path / "model.json"  # records no chain, so it scores behind either
-        save_model(load_model(workspace["model"]), model)
+        save_model(load_model(workspace["model"], ("vqc",)), model)
         rows = {}
         for name, path in (("fitted", pca_preprocess), ("tripled", tmp_path / "tripled.json")):
             assert main_in_child(
@@ -1279,7 +1389,7 @@ class TestChainBinding:
         self, command, workspace, pca_preprocess, tmp_path
     ):
         model = tmp_path / "model.json"
-        save_model(load_model(workspace["model"]), model)
+        save_model(load_model(workspace["model"], ("vqc",)), model)
         assert "preprocess_sha256" not in json.loads(model.read_text())
         for chain in (None, workspace["preprocess"], pca_preprocess):
             assert self.score(command, model, chain, workspace, tmp_path) == 0
@@ -1556,7 +1666,7 @@ def test_out_dir_writer_failing_midway_exits_1(
     # a failed artifact write ends every command the same way as the --out commands
     writer, artifact = FAILING_OUT_DIR_WRITERS[command]
 
-    def write_half(*args):
+    def write_half(*args, **kwargs):  # write_csv takes the label names by keyword
         with open(args[-1], "w", encoding="utf-8") as fh:
             fh.write("{")
         raise OSError(28, "No space left on device")

@@ -79,7 +79,7 @@ def test_model_loads_or_raises_model_format_error(model_path, field, value):
     kind, key = field
     model_path.write_text(json.dumps({**PAYLOADS[kind], key: value}))
     try:
-        model = load_model(model_path)
+        model = load_model(model_path, (kind,))
     except ModelFormatError:
         return
     try:

@@ -11,7 +11,13 @@ from helpers import holding_out_dir, teacher_vqc_dataset, traced_peak, with_supp
 
 from qshield import pipeline
 from qshield.encoding import FeatureMapSpec
-from qshield.errors import ConfigError, ModelFormatError, PipelineStageError, QShieldError
+from qshield.errors import (
+    ConfigError,
+    ModelFormatError,
+    PipelineStageError,
+    QShieldError,
+    QubitCapError,
+)
 from qshield.evalstats import ConfusionMatrix, MetricsReport, StatReport
 from qshield.pipeline import (
     EnsembleModel,
@@ -197,6 +203,56 @@ class _StubModel:
         return np.full(len(features), self.p)
 
 
+def raised(build, *args, **kwargs):
+    """(exception type, message) of what ``build`` raises, or None if it returns."""
+    try:
+        build(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# qubits, layers, repetitions (so depths 0 to 24, the cap 12 among them) and encodings
+ARCHITECTURES = [
+    (q, layers, reps, encoding)
+    for q in (0, 1, 20, 21) for layers in (0, 1, 11, 12) for reps in (0, 1, 11, 12)
+    for encoding in ("angle", "basis")
+]
+
+
+def test_config_checks_an_architecture_as_the_model_does():
+    # one definition per limit: a config is refused exactly when the model it
+    # describes would be, with the same exception and message
+    outcomes = {}
+    for q, layers, reps, encoding in ARCHITECTURES:
+        model = raised(VqcModel.fresh, q, layers, reps, encoding)
+        config = raised(pipeline.ModelConfig, n_qubits=q, n_layers=layers,
+                        repetitions=reps, encoding=encoding)
+        assert config == model, (q, layers, reps, encoding)
+        outcomes[model] = outcomes.get(model, 0) + 1
+    assert outcomes[None] == 6  # 1 and 20 qubits at depths 2, 12 and 12
+
+
+# two bad fields: the first reported is the first in qubits, repetitions, n_layers,
+# encoding, depth (architecture -> exception type and message)
+FIRST_ERROR = {
+    (0, 2, 0, "angle"): (QubitCapError, "qubit count must be an integer in [1, 20], got 0"),
+    (21, 12, 2, "angle"): (QubitCapError, "qubit count must be an integer in [1, 20], got 21"),
+    (4, 0, 0, "angle"): (ConfigError, "repetitions must be a positive integer, got 0"),
+    (4, 0, 2, "basis"): (ConfigError, "n_layers must be a positive integer, got 0"),
+    (4, 12, 2, "basis"): (ConfigError, "encoding must be one of ('angle', 'amplitude'), "
+                                       "got 'basis'"),
+    (4, 11, 2, "angle"): (ConfigError, "n_layers + repetitions = 13 exceeds the depth cap 12"),
+}
+
+
+@pytest.mark.parametrize("architecture", sorted(FIRST_ERROR, key=repr), ids=repr)
+def test_config_reports_the_first_bad_field(architecture):
+    q, layers, reps, encoding = architecture
+    assert raised(pipeline.ModelConfig, n_qubits=q, n_layers=layers, repetitions=reps,
+                  encoding=encoding) == FIRST_ERROR[architecture]
+
+
 class TestPredictLabels:
     def test_clips_and_labels_at_half(self):
         probabilities, labels = predict_labels(
@@ -251,7 +307,7 @@ class TestPersistence:
         model, data = self.trained_vqc()
         path = tmp_path / "model.json"
         save_model(model, path)
-        loaded = load_model(path, expected_type="vqc")
+        loaded = load_model(path, ("vqc",))
         assert np.array_equal(loaded.params, model.params)
         assert loaded.feature_map == model.feature_map
         rows = data.features[:4]
@@ -261,7 +317,7 @@ class TestPersistence:
         model, data = self.trained_svm()
         path = tmp_path / "svm.json"
         save_model(model, path)
-        loaded = load_model(path, expected_type="qsvm")
+        loaded = load_model(path, ("qsvm",))
         assert np.array_equal(loaded.dual_coeffs, model.dual_coeffs)
         assert loaded.bias == model.bias
         rows = data.features[:4]
@@ -276,7 +332,7 @@ class TestPersistence:
         model, _ = fit_preprocess(data, PreprocessConfig(pca_components=2))
         path = tmp_path / "pre.json"
         save_model(model, path)
-        loaded = load_model(path, expected_type="preprocess")
+        loaded = load_model(path, ("preprocess",))
         fresh = data.take_rows(slice(0, 5))
         np.testing.assert_allclose(
             apply_preprocess(loaded, fresh).features,
@@ -290,7 +346,7 @@ class TestPersistence:
         model = EnsembleModel([vqc_model, svm_model], np.array([0.6, 0.4]))
         path = tmp_path / "ens.json"
         save_model(model, path)
-        loaded = load_model(path, expected_type="ensemble")
+        loaded = load_model(path, ("ensemble",))
         rows = data.features[:4]
         np.testing.assert_allclose(loaded.predict_proba(rows), model.predict_proba(rows), atol=1e-15)
 
@@ -349,7 +405,7 @@ class TestPersistence:
             model = EnsembleModel([model, self.trained_svm()[0]], np.array([0.3, 0.7]))
         first, again = tmp_path / "first.json", tmp_path / "again.json"
         save_model(model, first)
-        save_model(load_model(first, expected_type=kind), again)
+        save_model(load_model(first, (kind,)), again)
         assert again.read_bytes() == first.read_bytes()
 
     def test_version_mismatch(self, tmp_path):
@@ -360,14 +416,14 @@ class TestPersistence:
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="format version"):
-            load_model(path)
+            load_model(path, ("vqc",))
 
     def test_type_mismatch(self, tmp_path):
         model, _ = self.trained_vqc()
         path = tmp_path / "model.json"
         save_model(model, path)
         with pytest.raises(ModelFormatError, match="model type mismatch"):
-            load_model(path, expected_type="qsvm")
+            load_model(path, ("qsvm",))
 
     def test_missing_field(self, tmp_path):
         model, _ = self.trained_vqc()
@@ -377,29 +433,31 @@ class TestPersistence:
         del payload["params"]
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="missing field"):
-            load_model(path)
+            load_model(path, ("vqc",))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{broken")
         with pytest.raises(ModelFormatError, match="not valid JSON"):
-            load_model(path)
+            load_model(path, ("vqc",))
 
     def test_unknown_model_type(self, tmp_path):
+        # a file's own type must be one the caller expects, so only a member can be unknown
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"format_version": 1, "model_type": "tree"}))
-        with pytest.raises(ModelFormatError, match="unknown model type"):
-            load_model(path)
+        path.write_text(json.dumps({"format_version": 1, "model_type": "ensemble",
+                                    "members": [{"model_type": "tree"}], "weights": [1.0]}))
+        with pytest.raises(ModelFormatError, match="unknown model type 'tree'"):
+            load_model(path, ("ensemble",))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):
-            load_model(tmp_path / "nope.json")
+            load_model(tmp_path / "nope.json", ("vqc",))
 
     def test_non_object_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1]")
         with pytest.raises(ModelFormatError, match="does not contain an object"):
-            load_model(path)
+            load_model(path, ("vqc",))
 
     def test_unknown_class_not_saved(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot serialize model of type object"):
@@ -543,7 +601,7 @@ class TestRunExperiment:
         config = fast_config(type="qsvm", svm_c=10.0)
         train_experiment(config, data_path, tmp_path / "out")
         _, _, processed = pipeline._load_and_preprocess(config, data_path)
-        saved = load_model(tmp_path / "out" / "model.json", expected_type="qsvm")
+        saved = load_model(tmp_path / "out" / "model.json", ("qsvm",))
         assert 0 < len(saved.support_indices) < processed.n_samples
         assert np.array_equal(saved.support_vectors, processed.features[saved.support_indices])
         assert saved.feature_map == pipeline.feature_map_spec(config)
@@ -625,7 +683,7 @@ class TestPreprocessExperiment:
         assert summary["n_features_out"] == 2
         processed = load_csv(out / "processed.csv", "label", "1")
         assert processed.n_samples == summary["n_samples_out"]
-        model = load_model(out / "preprocess.json", expected_type="preprocess")
+        model = load_model(out / "preprocess.json", ("preprocess",))
         assert model.kept_columns is not None
 
     def test_raw_matrix_freed_once_standardized(self, tmp_path):
@@ -671,7 +729,7 @@ def test_writer_failing_midway_leaves_no_artifact(case, tmp_path, monkeypatch):
     write_teacher_csv(data_path)
     out = tmp_path / "out"
 
-    def write_half(*args):
+    def write_half(*args, **kwargs):  # write_csv takes the label names by keyword
         with open(args[-1], "w", encoding="utf-8") as fh:
             fh.write("sample_index,prob")
         raise OSError(28, "No space left on device")
@@ -708,12 +766,12 @@ def test_failed_rerun_never_mixes_two_runs(case, tmp_path, monkeypatch):
     started: list = []  # the .tmp path of each artifact begun, in order
 
     def failing_second(real):
-        def write(*args):
+        def write(*args, **kwargs):  # write_csv takes the label names by keyword
             if args[-1] not in started:
                 started.append(args[-1])
             if len(started) == 2:
                 raise OSError(28, "No space left on device")
-            return real(*args)
+            return real(*args, **kwargs)
         return write
 
     for name in ARTIFACT_WRITERS:

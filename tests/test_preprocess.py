@@ -335,6 +335,23 @@ class TestCsv:
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
         assert path.read_bytes().startswith(b'f0,"has,comma","has ""quote""","two\nlines", spaced ,')
 
+    @pytest.mark.parametrize("positive, negative, cell", [
+        ("1", "0", "1"), ("0", "1", "0"), ("malware", "0", "malware"),
+        ("mal,ware", "0", '"mal,ware"'), ('say "bad"', "0", '"say ""bad"""'),
+    ])
+    def test_write_names_the_label_column_and_classes(self, tmp_path, positive, negative, cell):
+        # class 1 is the positive label as csv.writer quotes it; class 0 is 0 unless
+        # that is the positive label; load_csv with the same names reads it back
+        data = Dataset(["f0", "f1"], [[0.5, -1.0], [2.0, 3.0], [0.0, 1e-300]], [1, 0, 1])
+        path = tmp_path / "out.csv"
+        write_csv(data, path, label_column="kind", positive_label=positive)
+        assert path.read_bytes().decode().split("\r\n") == [
+            "f0,f1,kind", f"0.5,-1.0,{cell}", f"2.0,3.0,{negative}", f"0.0,1e-300,{cell}", ""]
+        back = load_csv(path, "kind", positive)
+        assert back.feature_names == ["f0", "f1"]
+        assert back.labels.tolist() == [1, 0, 1]
+        assert back.features.tobytes() == data.features.tobytes()
+
     def test_write_refuses_feature_named_like_label_column(self, tmp_path):
         data = Dataset(["a", "label"], np.zeros((2, 2)), np.array([0, 1]))
         path = tmp_path / "out.csv"
